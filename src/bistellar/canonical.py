@@ -73,25 +73,46 @@ class CanonicalForm:
 # ---------------------------------------------------------------------------
 
 
-def _refine(vertices, facets, colors):
-    """Refine vertex colors by facet signatures until stable."""
-    while True:
+def _refine(vertices, facets, star, colors):
+    """Refine vertex colors by facet signatures until stable.
+
+    The signature of v is its color plus the sorted multiset of the color
+    tuples of its facets with v left out; new colors are the dense ranks of
+    the signatures.  ``star[v]`` lists the indices in ``facets`` of the
+    facets containing v.  A discrete dense coloring is a fixed point, so it
+    is returned at once.
+    """
+    n = len(vertices)
+    while len(set(colors.values())) < n:
+        facet_colors = [tuple(sorted([colors[w] for w in f])) for f in facets]
         sig = {}
         for v in vertices:
-            inc = sorted(tuple(sorted(colors[w] for w in f if w != v)) for f in facets if v in f)
-            sig[v] = (colors[v], tuple(inc))
+            c = colors[v]
+            inc = []
+            for j in star[v]:
+                cs = facet_colors[j]
+                i = cs.index(c)
+                inc.append(cs[:i] + cs[i + 1 :])
+            inc.sort()
+            sig[v] = (c, tuple(inc))
         ranking = {s: i for i, s in enumerate(sorted(set(sig.values())))}
         new = {v: ranking[sig[v]] for v in vertices}
         if new == colors:
             return colors
         colors = new
+    return colors
 
 
-def _cells(vertices, colors):
+def _first_nonsingleton_cell(vertices, colors):
+    """Vertices of the least color shared by two or more, ascending; None
+    when the coloring is discrete."""
     byc: dict[int, list[int]] = {}
     for v in vertices:
         byc.setdefault(colors[v], []).append(v)
-    return [sorted(byc[c]) for c in sorted(byc)]
+    for c in sorted(byc):
+        if len(byc[c]) > 1:
+            return byc[c]
+    return None
 
 
 class _UCanon:
@@ -118,30 +139,26 @@ def unoriented_canon(K: Complex) -> _UCanon:
 
     def leaf(colors) -> None:
         lab = {v: colors[v] for v in vertices}
-        image = tuple(sorted(tuple(sorted(lab[v] for v in f)) for f in facets))
+        image = tuple(sorted([tuple(sorted([lab[v] for v in f])) for f in facets]))
         if not best or image < best[0]:
             best[:] = [image]
             best_labelings[:] = [lab]
         elif image == best[0]:
             best_labelings.append(lab)
 
-    def search(colors, depth) -> None:
-        colors = _refine(vertices, facets, colors)
-        cells = _cells(vertices, colors)
-        target = None
-        for cell in cells:
-            if len(cell) > 1:
-                target = cell
-                break
+    def search(colors) -> None:
+        colors = _refine(vertices, facets, star, colors)
+        target = _first_nonsingleton_cell(vertices, colors)
         if target is None:
             leaf(colors)
             return
         for v in target:
-            # individualize: give v a fresh color strictly below its cell
-            branched = {w: 2 * colors[w] for w in vertices}
-            branched[v] -= 1
-            ranking = {c: i for i, c in enumerate(sorted(set(branched.values())))}
-            search({w: ranking[branched[w]] for w in vertices}, depth + 1)
+            # individualize: give v a fresh color strictly below the rest of
+            # its cell, keeping the coloring dense
+            c = colors[v]
+            child = {w: x if x < c else x + 1 for w, x in colors.items()}
+            child[v] = c
+            search(child)
 
     if len(vertices) == 0:
         # the empty complex {()} canonicalizes trivially
@@ -151,14 +168,14 @@ def unoriented_canon(K: Complex) -> _UCanon:
     # seed colors with vertex degrees to shrink the search tree
     deg = {v: K.degree(v) for v in vertices}
     ranking = {d: i for i, d in enumerate(sorted(set(deg.values())))}
-    search({v: ranking[deg[v]] for v in vertices}, 0)
+    star: dict[int, list[int]] = {v: [] for v in vertices}
+    for j, f in enumerate(facets):
+        for v in f:
+            star[v].append(j)
+    search({v: ranking[deg[v]] for v in vertices})
     result = _UCanon(best[0], best_labelings)
     _UCANON_CACHE[cache_key] = result
     return result
-
-
-def _colors_to_labeling_ok(colors, vertices) -> bool:
-    return len(set(colors.values())) == len(vertices)
 
 
 class _OCanon:
@@ -272,10 +289,6 @@ def materialize(key: OKey) -> OrientedComplex:
 def iso_onto_rep(OC: OrientedComplex) -> dict[int, int]:
     """An orientation-preserving labeling of OC onto ``materialize(okey(OC))``."""
     return designated_labelings(OC)[0]
-
-
-def are_isomorphic(K1: Complex, K2: Complex) -> bool:
-    return ukey(K1) == ukey(K2)
 
 
 def isomorphism(K1: Complex, K2: Complex) -> dict[int, int] | None:

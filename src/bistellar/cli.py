@@ -196,7 +196,9 @@ def main(argv=None) -> int:
     p.add_argument("complex")
     p.set_defaults(fn=cmd_p1)
 
-    p = sub.add_parser("gamma2", help="move-graph chain utilities")
+    # the group parser needs its own copy too: a flag placed between
+    # `gamma2` and `decompose` is parsed by the group parser
+    p = sub.add_parser("gamma2", parents=[_common_flags()], help="move-graph chain utilities")
     g2 = p.add_subparsers(dest="subcommand", required=True)
     pd = g2.add_parser("decompose", parents=[common], help="decompose a cycle into elementary cycles")
     pd.add_argument("chain", help="JSON chain file")

@@ -127,28 +127,31 @@ def _extend_orientation(cx: Complex, signs: dict[Simplex, int]) -> None:
         return
     by_ridge: dict[Simplex, list[Simplex]] = {}
     for f in cx.facets:
-        for i in range(len(f)):
-            by_ridge.setdefault(f[:i] + f[i + 1 :], []).append(f)
+        for r in combinations(f, len(f) - 1):
+            by_ridge.setdefault(r, []).append(f)
     if not signs:
         seed = min(cx.facets)
         signs[seed] = 1
-    changed = True
-    while changed and len(signs) < len(cx.facets):
-        changed = False
-        for f in list(signs):
+    # breadth-first from the signed facets: each level is scanned once, in
+    # the order its facets were signed; the last level needs no scan
+    level = list(signs)
+    while len(signs) < len(cx.facets):
+        nxt = []
+        for f in level:
             for i in range(len(f)):
                 r = f[:i] + f[i + 1 :]
                 pair = by_ridge[r]
                 if len(pair) != 2:
                     raise InvalidMove("move output is not a closed pseudomanifold")
-                (g,) = [x for x in pair if x != f]
+                g = pair[1] if pair[0] == f else pair[0]
                 if g in signs:
                     continue
                 (w,) = set(g) - set(r)
                 signs[g] = -(signs[f] * (-1) ** i) * (-1) ** g.index(w)
-                changed = True
-    if len(signs) < len(cx.facets):
-        raise InvalidMove("orientation propagation did not reach all facets")
+                nxt.append(g)
+        if not nxt:
+            raise InvalidMove("orientation propagation did not reach all facets")
+        level = nxt
 
 
 def inverse_move(move: BistellarMove, result: OrientedComplex | None = None) -> BistellarMove:

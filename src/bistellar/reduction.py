@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import chain, combinations, repeat
 
-from .canonical import OKey, materialize, okey
+from .canonical import OKey, materialize, okey, ukey
 from .errors import BudgetExhausted
 from .moves import BistellarMove, apply_move, enumerate_moves
 from .simplicial import OrientedComplex, Simplex
@@ -108,6 +110,42 @@ def _move_energy(state: OrientedComplex, degs: dict[int, int], mv: BistellarMove
     return _energy_from_degrees(state.dim, nd)
 
 
+def _iso_invariant(K: OrientedComplex) -> tuple:
+    """Sorted vertex degrees and sorted edge degrees (facets per edge):
+    equal for isomorphic complexes and far cheaper than a canonical form."""
+    vdeg = Counter(chain.from_iterable(K.facets))
+    edeg = Counter(chain.from_iterable(map(combinations, K.facets, repeat(2))))
+    return tuple(sorted(vdeg.values())), tuple(sorted(edeg.values()))
+
+
+class _Visited:
+    """Isomorphism classes seen by a plateau search.
+
+    States are bucketed by ``_iso_invariant``; the canonical key of a state
+    is computed only once another state shares its bucket.  Isomorphic
+    states always share a bucket, so ``add`` decides exactly as comparing
+    canonical keys of all states would.
+    """
+
+    def __init__(self, state: OrientedComplex):
+        self._buckets: dict[tuple, list] = {_iso_invariant(state): [[state.complex, None]]}
+
+    def add(self, state: OrientedComplex) -> bool:
+        """Record the class of ``state``; False if it was already seen."""
+        bucket = self._buckets.setdefault(_iso_invariant(state), [])
+        if not bucket:
+            bucket.append([state.complex, None])
+            return True
+        k = ukey(state.complex)
+        for entry in bucket:
+            if entry[1] is None:
+                entry[1] = ukey(entry[0])
+            if entry[1] == k:
+                return False
+        bucket.append([state.complex, k])
+        return True
+
+
 def _find_descent(state: OrientedComplex, rng: random.Random, cap: int):
     """Search the vertex-count plateau of ``state`` for a path ending in a
     vertex-reducing move (for 2-spheres, a complexity-reducing move).
@@ -115,15 +153,11 @@ def _find_descent(state: OrientedComplex, rng: random.Random, cap: int):
     Breadth-first over canonical classes in seeded order; returns the move
     path or None when the plateau is exhausted or the cap is hit.
     """
-    from collections import deque
-
-    from .canonical import ukey
-
     n = state.dim
     degs = _degrees(state)
     cur = _energy_from_degrees(n, degs)
     frontier = deque([(state, [])])
-    visited = {ukey(state.complex)}
+    visited = _Visited(state)
     expanded = 0
     while frontier:
         st, path = frontier.popleft()
@@ -144,11 +178,8 @@ def _find_descent(state: OrientedComplex, rng: random.Random, cap: int):
         level.sort(key=lambda x: x[0])
         for _, mv in level:
             nxt = apply_move(mv)
-            k = ukey(nxt.complex)
-            if k in visited:
-                continue
-            visited.add(k)
-            frontier.append((nxt, path + [mv]))
+            if visited.add(nxt):
+                frontier.append((nxt, path + [mv]))
     return None
 
 

@@ -1,7 +1,7 @@
-"""Recognition of combinatorial spheres (dim <= 3) and manifolds.
+"""Recognition of combinatorial spheres and manifolds.
 
-Dimensions 0-2 admit complete combinatorial criteria.  Dimension 3 is
-search-based: a sphere verdict comes with a replayable reduction
+Dimensions 0-2 admit complete combinatorial criteria.  Dimensions 3 and up
+are search-based: a sphere verdict comes with a replayable reduction
 certificate, and a failed search within budget yields Unknown, never No.
 """
 
@@ -17,7 +17,7 @@ from .simplicial import Complex, OrientedComplex, orient
 class SphereVerdict:
     verdict: bool | None  # True / False / None = Unknown
     reason: str
-    certificate: object | None = None  # MoveSequence for dim-3 Yes
+    certificate: object | None = None  # MoveSequence for a Yes in dim >= 3
 
     def __bool__(self) -> bool:
         return self.verdict is True
@@ -34,12 +34,10 @@ def _is_cycle(K: Complex) -> bool:
 
 
 def is_combinatorial_sphere(K: Complex, budget: int = 20000, seed: int = 0) -> SphereVerdict:
-    """Decide whether K is a combinatorial sphere of its dimension (<= 3)."""
+    """Decide whether K is a combinatorial sphere of its dimension."""
     if isinstance(K, OrientedComplex):
         K = K.complex
     d = K.dim
-    if d > 3:
-        raise NotImplementedError("sphere recognition implemented for dim <= 3 only")
     if d == 0:
         ok = len(K.vertices) == 2 and K.is_pure
         return SphereVerdict(ok, "two points" if ok else "not two points")
@@ -55,11 +53,12 @@ def is_combinatorial_sphere(K: Complex, budget: int = 20000, seed: int = 0) -> S
             if not _is_cycle(K.link((v,))):
                 return SphereVerdict(False, f"link of vertex {v} is not a cycle")
         return SphereVerdict(True, "closed connected surface with chi = 2")
-    # dim 3: local checks, then reduction search
+    # dim >= 3: local checks, then reduction search
     if not (K.is_pure and K.is_closed_pseudomanifold and K.is_connected):
         return SphereVerdict(False, "not a closed connected pseudomanifold")
-    if K.euler_characteristic != 0:
-        return SphereVerdict(False, f"Euler characteristic {K.euler_characteristic} != 0")
+    chi = 1 + (-1) ** d
+    if K.euler_characteristic != chi:
+        return SphereVerdict(False, f"Euler characteristic {K.euler_characteristic} != {chi}")
     for v in K.vertices:
         sub = is_combinatorial_sphere(K.link((v,)))
         if not sub:
@@ -74,7 +73,7 @@ def is_combinatorial_sphere(K: Complex, budget: int = 20000, seed: int = 0) -> S
         cert = reduce_to_boundary(oc, budget=budget, seed=seed)
     except BudgetExhausted:
         return SphereVerdict(None, f"reduction search exhausted budget {budget}")
-    return SphereVerdict(True, "reduced to the boundary of the 4-simplex", certificate=cert)
+    return SphereVerdict(True, f"reduced to the boundary of the {d + 1}-simplex", certificate=cert)
 
 
 def is_combinatorial_manifold(K: Complex, budget: int = 20000, seed: int = 0) -> SphereVerdict:

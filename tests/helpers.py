@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from bistellar.canonical import okey
 from bistellar.gamma2 import Gamma2Chain, sphere_complexity
+from bistellar.library import cp2_9
 from bistellar.moves import apply_move, enumerate_moves
 from bistellar.simplicial import OrientedComplex, boundary_of_simplex, build_complex, orient
 
@@ -30,6 +31,17 @@ def icosahedron() -> OrientedComplex:
             ]
         )
     )
+
+
+def perturbed_cp2(seed: int, steps: int = 5) -> OrientedComplex:
+    """The bundled CP^2 after ``steps`` seeded random Pachner moves (the moves
+    sorted first, so the walk does not depend on the enumeration order)."""
+    rng = random.Random(seed)
+    state = orient(cp2_9())
+    for _ in range(steps):
+        moves = sorted(enumerate_moves(state), key=lambda m: (m.sigma, m.tau))
+        state = apply_move(moves[rng.randrange(len(moves))])
+    return state
 
 
 def random_walk_sphere(rng: random.Random, steps: int = 6, max_cx: Fraction = Fraction(9)) -> OrientedComplex:

@@ -1,0 +1,87 @@
+"""The canonical labeling against a plain reference implementation.
+
+``_reference_canon`` is the straightforward individualization-refinement
+search: every refinement round rescans all facets for every vertex, and a
+discrete coloring still takes one confirming round.  The library's
+``unoriented_canon`` must return the same canonical facets and the same
+optimal labelings in the same order, because ``designated_labelings(...)[0]``
+is what ``move_from_endpoint`` transports moves with.
+"""
+
+import random
+
+from bistellar.canonical import relabel, unoriented_canon
+from bistellar.enumeration import spheres_by_expansion
+from bistellar.simplicial import Complex
+from helpers import perturbed_cp2
+
+
+def _reference_refine(vertices, facets, colors):
+    while True:
+        sig = {}
+        for v in vertices:
+            inc = sorted(tuple(sorted(colors[w] for w in f if w != v)) for f in facets if v in f)
+            sig[v] = (colors[v], tuple(inc))
+        ranking = {s: i for i, s in enumerate(sorted(set(sig.values())))}
+        new = {v: ranking[sig[v]] for v in vertices}
+        if new == colors:
+            return colors
+        colors = new
+
+
+def _reference_canon(K: Complex):
+    vertices = K.vertices
+    facets = sorted(K.facets)
+    best, best_labelings = [], []
+
+    def leaf(colors):
+        lab = {v: colors[v] for v in vertices}
+        image = tuple(sorted(tuple(sorted(lab[v] for v in f)) for f in facets))
+        if not best or image < best[0]:
+            best[:] = [image]
+            best_labelings[:] = [lab]
+        elif image == best[0]:
+            best_labelings.append(lab)
+
+    def search(colors):
+        colors = _reference_refine(vertices, facets, colors)
+        byc = {}
+        for v in vertices:
+            byc.setdefault(colors[v], []).append(v)
+        target = next((sorted(byc[c]) for c in sorted(byc) if len(byc[c]) > 1), None)
+        if target is None:
+            leaf(colors)
+            return
+        for v in target:
+            branched = {w: 2 * colors[w] for w in vertices}
+            branched[v] -= 1
+            ranking = {c: i for i, c in enumerate(sorted(set(branched.values())))}
+            search({w: ranking[branched[w]] for w in vertices})
+
+    deg = {v: K.degree(v) for v in vertices}
+    ranking = {d: i for i, d in enumerate(sorted(set(deg.values())))}
+    search({v: ranking[deg[v]] for v in vertices})
+    return best[0], best_labelings
+
+
+def _assert_matches_reference(K: Complex):
+    facets, labelings = _reference_canon(K)
+    got = unoriented_canon(K)
+    assert got.facets == facets
+    assert [list(lab.items()) for lab in got.labelings] == [list(lab.items()) for lab in labelings]
+
+
+def test_relabeled_two_spheres_match_reference():
+    rng = random.Random(17)
+    for ks in spheres_by_expansion(8).values():
+        for k in ks:
+            K = Complex(k, _validated=True)
+            perm = list(K.vertices)
+            rng.shuffle(perm)
+            _assert_matches_reference(relabel(K, dict(zip(K.vertices, perm))))
+
+
+def test_perturbed_cp2_links_match_reference():
+    K = perturbed_cp2(seed=4).complex
+    for v in K.vertices:
+        _assert_matches_reference(K.link((v,)))

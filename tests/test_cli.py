@@ -147,3 +147,22 @@ def test_jobs_before_subcommand(capsys, data_dir, monkeypatch):
     before = _run(capsys, ["--jobs", "2", "p1", "local", path])
     assert before == after
     assert seen == [2, 2]
+
+
+def test_shared_flag_between_group_and_subcommand(capsys, tmp_path):
+    from bistellar.gamma2 import commutation_cycle
+    from helpers import icosahedron
+
+    g = commutation_cycle(icosahedron(), (0, 1, 2), (0, 5, 6))
+    chain_file = tmp_path / "chain.json"
+    chain_file.write_text(json.dumps(g.chain.to_json()))
+    after = _run(capsys, ["gamma2", "decompose", "--trace", str(chain_file)])
+    between = _run(capsys, ["gamma2", "--trace", "decompose", str(chain_file)])
+    assert after[0] == 0 and "chain" in json.loads(after[1])["pieces"][0]
+    assert between == after
+
+
+def test_check_five_sphere(capsys, data_dir):
+    code, out = _run(capsys, ["check", str(data_dir / "boundary_delta_6.facets")])
+    assert code == 0
+    assert json.loads(out)["manifold"] == "yes"

@@ -5,7 +5,7 @@ from bistellar.errors import BudgetExhausted
 from bistellar.moves import apply_move, enumerate_moves
 from bistellar.reduction import MoveSequence, reduce_to_boundary, replay
 from bistellar.simplicial import boundary_of_simplex, join, orient
-from helpers import icosahedron, octahedron
+from helpers import icosahedron, octahedron, perturbed_cp2
 
 
 def test_boundary_reduces_to_empty_sequence():
@@ -62,3 +62,58 @@ def test_certificate_json_round_trip():
     again = MoveSequence.from_json(seq.to_json())
     assert again == seq
     replay(again)
+
+
+# reduce_to_boundary(...).dumps() of the link of vertex 2 of perturbed_cp2(4):
+# an 11-vertex 3-sphere with a trivial automorphism group, not its own mirror
+PINNED_CERTIFICATES = {
+    0: (
+        '{"end_key": "0;0,1,2,3|0,1,2,4|0,1,3,4|0,2,3,4|1,2,3,4", '
+        '"moves": ['
+        '{"sigma": [1], "tau": [6, 8, 9, 10]}, '
+        '{"sigma": [0], "tau": [2, 7, 9, 10]}, '
+        '{"sigma": [2], "tau": [7, 8, 9, 10]}, '
+        '{"sigma": [6, 8], "tau": [5, 9, 10]}, '
+        '{"sigma": [4, 6], "tau": [3, 7, 10]}, '
+        '{"sigma": [6, 9], "tau": [3, 5, 10]}, '
+        '{"sigma": [6], "tau": [3, 5, 7, 10]}, '
+        '{"sigma": [5, 7], "tau": [3, 8, 10]}, '
+        '{"sigma": [4, 5], "tau": [3, 8, 9]}, '
+        '{"sigma": [5], "tau": [3, 8, 9, 10]}, '
+        '{"sigma": [3, 7], "tau": [4, 8, 10]}, '
+        '{"sigma": [3], "tau": [4, 8, 9, 10]}], "start_key": "+;0,2,7,9|0,2,7,10|'
+        '0,2,9,10|0,7,9,10|1,6,8,9|1,6,8,10|1,6,9,10|1,8,9,10|2,7,8,9|2,7,8,10|'
+        '2,8,9,10|3,4,5,8|3,4,5,9|3,4,6,7|3,4,6,10|3,4,7,8|3,4,9,10|3,5,6,7|'
+        '3,5,6,9|3,5,7,8|3,6,9,10|4,5,8,9|4,6,7,10|4,7,8,9|4,7,9,10|5,6,7,10|'
+        '5,6,8,9|5,6,8,10|5,7,8,10"}'
+    ),
+    1: (
+        '{"end_key": "0;0,1,2,3|0,1,2,4|0,1,3,4|0,2,3,4|1,2,3,4", '
+        '"moves": ['
+        '{"sigma": [1], "tau": [6, 8, 9, 10]}, '
+        '{"sigma": [0], "tau": [2, 7, 9, 10]}, '
+        '{"sigma": [2], "tau": [7, 8, 9, 10]}, '
+        '{"sigma": [6, 8], "tau": [5, 9, 10]}, '
+        '{"sigma": [4, 6], "tau": [3, 7, 10]}, '
+        '{"sigma": [6, 7], "tau": [3, 5, 10]}, '
+        '{"sigma": [6], "tau": [3, 5, 9, 10]}, '
+        '{"sigma": [4, 5], "tau": [3, 8, 9]}, '
+        '{"sigma": [4, 8], "tau": [3, 7, 9]}, '
+        '{"sigma": [4], "tau": [3, 7, 9, 10]}, '
+        '{"sigma": [3, 10], "tau": [5, 7, 9]}, '
+        '{"sigma": [10], "tau": [5, 7, 8, 9]}], "start_key": "+;0,2,7,9|0,2,7,10|'
+        '0,2,9,10|0,7,9,10|1,6,8,9|1,6,8,10|1,6,9,10|1,8,9,10|2,7,8,9|2,7,8,10|'
+        '2,8,9,10|3,4,5,8|3,4,5,9|3,4,6,7|3,4,6,10|3,4,7,8|3,4,9,10|3,5,6,7|'
+        '3,5,6,9|3,5,7,8|3,6,9,10|4,5,8,9|4,6,7,10|4,7,8,9|4,7,9,10|5,6,7,10|'
+        '5,6,8,9|5,6,8,10|5,7,8,10"}'
+    ),
+}
+
+
+def test_certificate_bytes_pinned():
+    """Certificates on an asymmetric link keep their exact bytes: the plateau
+    search, its class deduplication and the orientation transport of every
+    applied move all feed them."""
+    link = perturbed_cp2(seed=4).link((2,))
+    for seed, expected in PINNED_CERTIFICATES.items():
+        assert reduce_to_boundary(link, seed=seed).dumps() == expected

@@ -59,9 +59,11 @@ def is_combinatorial_sphere(K: Complex, budget: int = 20000, seed: int = 0) -> S
     chi = 1 + (-1) ** d
     if K.euler_characteristic != chi:
         return SphereVerdict(False, f"Euler characteristic {K.euler_characteristic} != {chi}")
+    # an Unknown link is left to the search: a reduction to a simplex
+    # boundary certifies K, links included
     for v in K.vertices:
-        sub = is_combinatorial_sphere(K.link((v,)))
-        if not sub:
+        sub = is_combinatorial_sphere(K.link((v,)), budget=budget, seed=seed)
+        if sub.verdict is False:
             return SphereVerdict(False, f"link of vertex {v}: {sub.reason}")
     try:
         oc = orient(K)

@@ -83,6 +83,30 @@ def test_apply_outputs_are_spheres():
         assert is_combinatorial_sphere(out.complex).verdict is True
 
 
+def test_four_sphere_search_budget_reaches_links(monkeypatch):
+    import bistellar.reduction as reduction
+
+    rng = random.Random(1)
+    K = orient(boundary_of_simplex(5))
+    for _ in range(6):
+        moves = sorted(enumerate_moves(K), key=lambda m: (m.sigma, m.tau))
+        K = apply_move(moves[rng.randrange(len(moves))])
+    assert is_combinatorial_sphere(K.complex).verdict is True
+
+    budgets = []
+    real = reduction.reduce_to_boundary
+
+    def spy(L, budget, seed):
+        budgets.append(budget)
+        return real(L, budget=budget, seed=seed)
+
+    monkeypatch.setattr(reduction, "reduce_to_boundary", spy)
+    # links that exhaust the budget are Unknown, and Unknown is never No
+    starved = is_combinatorial_sphere(K.complex, budget=0)
+    assert starved.verdict is None
+    assert len(budgets) == len(K.vertices) + 1 and set(budgets) == {0}
+
+
 def test_invalid_move_rejected():
     d3 = orient(boundary_of_simplex(3))
     with pytest.raises(InvalidMove):

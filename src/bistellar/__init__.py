@@ -31,6 +31,7 @@ from .moves import (
     enumerate_moves,
     induced_vertex_moves,
     is_inessential,
+    sphere_complexity,
     sphere_from_move,
 )
 from .reduction import MoveSequence, reduce_to_boundary, replay
@@ -54,7 +55,6 @@ from .gamma2 import (
     commutation_cycle,
     decompose_cycle,
     move_complexity,
-    sphere_complexity,
 )
 from .pontryagin import (
     XiCache,

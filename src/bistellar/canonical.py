@@ -286,21 +286,6 @@ def materialize(key: OKey) -> OrientedComplex:
     return OrientedComplex(Complex(key.facets, _validated=True), dict(signs), check=False)
 
 
-def iso_onto_rep(OC: OrientedComplex) -> dict[int, int]:
-    """An orientation-preserving labeling of OC onto ``materialize(okey(OC))``."""
-    return designated_labelings(OC)[0]
-
-
-def isomorphism(K1: Complex, K2: Complex) -> dict[int, int] | None:
-    """Some isomorphism K1 -> K2, or None."""
-    u1, u2 = unoriented_canon(K1), unoriented_canon(K2)
-    if u1.facets != u2.facets:
-        return None
-    lab1 = u1.labelings[0]
-    inv2 = {c: v for v, c in u2.labelings[0].items()}
-    return {v: inv2[c] for v, c in lab1.items()}
-
-
 def oriented_isomorphism(A: OrientedComplex, B: OrientedComplex) -> dict[int, int] | None:
     """Some orientation-preserving isomorphism A -> B, or None."""
     ca, cb = oriented_canon(A), oriented_canon(B)

@@ -37,10 +37,6 @@ class DimensionTooSmall(BistellarError):
     pass
 
 
-class TimeoutUnknown(BistellarError):
-    """Raised when a search-based verdict ran out of budget (dim-3 sphere test)."""
-
-
 class BudgetExhausted(BistellarError):
     """Raised when a reduction search ran out of budget.
 
@@ -78,10 +74,6 @@ class UnrecognizedConfiguration(BistellarError):
 
 
 class InvalidParams(BistellarError):
-    pass
-
-
-class NotACycleChain(BistellarError):
     pass
 
 

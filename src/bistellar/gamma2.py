@@ -2,8 +2,10 @@
 the rational cocycle determined by the catalogued elementary-cycle values.
 
 Complexity of a 2-sphere with k vertices is k, k+1/3 or k+2/3 according to
-whether the minimal vertex degree is 3, 4 or at least 5; the complexity of
-a move is the larger endpoint complexity, plus 1/6 when they tie.  Every
+whether the minimal vertex degree is 3, 4 or at least 5 (the rule lives in
+:mod:`bistellar.moves`, which orders the endpoints of move-graph edges by
+it); the complexity of a move is the larger endpoint complexity, plus 1/6
+when they tie.  Every
 integer cycle in the move graph decomposes into "elementary" cycles of two
 kinds:
 
@@ -39,8 +41,13 @@ from .moves import (
     BistellarMove,
     GammaEdgeKey,
     apply_move,
+    complexity_of_key,
     edge_key,
+    enumerate_moves,
+    materialize_edge,
     move_from_endpoint,
+    move_tau,
+    sphere_complexity,
     u_set,
 )
 from .simplicial import OrientedComplex, Simplex
@@ -49,46 +56,23 @@ from .simplicial import OrientedComplex, Simplex
 # complexity stratification
 # ---------------------------------------------------------------------------
 
-_COMPLEXITY_CACHE: dict[OKey, Fraction] = {}
 
-
-def sphere_complexity(L: OrientedComplex) -> Fraction:
-    """k, k+1/3 or k+2/3 for a 2-sphere with k vertices and min degree 3, 4, >=5."""
-    degs = [L.degree(v) for v in L.vertices]
-    m = min(degs)
-    bucket = 0 if m <= 3 else (1 if m == 4 else 2)
-    return Fraction(len(degs)) + Fraction(bucket, 3)
-
-
-def complexity_of_key(key: OKey) -> Fraction:
-    hit = _COMPLEXITY_CACHE.get(key)
-    if hit is None:
-        degs: dict[int, int] = {}
-        for f in key.facets:
-            for v in f:
-                degs[v] = degs.get(v, 0) + 1
-        m = min(degs.values())
-        bucket = 0 if m <= 3 else (1 if m == 4 else 2)
-        hit = Fraction(len(degs)) + Fraction(bucket, 3)
-        _COMPLEXITY_CACHE[key] = hit
-    return hit
+def _tied(a1: Fraction, a2: Fraction) -> Fraction:
+    """Complexity of a move between spheres of complexities a1 and a2."""
+    return a1 + Fraction(1, 6) if a1 == a2 else max(a1, a2)
 
 
 def move_complexity(move: BistellarMove, result: OrientedComplex | None = None) -> Fraction:
-    a1 = sphere_complexity(move.host)
     a2 = sphere_complexity(result if result is not None else apply_move(move))
-    return a1 + Fraction(1, 6) if a1 == a2 else max(a1, a2)
+    return _tied(sphere_complexity(move.host), a2)
 
 
 def edge_complexity(key: GammaEdgeKey) -> Fraction:
-    a1, a2 = complexity_of_key(key.tail), complexity_of_key(key.head)
-    return a1 + Fraction(1, 6) if a1 == a2 else max(a1, a2)
+    return _tied(complexity_of_key(key.tail), complexity_of_key(key.head))
 
 
 def decreasing_moves(L: OrientedComplex) -> list[tuple[BistellarMove, OrientedComplex]]:
     """All moves strictly decreasing the sphere complexity, with results."""
-    from .moves import enumerate_moves
-
     a = sphere_complexity(L)
     out = []
     for mv in enumerate_moves(L):
@@ -197,8 +181,6 @@ _MATERIALIZE_CACHE: dict[GammaEdgeKey, BistellarMove] = {}
 def _materialize_cached(key: GammaEdgeKey) -> BistellarMove:
     hit = _MATERIALIZE_CACHE.get(key)
     if hit is None:
-        from .moves import materialize_edge
-
         hit = materialize_edge(key)
         _MATERIALIZE_CACHE[key] = hit
     return hit
@@ -269,35 +251,6 @@ class ElementaryCycle:
 # ---------------------------------------------------------------------------
 
 
-def _move_tau(L: OrientedComplex, sigma: Simplex, used: tuple[int, ...] = ()) -> Simplex:
-    """The tau of the unique move at sigma, or raise NotApplicable.
-
-    ``used`` reserves vertex ids not to be handed out as fresh labels.
-    """
-    sigma = tuple(sorted(sigma))
-    if sigma not in L.complex:
-        raise NotApplicable(f"{sigma} is not a face")
-    k = len(sigma) - 1
-    if k == L.dim:
-        v = 0
-        taken = set(L.vertices) | set(used)
-        while v in taken:
-            v += 1
-        return (v,)
-    ss = set(sigma)
-    stars = [f for f in L.facets if ss <= set(f)]
-    m = L.dim - k + 1  # number of tau vertices
-    uni: set[int] = set()
-    for f in stars:
-        uni |= set(f) - ss
-    if len(stars) != m or len(uni) != m:
-        raise NotApplicable(f"link of {sigma} is not a simplex boundary")
-    tau = tuple(sorted(uni))
-    if any(set(tau) <= set(f) for f in L.facets):
-        raise NotApplicable(f"{tau} is a face, not an empty simplex")
-    return tau
-
-
 def _support_triangles(L: OrientedComplex, sigma: Simplex, tau: Simplex) -> tuple[set, set]:
     """(triangle set, vertex set) of the move's support in the current state."""
     if len(sigma) == 3:
@@ -311,14 +264,10 @@ def _support_triangles(L: OrientedComplex, sigma: Simplex, tau: Simplex) -> tupl
     return tris, set(sigma) | set(tau)
 
 
-def _positive_link_cycle(L: OrientedComplex, w: int) -> list[int]:
-    return L.link_cycle(w)
-
-
 def _sector_counts(L: OrientedComplex, w: int, tris1: set, tris2: set) -> tuple[int, int]:
     """Triangle counts (p, q) in the two angular sectors at w between the
     wedges of two supports; q follows support 1 in the positive direction."""
-    cycle = _positive_link_cycle(L, w)
+    cycle = L.link_cycle(w)
     d = len(cycle)
     labels = []
     for i in range(d):
@@ -445,9 +394,11 @@ def _normalize_witness(L: OrientedComplex, m1, m2):
 
 def classify_elementary(L: OrientedComplex, sigma1: Simplex, sigma2: Simplex):
     """Kind and sector parameters of the commutation cycle gamma(L, s1, s2)."""
-    m1 = (tuple(sorted(sigma1)), _move_tau(L, sigma1))
-    m2 = (tuple(sorted(sigma2)), _move_tau(L, sigma2))
-    Ln, m1n, m2n, nsign = _normalize_witness(L, m1, m2)
+    sigma1, sigma2 = tuple(sorted(sigma1)), tuple(sorted(sigma2))
+    tau1, tau2 = move_tau(L, sigma1), move_tau(L, sigma2)
+    if tau1 is None or tau2 is None:
+        raise NotApplicable(f"no move at {sigma1 if tau1 is None else sigma2}")
+    Ln, m1n, m2n, nsign = _normalize_witness(L, (sigma1, tau1), (sigma2, tau2))
     kind, params, csign = _classify_pair(Ln, m1n, m2n)
     return kind, params, nsign * csign
 
@@ -464,8 +415,10 @@ def commutation_cycle(L: OrientedComplex, sigma1, sigma2) -> ElementaryCycle:
     ClosureFailure if the constructed chain is not a cycle.
     """
     sigma1, sigma2 = tuple(sorted(sigma1)), tuple(sorted(sigma2))
-    tau1 = _move_tau(L, sigma1)
-    tau2 = _move_tau(L, sigma2, used=tau1)
+    tau1 = move_tau(L, sigma1)
+    tau2 = move_tau(L, sigma2, used=tau1 or ())
+    if tau1 is None or tau2 is None:
+        raise NotApplicable(f"no move at {sigma1 if tau1 is None else sigma2}")
     union = tuple(sorted(set(sigma1) | set(sigma2)))
     if union in L.complex:
         raise NotApplicable("a simplex contains both sigma1 and sigma2")
@@ -615,12 +568,8 @@ def special_cycle_c(L: OrientedComplex, sigma1: Simplex, sigma2: Simplex) -> Ele
     (A,) = s1 & s2
     (Dv,) = s1 - {A}
     (Cv,) = s2 - {A}
-    try:
-        tau1 = _move_tau(L, tuple(sorted(sigma1)))
-        tau2 = _move_tau(L, tuple(sorted(sigma2)))
-    except NotApplicable:
-        return None
-    if Cv not in tau1 or Dv not in tau2:
+    tau1, tau2 = move_tau(L, tuple(sorted(sigma1))), move_tau(L, tuple(sorted(sigma2)))
+    if tau1 is None or tau2 is None or Cv not in tau1 or Dv not in tau2:
         return None
     (E,) = set(tau1) - {Cv}
     (B,) = set(tau2) - {Dv}

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import NotClosedManifold
-from .simplicial import Complex, build_complex, is_orientable
+from .simplicial import Complex, boundary_of_simplex, build_complex, is_orientable
 
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -37,9 +37,7 @@ class ComplexLibraryEntry:
         return ComplexLibraryEntry(name, K, tuple(f_vector), euler, orientable)
 
 
-def simplex_boundary(n: int) -> Complex:
-    """The boundary of the n-simplex (a combinatorial (n-1)-sphere)."""
-    return Complex(combinations(range(n + 1), n), _validated=True)
+simplex_boundary = boundary_of_simplex  # the library's older name, still exported
 
 
 def cross_polytope_boundary(d: int) -> Complex:

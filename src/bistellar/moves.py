@@ -7,6 +7,12 @@ are).  Applying the move replaces the full subcomplex sigma * d(tau) by
 d(sigma) * tau.  k = dim(sigma) = n gives stellar subdivision of a facet
 (tau is one fresh vertex); k = 0 removes a vertex.
 
+Both stars lie in the boundary of D = sigma + tau, so the orientation is
+transported in closed form (dd(D) = 0): with D sorted, a replaced facet
+D - {t} of sign s fixes c = s * (-1)**index(t), every replaced facet has
+sign c * (-1)**index(t), and every new facet D - {v} gets sign
+-c * (-1)**index(v).
+
 Moves of oriented spheres fall into equivalence classes (orientation
 preserving isomorphism carrying sigma to sigma'); the essential classes are
 the edges of the graph Gamma_n, identified here by ``GammaEdgeKey``.
@@ -14,13 +20,15 @@ the edges of the graph Gamma_n, identified here by ``GammaEdgeKey``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
-from typing import NamedTuple
+from fractions import Fraction
+from itertools import chain, combinations
+from typing import Collection, NamedTuple
 
-from .canonical import OKey, designated_labelings, marked_encoding, okey, oriented_canon
+from .canonical import OKey, designated_labelings, marked_encoding, materialize, okey, oriented_canon
 from .errors import InvalidMove, SphereCheckFailed
-from .simplicial import Complex, OrientedComplex, Simplex, perm_parity
+from .simplicial import Complex, OrientedComplex, Simplex, orient, perm_parity
 
 
 @dataclass(frozen=True)
@@ -41,41 +49,51 @@ class BistellarMove:
 
     def validate(self) -> None:
         host, sig, tau = self.host, self.sigma, self.tau
-        n = host.dim
-        ss = set(sig)
-        stars = [f for f in host.facets if ss <= set(f)]
-        if not stars:
-            raise InvalidMove(f"sigma {sig} not a face of the host")
-        if len(sig) + len(tau) != n + 2:
-            raise InvalidMove(f"dim sigma + dim tau must be {n}")
-        if self.k == n:
+        want = move_tau(host, sig)
+        if want is None:
+            raise InvalidMove(f"no bistellar move at {sig}")
+        if self.k == host.dim:
             if len(tau) != 1 or tau[0] in host.vertices:
                 raise InvalidMove("a facet subdivision needs one fresh tau vertex")
-            return
-        ts = set(tau)
-        link_facets = {tuple(sorted(set(f) - ss)) for f in stars}
-        if link_facets != set(combinations(tau, len(tau) - 1)):
-            raise InvalidMove(f"link of {sig} is not the boundary of {tau}")
-        if any(ts <= set(f) for f in host.facets):
-            raise InvalidMove(f"tau {tau} must be an empty simplex but is a face")
+        elif tuple(sorted(tau)) != want:
+            raise InvalidMove(f"the move at {sig} has tau {want}, not {tau}")
 
     def describe(self) -> str:
         return f"({','.join(map(str, self.sigma))})->({','.join(map(str, self.tau))})"
 
 
-def fresh_vertex(K: OrientedComplex) -> int:
-    """Smallest unused vertex id (deterministic insertion labels)."""
-    used = set(K.vertices)
-    v = 0
-    while v in used:
-        v += 1
-    return v
+def move_tau(K: OrientedComplex, sigma: Simplex, used=(), star=None) -> Simplex | None:
+    """The tau of the move at sigma on K, or None if sigma carries no move.
+
+    For a facet sigma, tau is the fresh vertex: the smallest id in neither
+    K nor ``used``.  Otherwise link(sigma) must be the boundary of a simplex
+    tau that is not a face of K.  ``star`` maps every face of K to the
+    facets containing it, so one pass over K serves all faces.
+    """
+    if star is None:
+        ss = set(sigma)
+        stars = [f for f in K.facets if ss <= set(f)]
+    else:
+        stars = star[sigma]
+    m = K.dim + 2 - len(sigma)  # the number of tau vertices
+    if not stars:
+        return None
+    if m == 1:
+        taken = set(K.vertices).union(used)
+        return (next(v for v in range(len(taken) + 1) if v not in taken),)
+    if len(stars) != m:
+        return None
+    tau = set(chain.from_iterable(stars)).difference(sigma)
+    if len(tau) != m:
+        return None
+    tau = tuple(sorted(tau))
+    if (tau in star) if star is not None else any(set(tau) <= set(f) for f in K.facets):
+        return None  # tau is a face of K, not an empty simplex
+    return tau
 
 
 def enumerate_moves(K: OrientedComplex) -> list[BistellarMove]:
     """All bistellar moves available on K, in deterministic order."""
-    n = K.dim
-    fresh = fresh_vertex(K)
     star: dict[Simplex, list[Simplex]] = {}
     for f in K.facets:
         for r in range(1, len(f) + 1):
@@ -83,75 +101,26 @@ def enumerate_moves(K: OrientedComplex) -> list[BistellarMove]:
                 star.setdefault(s, []).append(f)
     out: list[BistellarMove] = []
     for sig in sorted(star):
-        k = len(sig) - 1
-        if k == n:
-            out.append(BistellarMove(K, sig, (fresh,)))
-            continue
-        fs = star[sig]
-        if len(fs) != n - k + 1:
-            continue
-        ss = set(sig)
-        uni: set[int] = set()
-        for f in fs:
-            uni |= set(f) - ss
-        if len(uni) != n - k + 1:
-            continue
-        tau = tuple(sorted(uni))
-        if tau in star:
-            continue  # tau is a face of K, not an empty simplex
-        out.append(BistellarMove(K, sig, tau))
+        tau = move_tau(K, sig, star=star)
+        if tau is not None:
+            out.append(BistellarMove(K, sig, tau))
     return out
 
 
 def apply_move(move: BistellarMove) -> OrientedComplex:
-    """Replace sigma * d(tau) by d(sigma) * tau, transporting the orientation."""
+    """Replace sigma * d(tau) by d(sigma) * tau, transporting the orientation
+    in closed form (see the module docstring)."""
     move.validate()
     host, sig, tau = move.host, move.sigma, move.tau
-    ss = set(sig)
-    old = {f for f in host.facets if ss <= set(f)}
-    if len(sig) == 1:
-        new = {tau}
-    else:
-        new = {tuple(sorted([v for v in sig if v != s] + list(tau))) for s in sig}
-    facets = (set(host.facets) - old) | new
-    cx = Complex(facets, _validated=True)
+    D = tuple(sorted(sig + tau))
+    old = {D[:i] + D[i + 1 :] for i, v in enumerate(D) if v in tau}
+    t = D.index(tau[0])
+    c = host.facet_signs[D[:t] + D[t + 1 :]] * (-1) ** t
     signs = {f: s for f, s in host.facet_signs.items() if f not in old}
-    _extend_orientation(cx, signs)
-    return OrientedComplex(cx, signs, check=False)
-
-
-def _extend_orientation(cx: Complex, signs: dict[Simplex, int]) -> None:
-    """Propagate coherent signs to the unsigned facets of cx (in place)."""
-    todo = [f for f in cx.facets if f not in signs]
-    if not todo:
-        return
-    by_ridge: dict[Simplex, list[Simplex]] = {}
-    for f in cx.facets:
-        for r in combinations(f, len(f) - 1):
-            by_ridge.setdefault(r, []).append(f)
-    if not signs:
-        seed = min(cx.facets)
-        signs[seed] = 1
-    # breadth-first from the signed facets: each level is scanned once, in
-    # the order its facets were signed; the last level needs no scan
-    level = list(signs)
-    while len(signs) < len(cx.facets):
-        nxt = []
-        for f in level:
-            for i in range(len(f)):
-                r = f[:i] + f[i + 1 :]
-                pair = by_ridge[r]
-                if len(pair) != 2:
-                    raise InvalidMove("move output is not a closed pseudomanifold")
-                g = pair[1] if pair[0] == f else pair[0]
-                if g in signs:
-                    continue
-                (w,) = set(g) - set(r)
-                signs[g] = -(signs[f] * (-1) ** i) * (-1) ** g.index(w)
-                nxt.append(g)
-        if not nxt:
-            raise InvalidMove("orientation propagation did not reach all facets")
-        level = nxt
+    for i, v in enumerate(D):
+        if v in sig:
+            signs[D[:i] + D[i + 1 :]] = -c * (-1) ** i
+    return OrientedComplex(Complex(signs, _validated=True), signs, check=False)
 
 
 def inverse_move(move: BistellarMove, result: OrientedComplex | None = None) -> BistellarMove:
@@ -199,24 +168,17 @@ def sphere_from_move(move: BistellarMove, check_sphere: bool = True) -> Oriented
     L2 = apply_move(move)
     top = max(max(L1.vertices), max(L2.vertices))
     u1, u2 = top + 1, top + 2
-    facets: set[Simplex] = set()
-    for f in L1.facets:
-        facets.add(tuple(sorted(f + (u1,))))
-    for f in L2.facets:
-        facets.add(tuple(sorted(f + (u2,))))
-    st = tuple(sorted(move.sigma + move.tau))
-    facets.add(st)
-    cx = Complex(facets, _validated=True)
-    signs: dict[Simplex, int] = {}
-    for f, s in L2.facet_signs.items():
-        g = tuple(sorted(f + (u2,)))
-        signs[g] = s * perm_parity((u2,) + f)
-    _extend_orientation(cx, signs)
-    out = OrientedComplex(cx, signs, check=True)
+    facets = {tuple(sorted(f + (u1,))) for f in L1.facets}
+    facets |= {tuple(sorted(f + (u2,))) for f in L2.facets}
+    facets.add(tuple(sorted(move.sigma + move.tau)))
+    out = orient(Complex(facets, _validated=True))
+    f = next(iter(L2.facets))
+    if out.facet_signs[tuple(sorted(f + (u2,)))] != L2.facet_signs[f] * perm_parity((u2,) + f):
+        out = -out
     if check_sphere:
         from .spheres import is_combinatorial_sphere
 
-        verdict = is_combinatorial_sphere(cx)
+        verdict = is_combinatorial_sphere(out.complex)
         if verdict.verdict is not True:
             raise SphereCheckFailed(f"L_beta is not a combinatorial sphere: {verdict}")
     return out
@@ -255,12 +217,32 @@ class SignedEdge(NamedTuple):
     sign: int
 
 
+def complexity_thirds(degrees: Collection[int]) -> int:
+    """Three times the complexity of a 2-sphere with these vertex degrees:
+    3k, 3k+1 or 3k+2 for k vertices and minimal degree 3, 4 or at least 5."""
+    m = min(degrees)
+    return 3 * len(degrees) + (0 if m <= 3 else (1 if m == 4 else 2))
+
+
+def sphere_complexity(L: OrientedComplex | OKey) -> Fraction:
+    """k, k+1/3 or k+2/3 for a 2-sphere with k vertices and min degree 3, 4, >=5."""
+    return Fraction(complexity_thirds(Counter(chain.from_iterable(L.facets)).values()), 3)
+
+
+_COMPLEXITY_CACHE: dict[OKey, Fraction] = {}
+
+
+def complexity_of_key(key: OKey) -> Fraction:
+    hit = _COMPLEXITY_CACHE.get(key)
+    if hit is None:
+        hit = _COMPLEXITY_CACHE[key] = sphere_complexity(key)
+    return hit
+
+
 def _endpoint_rank(key: OKey):
     """Ordering of Gamma_n vertices: complexity for 2-spheres, else vertex
     count, with key bytes breaking ties."""
     if key.dim() == 2:
-        from .gamma2 import complexity_of_key
-
         return (complexity_of_key(key), key.encode())
     return (key.nvertices(), key.encode())
 
@@ -297,15 +279,8 @@ def edge_key(move: BistellarMove, result: OrientedComplex | None = None) -> Sign
 
 def materialize_edge(key: GammaEdgeKey) -> BistellarMove:
     """A concrete move realizing the edge in its canonical direction."""
-    from .canonical import materialize
-
     host = materialize(key.tail)
-    sig = key.orbit
-    if len(sig) - 1 == host.dim:
-        tau = (max(host.vertices) + 1,)
-    else:
-        tau = host.complex.link(sig).vertices
-    return BistellarMove(host, sig, tau)
+    return BistellarMove(host, key.orbit, move_tau(host, key.orbit))
 
 
 def move_from_endpoint(key: GammaEdgeKey, endpoint: str) -> BistellarMove:
@@ -318,14 +293,7 @@ def move_from_endpoint(key: GammaEdgeKey, endpoint: str) -> BistellarMove:
     mv = materialize_edge(key)
     if endpoint == "tail":
         return mv
-    from .canonical import materialize
-
-    result = apply_move(mv)
     rep = materialize(key.head)
-    lab = designated_labelings(result)[0]
+    lab = designated_labelings(apply_move(mv))[0]
     sig_new = tuple(sorted(lab[v] for v in mv.tau))
-    if len(mv.sigma) == 1 and mv.sigma[0] not in result.vertices:
-        tau_new = (max(rep.vertices) + 1,)  # removed vertex re-enters fresh
-    else:
-        tau_new = tuple(sorted(lab[v] for v in mv.sigma))
-    return BistellarMove(rep, sig_new, tau_new)
+    return BistellarMove(rep, sig_new, move_tau(rep, sig_new))

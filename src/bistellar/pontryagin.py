@@ -24,7 +24,7 @@ import os
 from fractions import Fraction
 
 from .canonical import OKey, materialize, okey
-from .errors import InvalidMove, NotACycle
+from .errors import DimensionTooSmall, InvalidMove, NotACycle
 from .gamma2 import Gamma2Chain, c_of_cycle, decreasing_moves
 from .moves import BistellarMove, apply_move, induced_vertex_moves, is_inessential
 from .reduction import MoveSequence, reduce_to_boundary, replay
@@ -44,7 +44,7 @@ class XiCache:
         self.path = path
         self.chains: dict[OKey, Gamma2Chain] = {}
         self.certs: dict[OKey, MoveSequence] = {}
-        self._eta: dict[OKey, Gamma2Chain] = {}
+        self._eta: dict[MoveSequence, Gamma2Chain] = {}
         if path and os.path.exists(path):
             self.load(path)
 
@@ -77,6 +77,25 @@ class XiCache:
             hit = reduce_to_boundary(materialize(key), budget=budget, seed=seed)
             self.certs[key] = hit
         return hit
+
+    def eta(self, cert: MoveSequence) -> Gamma2Chain:
+        """Sum of the induced vertex-move edges along a reduction certificate
+        of a 3-sphere class toward the 4-simplex boundary."""
+        hit = self._eta.get(cert)
+        if hit is None:
+            hit = Gamma2Chain()
+            for mv in _cert_moves(cert):
+                for _, sub in induced_vertex_moves(mv):
+                    if sub is not None:
+                        hit.add_move(sub)
+            self._eta[cert] = hit
+        return hit
+
+
+def _cert_moves(cert: MoveSequence) -> list[BistellarMove]:
+    """The moves of a certificate, each on the state it applies to."""
+    _, states = replay(cert)
+    return [BistellarMove(states[i], sig, tau) for i, (sig, tau) in enumerate(cert.moves)]
 
 
 _D3_KEY: OKey | None = None
@@ -147,24 +166,6 @@ def h_value(move: BistellarMove, cache: XiCache | None = None, result: OrientedC
     return c_of_cycle(arg)
 
 
-def _eta_chain(key: OKey, cache: XiCache, budget: int, seed: int) -> Gamma2Chain:
-    """Sum of induced vertex-move edges along the reduction of a 3-sphere
-    class toward the 4-simplex boundary."""
-    hit = cache._eta.get(key)
-    if hit is not None:
-        return hit
-    cert = cache.certificate(key, budget=budget, seed=seed)
-    _, states = replay(cert)
-    out = Gamma2Chain()
-    for i, (sig, tau) in enumerate(cert.moves):
-        mv = BistellarMove(states[i], sig, tau)
-        for _, sub in induced_vertex_moves(mv):
-            if sub is not None:
-                out.add_move(sub)
-    cache._eta[key] = out
-    return out
-
-
 def local_f(
     L: OrientedComplex,
     budget: int = 4000,
@@ -182,20 +183,12 @@ def local_f(
     """
     cache = cache if cache is not None else XiCache()
     key = okey(L)
-    if certificate is not None:
-        if certificate.start != key:
-            raise InvalidMove("certificate start does not match the sphere class")
-        _, states = replay(certificate)
-        eta_red = Gamma2Chain()
-        for i, (sig, tau) in enumerate(certificate.moves):
-            mv = BistellarMove(states[i], sig, tau)
-            for _, sub in induced_vertex_moves(mv):
-                if sub is not None:
-                    eta_red.add_move(sub)
-    else:
-        eta_red = _eta_chain(key, cache, budget, seed)
+    if certificate is None:
+        certificate = cache.certificate(key, budget=budget, seed=seed)
+    elif certificate.start != key:
+        raise InvalidMove("certificate start does not match the sphere class")
     # the sequence toward L is the reverse of the reduction, so eta negates
-    zeta = eta_red.scaled(-1)
+    zeta = cache.eta(certificate).scaled(-1)
     rep = materialize(key)
     for v in rep.vertices:
         zeta = zeta.plus(_xi(okey(rep.link((v,))), cache), -1)
@@ -204,10 +197,16 @@ def local_f(
     return c_of_cycle(zeta)
 
 
-def _local_f_worker(encoded: str) -> tuple[str, str, str]:
+def _local_f_worker(encoded: str, budget: int, seed: int) -> tuple[str, str, str, dict]:
     key = OKey.decode(encoded)
-    val = local_f(materialize(key))
-    return encoded, str(val.numerator), str(val.denominator)
+    cache = XiCache()
+    val = local_f(materialize(key), budget=budget, seed=seed, cache=cache)
+    return encoded, str(val.numerator), str(val.denominator), cache.certs[key].to_json()
+
+
+def _need_dim4(K: OrientedComplex) -> None:
+    if K.dim < 4:
+        raise DimensionTooSmall(f"the first Pontryagin class needs dimension >= 4, not {K.dim}")
 
 
 def p1_dual_local(
@@ -225,6 +224,7 @@ def p1_dual_local(
     is independent of scheduling because the arithmetic is exact and keyed
     by class.
     """
+    _need_dim4(K)
     cache = cache if cache is not None else XiCache()
     m = K.dim
     values: dict[OKey, Fraction] = {}
@@ -235,7 +235,7 @@ def p1_dual_local(
     for k in sorted(set(link_keys.values()), key=lambda k: k.encode()):
         if k.sign == 0:
             values[k] = Fraction(0)
-        elif k.mirror() in values or k.mirror() in [t for t in todo]:
+        elif k.mirror() in values or k.mirror() in todo:
             continue
         else:
             todo.append(k)
@@ -244,14 +244,16 @@ def p1_dual_local(
 
         try:
             with mp.get_context("spawn").Pool(min(jobs, len(todo))) as pool:
-                for enc, num, den in pool.map(_local_f_worker, [k.encode() for k in todo]):
-                    values[OKey.decode(enc)] = Fraction(int(num), int(den))
+                tasks = [(k.encode(), budget, seed) for k in todo]
+                for enc, num, den, cert in pool.starmap(_local_f_worker, tasks):
+                    key = OKey.decode(enc)
+                    values[key] = Fraction(int(num), int(den))
+                    cache.certs.setdefault(key, MoveSequence.from_json(cert))
         except OSError:
-            jobs = 1
-    if not all(k in values for k in todo):
-        for k in todo:
-            if k not in values:
-                values[k] = local_f(materialize(k), budget=budget, seed=seed, cache=cache)
+            pass  # no process pool here: the loop below computes every class
+    for k in todo:
+        if k not in values:
+            values[k] = local_f(materialize(k), budget=budget, seed=seed, cache=cache)
     terms = {}
     for sig, k in link_keys.items():
         v = values.get(k)
@@ -268,6 +270,7 @@ def p1_dual_local(
 def p1_number(K: OrientedComplex, budget: int = 4000, seed: int = 0, cache: XiCache | None = None) -> Fraction:
     """Evaluation of the dual class against the fundamental class of a
     connected oriented 4-manifold: the coefficient sum of the dual 0-cycle."""
+    _need_dim4(K)
     if K.dim != 4:
         raise InvalidMove("the Pontryagin number needs a 4-manifold")
     return p1_dual_local(K, budget=budget, seed=seed, cache=cache).total()
@@ -275,11 +278,9 @@ def p1_number(K: OrientedComplex, budget: int = 4000, seed: int = 0, cache: XiCa
 
 def _red2_chain(key: OKey, cache: XiCache, budget: int, seed: int) -> Gamma2Chain:
     """Edge chain of the fixed reduction certificate of a 2-sphere class."""
-    cert = cache.certificate(key, budget=budget, seed=seed)
-    _, states = replay(cert)
     out = Gamma2Chain()
-    for i, (sig, tau) in enumerate(cert.moves):
-        out.add_move(BistellarMove(states[i], sig, tau))
+    for mv in _cert_moves(cache.certificate(key, budget=budget, seed=seed)):
+        out.add_move(mv)
     return out
 
 
@@ -296,12 +297,13 @@ def p1_dual_direct(
     of link(sigma) with the reduction chains of the links of the
     codimension-3 cofaces, oriented so each incidence coefficient is +1.
     """
+    _need_dim4(K)
     cache = cache if cache is not None else XiCache()
     m = K.dim
     terms = {}
     for sig in K.complex.faces_of_dim(m - 4):
         lk3 = K.link(sig)
-        zeta = _eta_chain(okey(lk3), cache, budget, seed).scaled(-1)
+        zeta = cache.eta(cache.certificate(okey(lk3), budget=budget, seed=seed)).scaled(-1)
         rest = [v for v in lk3.vertices]
         for w in rest:
             tau = tuple(sorted(sig + (w,)))

@@ -1,12 +1,12 @@
 """Reduction of combinatorial spheres to boundaries of simplices.
 
-The search is greedy descent on (vertex count, minimum-degree bucket, sum
-of squared vertex degrees) with seeded random tie-breaking and random
-plateau walks as escapes.  A move is scored by a degree diff without
-building the resulting complex.  The result is a replay-verified
-``MoveSequence`` recorded in the coordinates of the canonical
-representative of the start class, so the certificate is self-contained
-and deterministic for a fixed seed.
+The search is greedy descent on (vertex count, for 2-spheres the
+complexity, sum of squared vertex degrees) with seeded random
+tie-breaking and random plateau walks as escapes.  A move is scored by a
+degree diff without building the resulting complex.  The result is a
+replay-verified ``MoveSequence`` recorded in the coordinates of the
+canonical representative of the start class, so the certificate is
+self-contained and deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from itertools import chain, combinations, repeat
 
 from .canonical import OKey, materialize, okey, ukey
 from .errors import BudgetExhausted
-from .moves import BistellarMove, apply_move, enumerate_moves
+from .moves import BistellarMove, apply_move, complexity_thirds, enumerate_moves
 from .simplicial import OrientedComplex, Simplex
 
 
@@ -77,14 +77,9 @@ def _degrees(K: OrientedComplex) -> dict[int, int]:
 
 def _energy_from_degrees(dim: int, degs: dict[int, int]) -> tuple[int, int, int]:
     vals = degs.values()
-    if dim == 2:
-        # mirrors the complexity stratification; a complexity-decreasing move
-        # always exists for a 2-sphere, so greedy descent never stalls
-        m = min(vals)
-        bucket = 0 if m <= 3 else (1 if m == 4 else 2)
-    else:
-        bucket = 0
-    return (len(degs), bucket, sum(d * d for d in vals))
+    # for 2-spheres the complexity orders states within a vertex count; a
+    # complexity-decreasing move always exists, so greedy descent never stalls
+    return (len(degs), complexity_thirds(vals) if dim == 2 else 0, sum(d * d for d in vals))
 
 
 def _move_energy(state: OrientedComplex, degs: dict[int, int], mv: BistellarMove):

@@ -205,30 +205,6 @@ class Complex:
                     stack.append(w)
         return len(seen) == len(vs)
 
-    def connected_components(self) -> list["Complex"]:
-        facets = sorted(self.facets)
-        parent = list(range(len(facets)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        by_vertex: dict[int, list[int]] = {}
-        for i, f in enumerate(facets):
-            for v in f:
-                by_vertex.setdefault(v, []).append(i)
-        for group in by_vertex.values():
-            for i in group[1:]:
-                ri, r0 = find(i), find(group[0])
-                if ri != r0:
-                    parent[ri] = r0
-        comps: dict[int, list[Simplex]] = {}
-        for i, f in enumerate(facets):
-            comps.setdefault(find(i), []).append(f)
-        return [Complex(fs, _validated=True) for _, fs in sorted(comps.items())]
-
 
 def build_complex(facets: Iterable[Iterable[int]]) -> Complex:
     """Build a closed complex from a facet list, rejecting malformed input."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExhausted
+from .errors import BudgetExhausted, NonOrientable
 from .simplicial import Complex, OrientedComplex, orient
 
 
@@ -67,7 +67,7 @@ def is_combinatorial_sphere(K: Complex, budget: int = 20000, seed: int = 0) -> S
             return SphereVerdict(False, f"link of vertex {v}: {sub.reason}")
     try:
         oc = orient(K)
-    except Exception:
+    except NonOrientable:
         return SphereVerdict(False, "not orientable")
     from .reduction import reduce_to_boundary
 

@@ -166,3 +166,10 @@ def test_check_five_sphere(capsys, data_dir):
     code, out = _run(capsys, ["check", str(data_dir / "boundary_delta_6.facets")])
     assert code == 0
     assert json.loads(out)["manifold"] == "yes"
+
+
+@pytest.mark.parametrize("procedure", ["local", "direct"])
+def test_p1_below_dimension_four_is_an_error(capsys, data_dir, procedure):
+    code, out = _run(capsys, ["p1", procedure, str(data_dir / "boundary_delta_4.facets")])
+    assert code == 1
+    assert json.loads(out)["error"] == "DimensionTooSmall"

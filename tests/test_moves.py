@@ -15,7 +15,7 @@ from bistellar.moves import (
     sphere_from_move,
     u_set,
 )
-from bistellar.simplicial import boundary_of_simplex, build_complex, orient
+from bistellar.simplicial import OrientedComplex, boundary_of_simplex, build_complex, orient
 from bistellar.spheres import is_combinatorial_sphere
 from helpers import octahedron, random_walk_sphere
 
@@ -236,3 +236,31 @@ def test_gamma1_is_a_path():
             edges.setdefault(tuple(sorted((n, m))), set()).add(se.key)
     assert set(edges) == {(n, n + 1) for n in range(3, 12)}
     assert all(len(ks) == 1 for ks in edges.values())
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_orientation_transport_matches_orient(n):
+    """On seeded walks over boundary_of_simplex(n) (dimensions 2-4), picking a
+    move dimension k first so insertions and removals both occur: the signs
+    set by apply_move equal orient(result) up to one global sign, pass the
+    coherence check, and sphere_from_move gives link(u2) = +L2, link(u1) = -L1."""
+    rng = random.Random(100 + n)
+    state = orient(boundary_of_simplex(n))
+    kinds = set()
+    for _ in range(40):
+        moves = sorted(enumerate_moves(state), key=lambda m: (m.sigma, m.tau))
+        k = rng.choice(sorted({m.k for m in moves}))
+        mv = rng.choice([m for m in moves if m.k == k])
+        kinds.add(k)
+        res = apply_move(mv)
+        ref = orient(res.complex)
+        kept = next(f for f in res.facets if f in state.facet_signs)
+        eps = res.facet_signs[kept] * ref.facet_signs[kept]
+        assert res.facet_signs == {f: eps * s for f, s in ref.facet_signs.items()}
+        OrientedComplex(res.complex, res.facet_signs, check=True)
+        Lb = sphere_from_move(mv, check_sphere=False)
+        u1, u2 = sorted(Lb.vertices)[-2:]
+        assert Lb.link((u2,)) == res
+        assert Lb.link((u1,)) == -state
+        state = res
+    assert {0, n - 1} <= kinds

@@ -4,14 +4,14 @@ from fractions import Fraction
 import pytest
 
 from bistellar.canonical import okey, relabel
-from bistellar.errors import InvalidMove
+from bistellar.errors import BudgetExhausted, DimensionTooSmall, InvalidMove
 from bistellar.gamma2 import Gamma2Chain
 from bistellar.library import cp2_9
 from bistellar.moves import apply_move, enumerate_moves, inverse_move, materialize_edge
 from bistellar.pontryagin import XiCache, h_value, local_f, p1_dual_direct, p1_dual_local, p1_number, xi_chain
 from bistellar.reduction import reduce_to_boundary
 from bistellar.simplicial import boundary_of_simplex, build_complex, orient
-from helpers import octahedron, random_loop_cycle, random_walk_sphere
+from helpers import octahedron, perturbed_cp2, random_loop_cycle, random_walk_sphere
 
 
 def test_xi_tetrahedron_is_zero():
@@ -198,3 +198,27 @@ def test_xi_cache_persistence(tmp_path):
     assert okey(octa) in reloaded.chains or okey(octa).mirror() in reloaded.chains
     assert xi_chain(octa, reloaded) == xi
     assert reloaded.certs
+
+
+@pytest.mark.parametrize("fn", [p1_dual_local, p1_dual_direct, p1_number])
+@pytest.mark.parametrize("n", [3, 4])
+def test_p1_needs_dimension_four(fn, n):
+    with pytest.raises(DimensionTooSmall):
+        fn(orient(boundary_of_simplex(n)), cache=XiCache())
+
+
+def test_p1_jobs_matches_serial_and_keeps_certificates(tmp_path):
+    K = perturbed_cp2(0, steps=1)
+    classes = {min(k, k.mirror()) for k in (okey(K.link((v,))) for v in K.vertices) if k.sign}
+    assert len(classes) >= 2  # the worker pool runs only for two or more classes
+    serial = p1_dual_local(K, cache=XiCache())
+    path = str(tmp_path / "xi.json")
+    cache = XiCache(path)
+    pooled = p1_dual_local(K, cache=cache, jobs=2)
+    assert pooled.terms == serial.terms
+    cache.save()
+    saved = XiCache(path).certs
+    assert all(k in saved or k.mirror() in saved for k in classes)
+    for jobs in (1, 2):
+        with pytest.raises(BudgetExhausted):
+            p1_dual_local(K, budget=0, cache=XiCache(), jobs=jobs)

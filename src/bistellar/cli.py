@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import library
-from .errors import BistellarError
+from .errors import BistellarError, parsing
 from .gamma2 import Gamma2Chain, decompose_cycle
 from .pontryagin import XiCache, p1_dual_direct, p1_dual_local
 from .reduction import reduce_to_boundary
@@ -110,7 +110,7 @@ def cmd_p1(args) -> int:
 
 
 def cmd_gamma2_decompose(args) -> int:
-    with open(args.chain) as fh:
+    with open(args.chain) as fh, parsing(args.chain):
         chain = Gamma2Chain.from_json(json.load(fh))
     parts = decompose_cycle(chain, order_seed=args.seed or None)
     report = {
@@ -212,7 +212,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except BistellarError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True))
+        report = {"error": type(exc).__name__, "message": str(exc), **exc.diagnostics()}
+        print(json.dumps(report, sort_keys=True))
         return 1
     except OSError as exc:
         print(json.dumps({"error": "io", "message": str(exc)}, sort_keys=True))

@@ -1,8 +1,14 @@
 """Exception hierarchy for the bistellar library."""
 
+from contextlib import contextmanager
+
 
 class BistellarError(Exception):
     """Base class for all library errors."""
+
+    def diagnostics(self) -> dict:
+        """JSON-ready details beyond the message, for error reports."""
+        return {}
 
 
 class DuplicateVertexInFacet(BistellarError):
@@ -48,6 +54,14 @@ class BudgetExhausted(BistellarError):
         self.best_state = best_state
         self.moves_done = moves_done
 
+    def diagnostics(self) -> dict:
+        out = {}
+        if self.moves_done is not None:
+            out["moves_done"] = [{"sigma": list(s), "tau": list(t)} for s, t in self.moves_done]
+        if self.best_state is not None:
+            out["best_state_vertices"] = len(self.best_state.vertices)
+        return out
+
 
 class NotClosedManifold(BistellarError):
     pass
@@ -87,3 +101,19 @@ class DecompositionStuck(BistellarError):
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
+
+    def diagnostics(self) -> dict:
+        return {} if self.residual is None else {"residual": self.residual.to_json()}
+
+
+class MalformedInput(BistellarError):
+    """An input file or document does not parse."""
+
+
+@contextmanager
+def parsing(source: str):
+    """Turn a parse failure of ``source`` inside the block into MalformedInput."""
+    try:
+        yield
+    except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
+        raise MalformedInput(f"{source}: {exc}") from exc

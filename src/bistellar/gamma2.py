@@ -18,7 +18,12 @@ the kind, by triangle counts in marked angular sectors around the shared
 vertices of the supports, and by an orientation sign.  The decomposition
 algorithm peels the chain stratum by stratum, strictly decreasing the
 (max complexity, total weight there) measure, so it terminates and its
-output is re-verified by exact chain arithmetic.
+output is re-verified by exact chain arithmetic.  A candidate gamma,
+scaled by the s that kills the target edge, is accepted iff it lowers that
+measure, and only gamma's edges can move it: the test fails if gamma has an
+edge above the top complexity, and otherwise passes iff the sum over
+gamma's edges e at the top of |w_e - s*g_e| - |w_e| is negative (w and g
+being the coefficients in the work chain and in gamma).
 """
 
 from __future__ import annotations
@@ -155,11 +160,6 @@ class Gamma2Chain:
             mv = _materialize_cached(k)
             out.add_move(BistellarMove(-mv.host, mv.sigma, mv.tau), c)
         return out
-
-    def max_complexity(self) -> Fraction | None:
-        if not self.terms:
-            return None
-        return max(edge_complexity(k) for k in self.terms)
 
     def to_json(self) -> list:
         return [
@@ -607,113 +607,98 @@ def special_cycle_c(L: OrientedComplex, sigma1: Simplex, sigma2: Simplex) -> Ele
 # ---------------------------------------------------------------------------
 
 
-def _metric(chain: Gamma2Chain):
-    if not chain.terms:
-        return (Fraction(-1), Fraction(0))
-    top = chain.max_complexity()
-    weight = sum(abs(v) for k, v in chain.terms.items() if edge_complexity(k) == top)
-    return (top, weight)
-
-
-def _accept(work: Gamma2Chain, key: GammaEdgeKey, gamma: ElementaryCycle) -> Fraction | None:
-    ce = gamma.chain.coeff(key)
-    if ce == 0 or abs(ce) != 1:
+def _commute(L: OrientedComplex, sigma1, sigma2) -> ElementaryCycle | None:
+    """The commutation cycle, or None where the catalogue does not apply."""
+    try:
+        return commutation_cycle(L, sigma1, sigma2)
+    except (NotApplicable, ClosureFailure, UnrecognizedConfiguration):
         return None
-    scale = work.coeff(key) / ce
-    if scale.denominator != 1:
-        return None
-    candidate = work.plus(gamma.chain, -scale)
-    if _metric(candidate) < _metric(work):
-        return scale
-    return None
 
 
-def _host_moves_of_edge(key: GammaEdgeKey):
-    """Concrete realizations of the edge from both endpoints."""
-    yield move_from_endpoint(key, "tail")
-    yield move_from_endpoint(key, "head")
+def _top(key: GammaEdgeKey) -> str:
+    """The endpoint of higher complexity, the head on ties."""
+    return "head" if complexity_of_key(key.head) >= complexity_of_key(key.tail) else "tail"
 
 
-def _candidates_single(key: GammaEdgeKey, a: Fraction):
+def _candidates_single(key: GammaEdgeKey):
     """Elementary cycles containing the target edge, for odd strata where a
     single edge is a relative cycle (both endpoints lie strictly lower)."""
-    for mv in _host_moves_of_edge(key):
+    for end in ("tail", "head"):
+        mv = move_from_endpoint(key, end)
         H = mv.host
         res = apply_move(mv)
         # commute with a removal of an untouched degree-3 vertex
         touched = set(u_set(mv)) | set(mv.sigma) | set(mv.tau)
         for v in sorted(H.vertices):
-            if v in touched or H.degree(v) != 3:
-                continue
-            try:
-                yield commutation_cycle(H, mv.sigma, (v,))
-            except (NotApplicable, ClosureFailure, UnrecognizedConfiguration):
-                continue
+            if v not in touched and H.degree(v) == 3:
+                yield [_commute(H, mv.sigma, (v,))]
         # commute with a complexity-decreasing flip
         for other, _ in decreasing_moves(H):
-            if len(other.sigma) != 2 or other.sigma == mv.sigma:
-                continue
-            try:
-                yield commutation_cycle(H, mv.sigma, other.sigma)
-            except (NotApplicable, ClosureFailure, UnrecognizedConfiguration):
-                continue
+            if len(other.sigma) == 2 and other.sigma != mv.sigma:
+                yield [_commute(H, mv.sigma, other.sigma)]
         # the special 3-edge cycle across a degree-3 trade
-        got = special_cycle_a(mv, res)
-        if got is not None:
-            yield got
+        yield [special_cycle_a(mv, res)]
         # pentagon cycles through either endpoint
         if len(mv.sigma) == 2:
             for Cv in mv.tau:
-                got = special_cycle_c(H, mv.sigma, tuple(sorted((mv.sigma[0], Cv))))
-                if got is not None:
-                    yield got
-                got = special_cycle_c(H, mv.sigma, tuple(sorted((mv.sigma[1], Cv))))
-                if got is not None:
-                    yield got
+                for a in mv.sigma:
+                    yield [special_cycle_c(H, mv.sigma, tuple(sorted((a, Cv))))]
 
 
-def _moves_from_top(key: GammaEdgeKey) -> BistellarMove:
-    """The edge realized as a move from its higher-complexity endpoint."""
-    at, ah = complexity_of_key(key.tail), complexity_of_key(key.head)
-    return move_from_endpoint(key, "head" if ah >= at else "tail")
-
-
-def _candidates_paired(kt: GammaEdgeKey, kp: GammaEdgeKey):
-    """Elementary cycles pairing two edges that share their top endpoint."""
-    mt = _moves_from_top(kt)
-    mp = _moves_from_top(kp)
+def _candidates_paired(key: GammaEdgeKey, partners: list[GammaEdgeKey]):
+    """Elementary cycles pairing the target edge with each partner sharing
+    its top endpoint; then, for each partner, the two commutations of the
+    route through a third, complexity-decreasing move from that sphere."""
+    mt = move_from_endpoint(key, _top(key))
     S = mt.host
-    if mp.host.complex != S.complex:
-        return
-    pairs = [(mt, mp), (mp, mt)]
-    for m1, m2 in pairs:
-        try:
-            yield commutation_cycle(S, m1.sigma, m2.sigma)
-        except (NotApplicable, ClosureFailure, UnrecognizedConfiguration):
-            pass
-    # pair of removals is covered by commutation; flips at a common
-    # degree-4 vertex need the special 5-edge cycle
-    if len(mt.sigma) == 2 and len(mp.sigma) == 2:
-        common = set(mt.sigma) & set(mp.sigma)
-        if len(common) == 1:
-            (e,) = common
-            if S.degree(e) == 4:
-                (P,) = set(mt.sigma) - {e}
-                (Q,) = set(mp.sigma) - {e}
-                got = special_cycle_b(S, e, P, Q)
-                if got is not None:
-                    yield got
-                got = special_cycle_b(S, e, Q, P)
-                if got is not None:
-                    yield got
-            for s1, s2 in ((mt.sigma, mp.sigma), (mp.sigma, mt.sigma)):
-                got = special_cycle_c(S, s1, s2)
-                if got is not None:
-                    yield got
+    for kp in partners:
+        mp = move_from_endpoint(kp, _top(kp))
+        yield [_commute(S, mt.sigma, mp.sigma)]
+        yield [_commute(S, mp.sigma, mt.sigma)]
+        # pair of removals is covered by commutation; flips at a common
+        # degree-4 vertex need the special 5-edge cycle
+        if len(mt.sigma) == 2 and len(mp.sigma) == 2:
+            common = set(mt.sigma) & set(mp.sigma)
+            if len(common) == 1:
+                (e,) = common
+                if S.degree(e) == 4:
+                    (P,) = set(mt.sigma) - {e}
+                    (Q,) = set(mp.sigma) - {e}
+                    yield [special_cycle_b(S, e, P, Q)]
+                    yield [special_cycle_b(S, e, Q, P)]
+                yield [special_cycle_c(S, mt.sigma, mp.sigma)]
+                yield [special_cycle_c(S, mp.sigma, mt.sigma)]
+    inter = [m for m, _ in decreasing_moves(S) if m.sigma != mt.sigma]
+    for kp in partners:
+        mp = move_from_endpoint(kp, _top(kp))
+        for m3 in inter:
+            if m3.sigma != mp.sigma:
+                first = _commute(S, mt.sigma, m3.sigma)
+                if first is not None:
+                    yield [first, _commute(S, m3.sigma, mp.sigma)]
 
 
-def _top_endpoint(key: GammaEdgeKey) -> OKey:
-    return key.head if complexity_of_key(key.head) >= complexity_of_key(key.tail) else key.tail
+def _accept(work: Gamma2Chain, top: Fraction, key: GammaEdgeKey, chain: Gamma2Chain) -> Fraction | None:
+    """The scale s that kills ``key`` in ``work - s*chain``, if that lowers
+    the (max complexity, weight there) measure of ``work``; else None.
+
+    Only the edges of ``chain`` move the measure: one above ``top`` raises
+    the maximum (s is nonzero), and otherwise the weight at ``top`` changes
+    by the sum below, a weight of 0 meaning the maximum drops.
+    """
+    ce = chain.coeff(key)
+    if abs(ce) != 1:
+        return None
+    s = work.coeff(key) / ce
+    delta = Fraction(0)
+    for e, g in chain.terms.items():
+        c = edge_complexity(e)
+        if c > top:
+            return None
+        if c == top:
+            w = work.coeff(e)
+            delta += abs(w - s * g) - abs(w)
+    return s if delta < 0 else None
 
 
 def decompose_cycle(zeta: Gamma2Chain, order_seed: int | None = None) -> list[tuple[int, ElementaryCycle]]:
@@ -735,48 +720,34 @@ def decompose_cycle(zeta: Gamma2Chain, order_seed: int | None = None) -> list[tu
     work = Gamma2Chain(dict(zeta.terms))
     out: list[tuple[int, ElementaryCycle]] = []
     while work:
-        top = work.max_complexity()
-        b = int((6 * top) % 6)
-        top_edges = sorted(
-            (k for k in work.terms if edge_complexity(k) == top),
-            key=lambda k: k.encode(),
-        )
+        cx = {k: edge_complexity(k) for k in work.terms}
+        top = max(cx.values())
+        top_edges = sorted((k for k, c in cx.items() if c == top), key=lambda k: k.encode())
         if rng is not None:
             rng.shuffle(top_edges)
         key = top_edges[0]
-        accepted = None
-        if b % 2 == 1:
-            for gamma in _candidates_single(key, top):
-                scale = _accept(work, key, gamma)
-                if scale is not None:
-                    accepted = (scale, gamma)
-                    break
+        if int(6 * top) % 2:
+            candidates = _candidates_single(key)
         else:
-            anchor = _top_endpoint(key)
-            partners = [k for k in top_edges if k != key and _top_endpoint(k) == anchor]
-            for kp in partners:
-                for gamma in _candidates_paired(key, kp):
-                    scale = _accept(work, key, gamma)
-                    if scale is not None:
-                        accepted = (scale, gamma)
-                        break
-                if accepted:
-                    break
-            if accepted is None:
-                # route through a third move from the anchor sphere
-                accepted = _route_via_third(work, key, partners)
-        if accepted is None:
+            anchor = getattr(key, _top(key))
+            partners = [k for k in top_edges if k != key and getattr(k, _top(k)) == anchor]
+            candidates = _candidates_paired(key, partners)
+        for pieces in candidates:
+            if None in pieces:
+                continue
+            chain = pieces[0].chain
+            for g in pieces[1:]:
+                chain = chain.plus(g.chain)
+            scale = _accept(work, top, key, chain)
+            if scale is not None:
+                break
+        else:
             raise DecompositionStuck(
                 f"no catalogued cycle applies to edge at complexity {top}", residual=work
             )
-        scale, gamma = accepted
-        if isinstance(gamma, list):
-            for sc, g in gamma:
-                work = work.plus(g.chain, -sc)
-                out.append((int(sc), g))
-        else:
-            work = work.plus(gamma.chain, -scale)
-            out.append((int(scale), gamma))
+        for g in pieces:
+            work = work.plus(g.chain, -scale)
+            out.append((int(scale), g))
     # exact verification
     total = Gamma2Chain()
     for n, g in out:
@@ -784,41 +755,6 @@ def decompose_cycle(zeta: Gamma2Chain, order_seed: int | None = None) -> list[tu
     if total != zeta:
         raise DecompositionStuck("decomposition does not reproduce the cycle", residual=zeta)
     return out
-
-
-def _route_via_third(work: Gamma2Chain, key: GammaEdgeKey, partners: list[GammaEdgeKey]):
-    """Kill the pair (key, partner) through an intermediate move when the
-    direct commutation fails."""
-    mt = _moves_from_top(key)
-    S = mt.host
-    inter: list[BistellarMove] = [m for m, _ in decreasing_moves(S) if m.sigma != mt.sigma]
-    for kp in partners:
-        mp = _moves_from_top(kp)
-        if mp.host.complex != S.complex:
-            continue
-        for m3 in inter:
-            if m3.sigma == mp.sigma:
-                continue
-            gammas = []
-            for s1, s2 in ((mt.sigma, m3.sigma), (m3.sigma, mp.sigma)):
-                try:
-                    gammas.append(commutation_cycle(S, s1, s2))
-                except (NotApplicable, ClosureFailure, UnrecognizedConfiguration):
-                    gammas = None
-                    break
-            if not gammas:
-                continue
-            combo = gammas[0].chain.plus(gammas[1].chain)
-            ce = combo.coeff(key)
-            if ce == 0 or abs(ce) != 1:
-                continue
-            scale = work.coeff(key) / ce
-            if scale.denominator != 1:
-                continue
-            candidate = work.plus(combo, -scale)
-            if _metric(candidate) < _metric(work):
-                return (None, [(scale, gammas[0]), (scale, gammas[1])])
-    return None
 
 
 def c_of_cycle(zeta: Gamma2Chain) -> Fraction:

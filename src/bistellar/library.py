@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import NotClosedManifold
+from .errors import NotClosedManifold, parsing
 from .simplicial import Complex, boundary_of_simplex, build_complex, is_orientable
 
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -77,22 +77,20 @@ RP2_6_FACETS = [
 def read_facet_file(path: str) -> tuple[Complex, list[int] | None]:
     """Read the whitespace-separated facet-list format ('#' comments), or a
     JSON document with "facets" and optional "orientation"."""
-    with open(path) as fh:
+    with open(path) as fh, parsing(path):
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        import json
+        if text.lstrip().startswith("{"):
+            import json
 
-        data = json.loads(text)
-        K = build_complex(data["facets"])
-        return K, data.get("orientation")
-    facets = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        facets.append([int(x) for x in line.split()])
-    return build_complex(facets), None
+            data = json.loads(text)
+            facets, orientation = data["facets"], data.get("orientation")
+        else:
+            facets, orientation = [], None
+            for line in text.splitlines():
+                line = line.split("#", 1)[0].strip()
+                if line:
+                    facets.append([int(x) for x in line.split()])
+    return build_complex(facets), orientation
 
 
 def write_facet_file(path: str, K: Complex, header: str | None = None) -> None:

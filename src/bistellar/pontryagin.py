@@ -24,7 +24,7 @@ import os
 from fractions import Fraction
 
 from .canonical import OKey, materialize, okey
-from .errors import DimensionTooSmall, InvalidMove, NotACycle
+from .errors import DimensionTooSmall, InvalidMove, NotACycle, parsing
 from .gamma2 import Gamma2Chain, c_of_cycle, decreasing_moves
 from .moves import BistellarMove, apply_move, induced_vertex_moves, is_inessential
 from .reduction import MoveSequence, reduce_to_boundary, replay
@@ -45,30 +45,37 @@ class XiCache:
         self.chains: dict[OKey, Gamma2Chain] = {}
         self.certs: dict[OKey, MoveSequence] = {}
         self._eta: dict[MoveSequence, Gamma2Chain] = {}
+        self._red2: dict[MoveSequence, Gamma2Chain] = {}
         if path and os.path.exists(path):
             self.load(path)
 
     def load(self, path: str) -> None:
-        with open(path) as fh:
-            data = json.load(fh)
-        for enc, chain in data.get("xi", {}).items():
-            self.chains[OKey.decode(enc)] = Gamma2Chain.from_json(chain)
-        for enc, cert in data.get("certificates", {}).items():
-            self.certs[OKey.decode(enc)] = MoveSequence.from_json(cert)
+        with open(path) as fh, parsing(path):
+            self.merge(json.load(fh))
 
-    def save(self, path: str | None = None) -> None:
-        path = path or self.path
-        if not path:
-            return
-        data = {
+    def merge(self, data: dict) -> None:
+        """Add the entries of ``data`` (the JSON form ``save`` writes) that
+        this cache lacks."""
+        for enc, chain in data.get("xi", {}).items():
+            self.chains.setdefault(OKey.decode(enc), Gamma2Chain.from_json(chain))
+        for enc, cert in data.get("certificates", {}).items():
+            self.certs.setdefault(OKey.decode(enc), MoveSequence.from_json(cert))
+
+    def to_json(self) -> dict:
+        return {
             "xi": {k.encode(): v.to_json() for k, v in sorted(self.chains.items(), key=lambda kv: kv[0].encode())},
             "certificates": {
                 k.encode(): v.to_json() for k, v in sorted(self.certs.items(), key=lambda kv: kv[0].encode())
             },
         }
+
+    def save(self, path: str | None = None) -> None:
+        path = path or self.path
+        if not path:
+            return
         tmp = path + ".tmp"
         with open(tmp, "w") as fh:
-            json.dump(data, fh, sort_keys=True)
+            json.dump(self.to_json(), fh, sort_keys=True)
         os.replace(tmp, path)
 
     def certificate(self, key: OKey, budget: int = 4000, seed: int = 0) -> MoveSequence:
@@ -89,6 +96,16 @@ class XiCache:
                     if sub is not None:
                         hit.add_move(sub)
             self._eta[cert] = hit
+        return hit
+
+    def red2(self, cert: MoveSequence) -> Gamma2Chain:
+        """Edge chain of a reduction certificate of a 2-sphere class."""
+        hit = self._red2.get(cert)
+        if hit is None:
+            hit = Gamma2Chain()
+            for mv in _cert_moves(cert):
+                hit.add_move(mv)
+            self._red2[cert] = hit
         return hit
 
 
@@ -197,11 +214,10 @@ def local_f(
     return c_of_cycle(zeta)
 
 
-def _local_f_worker(encoded: str, budget: int, seed: int) -> tuple[str, str, str, dict]:
-    key = OKey.decode(encoded)
+def _local_f_worker(encoded: str, budget: int, seed: int) -> tuple[Fraction, dict]:
     cache = XiCache()
-    val = local_f(materialize(key), budget=budget, seed=seed, cache=cache)
-    return encoded, str(val.numerator), str(val.denominator), cache.certs[key].to_json()
+    val = local_f(materialize(OKey.decode(encoded)), budget=budget, seed=seed, cache=cache)
+    return val, cache.to_json()
 
 
 def _need_dim4(K: OrientedComplex) -> None:
@@ -245,10 +261,9 @@ def p1_dual_local(
         try:
             with mp.get_context("spawn").Pool(min(jobs, len(todo))) as pool:
                 tasks = [(k.encode(), budget, seed) for k in todo]
-                for enc, num, den, cert in pool.starmap(_local_f_worker, tasks):
-                    key = OKey.decode(enc)
-                    values[key] = Fraction(int(num), int(den))
-                    cache.certs.setdefault(key, MoveSequence.from_json(cert))
+                for k, (val, saved) in zip(todo, pool.starmap(_local_f_worker, tasks)):
+                    values[k] = val
+                    cache.merge(saved)
         except OSError:
             pass  # no process pool here: the loop below computes every class
     for k in todo:
@@ -274,14 +289,6 @@ def p1_number(K: OrientedComplex, budget: int = 4000, seed: int = 0, cache: XiCa
     if K.dim != 4:
         raise InvalidMove("the Pontryagin number needs a 4-manifold")
     return p1_dual_local(K, budget=budget, seed=seed, cache=cache).total()
-
-
-def _red2_chain(key: OKey, cache: XiCache, budget: int, seed: int) -> Gamma2Chain:
-    """Edge chain of the fixed reduction certificate of a 2-sphere class."""
-    out = Gamma2Chain()
-    for mv in _cert_moves(cache.certificate(key, budget=budget, seed=seed)):
-        out.add_move(mv)
-    return out
 
 
 def p1_dual_direct(
@@ -311,7 +318,7 @@ def p1_dual_direct(
             lk2 = K.link(tau)
             if (-1) ** tau.index(w) == -1:
                 lk2 = -lk2
-            zeta = zeta.plus(_red2_chain(okey(lk2), cache, budget, seed), 1)
+            zeta = zeta.plus(cache.red2(cache.certificate(okey(lk2), budget=budget, seed=seed)), 1)
         if not zeta.is_cycle():
             raise NotACycle("zeta_sigma is not a cycle: incidence orientation bug")
         r = c_of_cycle(zeta)

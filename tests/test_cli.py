@@ -173,3 +173,71 @@ def test_p1_below_dimension_four_is_an_error(capsys, data_dir, procedure):
     code, out = _run(capsys, ["p1", procedure, str(data_dir / "boundary_delta_4.facets")])
     assert code == 1
     assert json.loads(out)["error"] == "DimensionTooSmall"
+
+
+def test_p1_jobs_cache_file_matches_serial(capsys, tmp_path):
+    """--jobs workers send their xi chains back, so the saved cache is the
+    serial one, byte for byte."""
+    from bistellar.simplicial import Complex
+    from helpers import perturbed_cp2
+
+    facets = tmp_path / "k.facets"
+    write_facet_file(str(facets), Complex(perturbed_cp2(0, steps=1).facets))
+    runs = {}
+    for jobs in ("1", "2"):
+        cachep = tmp_path / f"xi{jobs}.json"
+        runs[jobs] = _run(capsys, ["p1", "local", "--jobs", jobs, "--xi-cache", str(cachep), str(facets)])
+    assert runs["1"] == runs["2"] and runs["1"][0] == 0
+    assert (tmp_path / "xi1.json").read_bytes() == (tmp_path / "xi2.json").read_bytes()
+    assert json.loads((tmp_path / "xi2.json").read_text())["xi"]
+
+
+def _write(path, text: str) -> str:
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv_of",
+    [
+        lambda d: ["check", _write(d / "bad.facets", "0 1 2\n0 1 x\n")],
+        lambda d: ["check", _write(d / "bad.json", '{"facets": [[0, 1, 2],')],
+        lambda d: ["--xi-cache", _write(d / "xi.json", '{"xi": {"'), "p1", "local", str(d / "boundary_delta_5.facets")],
+        lambda d: ["gamma2", "decompose", _write(d / "chain.json", '[["nonsense","1","1"]]')],
+    ],
+    ids=["facet-text", "facet-json", "xi-cache", "chain"],
+)
+def test_malformed_input_is_a_typed_error(capsys, data_dir, argv_of):
+    code = main(argv_of(data_dir))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out)["error"] == "MalformedInput"
+    assert captured.err == ""
+
+
+def test_budget_error_reports_progress(capsys, data_dir):
+    code, out = _run(capsys, ["--budget", "0", "reduce", str(data_dir / "cross_4.facets")])
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["error"] == "BudgetExhausted"
+    assert rep["moves_done"] == [] and rep["best_state_vertices"] == 8
+
+
+def test_stuck_decomposition_reports_residual(capsys, tmp_path, monkeypatch):
+    import bistellar.cli as cli
+    from bistellar.errors import DecompositionStuck
+    from bistellar.gamma2 import commutation_cycle
+    from helpers import icosahedron
+
+    chain = commutation_cycle(icosahedron(), (0, 1, 2), (0, 5, 6)).chain
+
+    def stuck(zeta, order_seed=None):
+        raise DecompositionStuck("stuck", residual=zeta)
+
+    monkeypatch.setattr(cli, "decompose_cycle", stuck)
+    path = _write(tmp_path / "chain.json", json.dumps(chain.to_json()))
+    code, out = _run(capsys, ["gamma2", "decompose", path])
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["error"] == "DecompositionStuck"
+    assert rep["residual"] == chain.to_json()

@@ -6,11 +6,13 @@ import pytest
 from bistellar.errors import InvalidParams, NotApplicable
 from bistellar.gamma2 import (
     Gamma2Chain,
+    _accept,
     c_of_cycle,
     c_value,
     classify_elementary,
     commutation_cycle,
     decompose_cycle,
+    edge_complexity,
     move_complexity,
     sphere_complexity,
 )
@@ -198,3 +200,81 @@ def test_chain_serialization_round_trip():
     g = commutation_cycle(ico, (0, 1, 2), (0, 5, 6))
     again = Gamma2Chain.from_json(g.chain.to_json())
     assert again == g.chain
+
+
+def _loop_cycle(seed: int) -> Gamma2Chain:
+    rng = random.Random(seed)
+    ch = None
+    while ch is None:
+        ch = random_loop_cycle(rng)
+    return ch
+
+
+def _pieces(parts) -> str:
+    return " | ".join(f"{n} {g.kind} {','.join(map(str, g.params))} {g.sign}" for n, g in parts)
+
+
+# (coefficient, kind, params, sign) of each piece, in order, for the first
+# loop cycle of each seed; seed 59 peels one pair through a third move
+PINNED_PIECES = {
+    (14, None): "-1 comm-f 2,2 -1 | -1 comm-i 1,2 1 | -1 spec-b 3,3,2,3 1 | 1 comm-e 1,1 -1",
+    (14, 1): "-1 comm-f 2,2 -1 | -1 comm-i 1,2 1 | 1 spec-b 3,2,3,3 -1 | 1 comm-e 1,1 -1",
+    (20, None): "-1 spec-a 3,3,4 1 | 1 comm-f 2,1 -1 | -1 comm-f 1,2 1 | -1 comm-d  -1 | -1 comm-b 2,1 1",
+    (20, 1): "-1 comm-d  -1 | -1 comm-f 1,2 1 | -1 spec-a 3,3,4 1 | 1 comm-f 2,1 -1 | -1 comm-b 2,1 1",
+    (59, None): (
+        "1 comm-e 1,1 -1 | -1 comm-f 2,1 1 | 1 comm-f 3,4 1 | 1 comm-e 1,1 -1 | -1 comm-d  -1 | "
+        "1 comm-e 1,2 1 | -1 comm-d  -1 | 1 comm-e 1,1 -1 | -1 comm-f 2,3 1 | 1 comm-b 3,1 1 | "
+        "1 comm-b 2,1 1 | -1 comm-b 2,1 1 | 1 comm-i 2,1 1 | 1 comm-i 2,1 1 | 1 comm-f 2,3 1 | "
+        "2 spec-a 3,3,3 1 | 1 comm-f 1,2 1 | -1 comm-f 2,1 -1 | -1 comm-b 1,1 1 | 1 comm-b 2,1 1 | "
+        "-1 comm-e 1,1 -1 | -1 comm-f 1,1 -1"
+    ),
+    (59, 1): (
+        "1 comm-e 1,2 1 | 1 comm-f 3,4 1 | -1 comm-f 2,3 1 | -1 comm-f 2,1 1 | -1 comm-d  -1 | "
+        "1 comm-e 1,1 -1 | -1 comm-d  -1 | 1 comm-e 1,1 -1 | 1 comm-e 1,1 -1 | 1 comm-b 2,1 1 | "
+        "-1 comm-b 1,3 1 | 1 comm-b 1,2 1 | 1 comm-i 2,1 1 | 1 comm-i 2,1 1 | -1 comm-f 2,1 -1 | "
+        "1 comm-f 2,3 1 | 1 comm-f 1,2 1 | 2 spec-a 3,3,3 1 | -1 comm-b 1,1 1 | 1 comm-b 2,1 1 | "
+        "-1 comm-e 1,1 -1 | -1 comm-f 1,1 -1"
+    ),
+}
+
+
+@pytest.mark.parametrize("seed, order_seed", sorted(PINNED_PIECES, key=str))
+def test_decomposition_pieces_pinned(seed, order_seed):
+    parts = decompose_cycle(_loop_cycle(seed), order_seed=order_seed)
+    assert _pieces(parts) == PINNED_PIECES[(seed, order_seed)]
+
+
+def _measure(chain: Gamma2Chain):
+    """The whole-chain measure the peeling loop lowers: (max complexity,
+    total |weight| there), with (-1, 0) for the empty chain."""
+    if not chain.terms:
+        return (Fraction(-1), Fraction(0))
+    top = max(edge_complexity(k) for k in chain.terms)
+    return (top, sum(abs(v) for k, v in chain.terms.items() if edge_complexity(k) == top))
+
+
+def test_accept_matches_whole_chain_measure():
+    """_accept reads only gamma's edges, yet agrees with the whole-chain
+    measure for every residual z of some peeling, every piece g of it, every
+    edge of g with coefficient +-1 and s = +-1, +-2."""
+    seen = {True: 0, False: 0}
+    for seed in range(8):
+        z = _loop_cycle(seed)
+        parts = decompose_cycle(z)
+        residuals = [z]
+        for n, g in parts[:-1]:
+            residuals.append(residuals[-1].plus(g.chain, -n))
+        for work in residuals:
+            for _, g in parts:
+                for key, ce in g.chain.terms.items():
+                    if abs(ce) != 1:
+                        continue
+                    for s in (1, -1, 2, -2):
+                        w = work.plus(Gamma2Chain({key: s * ce - work.coeff(key)}))
+                        top = _measure(w)[0]
+                        got = _accept(w, top, key, g.chain)
+                        want = _measure(w.plus(g.chain, -s)) < _measure(w)
+                        assert (got is not None) == want
+                        assert got is None or got == s
+                        seen[want] += 1
+    assert seen[True] and seen[False]

@@ -222,3 +222,21 @@ def test_p1_jobs_matches_serial_and_keeps_certificates(tmp_path):
     for jobs in (1, 2):
         with pytest.raises(BudgetExhausted):
             p1_dual_local(K, budget=0, cache=XiCache(), jobs=jobs)
+
+
+def test_p1_direct_replays_each_certificate_once(monkeypatch):
+    """The 2-sphere certificate chains are built once per certificate, not
+    once per codimension-3 coface."""
+    import bistellar.pontryagin as pontryagin
+
+    calls = []
+    real = pontryagin.replay
+
+    def spy(seq):
+        calls.append(seq)
+        return real(seq)
+
+    monkeypatch.setattr(pontryagin, "replay", spy)
+    chain = p1_dual_direct(orient(cp2_9()), cache=XiCache())
+    assert chain.terms == {(v,): Fraction(1, 3) for v in range(9)}
+    assert len(calls) == len(set(calls)) == 4

@@ -16,7 +16,10 @@ Keys:
 
 from __future__ import annotations
 
+import functools
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 from .simplicial import Complex, OrientedComplex, Simplex, orient, perm_parity
@@ -123,17 +126,17 @@ class _UCanon:
         self.labelings = labelings
 
 
-_UCANON_CACHE: dict[frozenset, _UCanon] = {}
-
-
 def unoriented_canon(K: Complex) -> _UCanon:
     """Canonical facet tuple of K plus every labeling achieving it."""
-    cache_key = K.facets
-    hit = _UCANON_CACHE.get(cache_key)
-    if hit is not None:
-        return hit
-    vertices = K.vertices
-    facets = sorted(K.facets)
+    return _ucanon(K.facets)
+
+
+@functools.cache
+def _ucanon(facet_set: frozenset) -> _UCanon:
+    """``unoriented_canon`` memoized on the facet set."""
+    deg = Counter(chain.from_iterable(facet_set))
+    vertices = sorted(deg)
+    facets = sorted(facet_set)
     best: list[FacetTuple] = []
     best_labelings: list[dict[int, int]] = []
 
@@ -160,22 +163,17 @@ def unoriented_canon(K: Complex) -> _UCanon:
             child[v] = c
             search(child)
 
-    if len(vertices) == 0:
+    if not vertices:
         # the empty complex {()} canonicalizes trivially
-        result = _UCanon(tuple(sorted(K.facets)), [{}])
-        _UCANON_CACHE[cache_key] = result
-        return result
+        return _UCanon(tuple(facets), [{}])
     # seed colors with vertex degrees to shrink the search tree
-    deg = {v: K.degree(v) for v in vertices}
     ranking = {d: i for i, d in enumerate(sorted(set(deg.values())))}
     star: dict[int, list[int]] = {v: [] for v in vertices}
     for j, f in enumerate(facets):
         for v in f:
             star[v].append(j)
     search({v: ranking[deg[v]] for v in vertices})
-    result = _UCanon(best[0], best_labelings)
-    _UCANON_CACHE[cache_key] = result
-    return result
+    return _UCanon(best[0], best_labelings)
 
 
 class _OCanon:
@@ -187,53 +185,30 @@ class _OCanon:
         self.labelings_reversing = rev
 
 
-_OCANON_CACHE: dict = {}
-_REP_ORIENT_CACHE: dict[FacetTuple, dict[Simplex, int]] = {}
-
-
+@functools.cache
 def _rep_signs(facets: FacetTuple) -> dict[Simplex, int]:
     """Coherent facet signs of the canonical representative (seed +1)."""
-    hit = _REP_ORIENT_CACHE.get(facets)
-    if hit is None:
-        hit = orient(Complex(facets, _validated=True)).facet_signs
-        _REP_ORIENT_CACHE[facets] = hit
-    return hit
+    return orient(Complex(facets, _validated=True)).facet_signs
 
 
 def oriented_canon(OC: OrientedComplex) -> _OCanon:
-    cache_key = (OC.complex.facets, tuple(sorted(OC.facet_signs.items())))
-    hit = _OCANON_CACHE.get(cache_key)
-    if hit is not None:
-        return hit
-    u = unoriented_canon(OC.complex)
+    return _ocanon(OC.complex.facets, tuple(sorted(OC.facet_signs.items())))
+
+
+@functools.cache
+def _ocanon(facet_set: frozenset, signs: tuple[tuple[Simplex, int], ...]) -> _OCanon:
+    """``oriented_canon`` memoized on the facet set and the sorted signs."""
+    u = _ucanon(facet_set)
     rep = _rep_signs(u.facets)
     pres: list[dict[int, int]] = []
     rev: list[dict[int, int]] = []
     for lab in u.labelings:
-        eps = None
-        ok = True
-        for f, s in OC.facet_signs.items():
-            image = [lab[v] for v in f]
-            transported = s * perm_parity(image)
-            e = transported * rep[tuple(sorted(image))]
-            if eps is None:
-                eps = e
-            elif eps != e:
-                ok = False
-                break
-        if not ok:
-            # mixed per-component transport; cannot happen for connected input
-            continue
-        (pres if eps == 1 else rev).append(lab)
-    if pres and rev:
-        sign = 0
-    elif pres:
-        sign = 1
-    else:
-        sign = -1
-    result = _OCanon(OKey(u.facets, sign), pres, rev)
-    _OCANON_CACHE[cache_key] = result
-    return result
+        # +1 where lab carries the signs onto the representative's, -1 onto its mirror's
+        eps = {s * perm_parity(img := [lab[v] for v in f]) * rep[tuple(sorted(img))] for f, s in signs}
+        if len(eps) == 1:  # else mixed per-component transport; cannot happen for connected input
+            (pres if eps.pop() == 1 else rev).append(lab)
+    sign = 0 if pres and rev else (1 if pres else -1)
+    return _OCanon(OKey(u.facets, sign), pres, rev)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .errors import BistellarError, parsing
 from .gamma2 import Gamma2Chain, decompose_cycle
 from .pontryagin import XiCache, p1_dual_direct, p1_dual_local
 from .reduction import reduce_to_boundary
-from .simplicial import Complex, orient
+from .simplicial import Complex, OrientedComplex, orient
 from .spheres import is_combinatorial_manifold, is_combinatorial_sphere
 from .sw import is_mod2_boundary, sw_duals
 
@@ -32,6 +32,14 @@ def _rat(x: Fraction) -> dict:
 def _load(path: str) -> Complex:
     K, _ = library.read_facet_file(path)
     return K
+
+
+def _load_oriented(path: str) -> OrientedComplex:
+    """The complex of a facet file with the file's orientation, if it gives
+    one, else with the one ``orient`` propagates."""
+    K, signs = library.read_facet_file(path)
+    OK = orient(K)  # also rejects a complex that is no closed pseudomanifold
+    return OK if signs is None else OrientedComplex(K, signs)
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -61,8 +69,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    K = _load(args.complex)
-    seq = reduce_to_boundary(orient(K), budget=args.budget, seed=args.seed)
+    seq = reduce_to_boundary(_load_oriented(args.complex), budget=args.budget, seed=args.seed)
     report = {"certificate": seq.to_json(), "length": len(seq.moves)}
     _emit(report, args.format)
     return 0
@@ -86,13 +93,12 @@ def cmd_sw(args) -> int:
 
 
 def cmd_p1(args) -> int:
-    K = _load(args.complex)
-    OK = orient(K)
+    K = _load_oriented(args.complex)
     cache = XiCache(args.xi_cache)
     if args.procedure == "local":
-        chain = p1_dual_local(OK, budget=args.budget, seed=args.seed, cache=cache, jobs=args.jobs)
+        chain = p1_dual_local(K, budget=args.budget, seed=args.seed, cache=cache, jobs=args.jobs)
     else:
-        chain = p1_dual_direct(OK, budget=args.budget, seed=args.seed, cache=cache)
+        chain = p1_dual_direct(K, budget=args.budget, seed=args.seed, cache=cache)
     if args.xi_cache:
         cache.save()
     report = {

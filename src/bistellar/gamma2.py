@@ -28,6 +28,7 @@ being the coefficients in the work chain and in gamma).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -175,15 +176,9 @@ class Gamma2Chain:
         return out
 
 
-_MATERIALIZE_CACHE: dict[GammaEdgeKey, BistellarMove] = {}
-
-
+@functools.cache
 def _materialize_cached(key: GammaEdgeKey) -> BistellarMove:
-    hit = _MATERIALIZE_CACHE.get(key)
-    if hit is None:
-        hit = materialize_edge(key)
-        _MATERIALIZE_CACHE[key] = hit
-    return hit
+    return materialize_edge(key)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +233,6 @@ class ElementaryCycle:
     kind: str
     params: tuple[int, ...]
     chain: Gamma2Chain
-    witness: tuple
     sign: int
 
     @property
@@ -438,7 +432,7 @@ def commutation_cycle(L: OrientedComplex, sigma1, sigma2) -> ElementaryCycle:
     if not chain.is_cycle():
         raise ClosureFailure("commutation chain has nonzero boundary")
     kind, params, sign = classify_elementary(L, sigma1, sigma2)
-    return ElementaryCycle(kind, params, chain, (L, sigma1, sigma2), sign)
+    return ElementaryCycle(kind, params, chain, sign)
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +499,7 @@ def special_cycle_a(move: BistellarMove, result: OrientedComplex | None = None) 
 
         params = (out(Lap), out(T), out(Rv))
         s_or = X.sign_of((b, a, T))
-        return ElementaryCycle("spec-a", params, chain, (X, sig, (a, b)), s_or)
+        return ElementaryCycle("spec-a", params, chain, s_or)
     return None
 
 
@@ -556,7 +550,7 @@ def special_cycle_b(R: OrientedComplex, e: int, D: int, C: int) -> ElementaryCyc
     # orientation read on the state TM where {A,B,e} is a facet; it already
     # is one in R (a triangle around e), with the same sign
     s_or = R.sign_of((A, B, e))
-    return ElementaryCycle("spec-b", params, chain, (R, e, (A, B, C, D)), s_or)
+    return ElementaryCycle("spec-b", params, chain, s_or)
 
 
 def special_cycle_c(L: OrientedComplex, sigma1: Simplex, sigma2: Simplex) -> ElementaryCycle | None:
@@ -599,7 +593,7 @@ def special_cycle_c(L: OrientedComplex, sigma1: Simplex, sigma2: Simplex) -> Ele
 
     params = (out(A), out(E), out(Dv), out(Cv), out(B))
     s_or = L.sign_of((A, B, Cv))
-    return ElementaryCycle("spec-c", params, chain, (L, tuple(sorted(sigma1)), tuple(sorted(sigma2))), s_or)
+    return ElementaryCycle("spec-c", params, chain, s_or)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ import os
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import NotClosedManifold, parsing
-from .simplicial import Complex, boundary_of_simplex, build_complex, is_orientable
+from .errors import MalformedInput, NotClosedManifold, parsing
+from .simplicial import Complex, Simplex, boundary_of_simplex, build_complex, is_orientable, perm_parity
 
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -74,9 +74,14 @@ RP2_6_FACETS = [
 ]
 
 
-def read_facet_file(path: str) -> tuple[Complex, list[int] | None]:
+def read_facet_file(path: str) -> tuple[Complex, dict[Simplex, int] | None]:
     """Read the whitespace-separated facet-list format ('#' comments), or a
-    JSON document with "facets" and optional "orientation"."""
+    JSON document with "facets" and optional "orientation".
+
+    The orientation lists one sign, 1 or -1, per facet, for the facet with
+    its vertices in the order written.  It is returned as the sign of each
+    facet in ascending vertex order, or None when the document has none.
+    """
     with open(path) as fh, parsing(path):
         text = fh.read()
         if text.lstrip().startswith("{"):
@@ -90,7 +95,13 @@ def read_facet_file(path: str) -> tuple[Complex, list[int] | None]:
                 line = line.split("#", 1)[0].strip()
                 if line:
                     facets.append([int(x) for x in line.split()])
-    return build_complex(facets), orientation
+    K = build_complex(facets)
+    if orientation is None:
+        return K, None
+    ok = isinstance(orientation, list) and len(orientation) == len(facets)
+    if not ok or any(s not in (1, -1) for s in orientation):
+        raise MalformedInput(f"{path}: the orientation needs one sign, 1 or -1, per facet ({len(facets)} facets)")
+    return K, {tuple(sorted(f)): s * perm_parity(f) for f, s in zip(facets, orientation)}
 
 
 def write_facet_file(path: str, K: Complex, header: str | None = None) -> None:

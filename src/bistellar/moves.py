@@ -20,6 +20,7 @@ the edges of the graph Gamma_n, identified here by ``GammaEdgeKey``.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -229,14 +230,9 @@ def sphere_complexity(L: OrientedComplex | OKey) -> Fraction:
     return Fraction(complexity_thirds(Counter(chain.from_iterable(L.facets)).values()), 3)
 
 
-_COMPLEXITY_CACHE: dict[OKey, Fraction] = {}
-
-
+@functools.cache
 def complexity_of_key(key: OKey) -> Fraction:
-    hit = _COMPLEXITY_CACHE.get(key)
-    if hit is None:
-        hit = _COMPLEXITY_CACHE[key] = sphere_complexity(key)
-    return hit
+    return sphere_complexity(key)
 
 
 def _endpoint_rank(key: OKey):

@@ -19,6 +19,7 @@ reduction sequences:
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from fractions import Fraction
@@ -28,8 +29,8 @@ from .errors import DimensionTooSmall, InvalidMove, NotACycle, parsing
 from .gamma2 import Gamma2Chain, c_of_cycle, decreasing_moves
 from .moves import BistellarMove, apply_move, induced_vertex_moves, is_inessential
 from .reduction import MoveSequence, reduce_to_boundary, replay
-from .simplicial import OrientedComplex
-from .talgebra import SimplicialChain
+from .simplicial import OrientedComplex, boundary_of_simplex, orient
+from .talgebra import LocalCochain, SimplicialChain, f_sharp
 
 
 class XiCache:
@@ -115,16 +116,9 @@ def _cert_moves(cert: MoveSequence) -> list[BistellarMove]:
     return [BistellarMove(states[i], sig, tau) for i, (sig, tau) in enumerate(cert.moves)]
 
 
-_D3_KEY: OKey | None = None
-
-
+@functools.cache
 def _d3_key() -> OKey:
-    global _D3_KEY
-    if _D3_KEY is None:
-        from .simplicial import boundary_of_simplex, orient
-
-        _D3_KEY = okey(orient(boundary_of_simplex(3)))
-    return _D3_KEY
+    return okey(orient(boundary_of_simplex(3)))
 
 
 def xi_chain(L: OrientedComplex | OKey, cache: XiCache | None = None) -> Gamma2Chain:
@@ -233,8 +227,10 @@ def p1_dual_local(
     jobs: int = 1,
 ) -> SimplicialChain:
     """The Poincare dual of the first rational Pontryagin class, by the
-    universal local formula.  Degree dim-4; coefficients are local_f of the
-    codimension-4 links.
+    universal local formula: f_sharp of the local cochain f = local_f, the
+    degree dim-4 chain carrying f(link sigma) on each simplex sigma.  As
+    f(-L) = -f(L), local_f runs once per mirror pair, on its first class in
+    ``OKey.encode`` order (the +1 class when both occur).
 
     ``jobs`` caps concurrent workers over distinct link classes; the result
     is independent of scheduling because the arithmetic is exact and keyed
@@ -242,19 +238,9 @@ def p1_dual_local(
     """
     _need_dim4(K)
     cache = cache if cache is not None else XiCache()
-    m = K.dim
-    values: dict[OKey, Fraction] = {}
-    link_keys: dict = {}
-    for sig in K.complex.faces_of_dim(m - 4):
-        link_keys[sig] = okey(K.link(sig))
-    todo = []
-    for k in sorted(set(link_keys.values()), key=lambda k: k.encode()):
-        if k.sign == 0:
-            values[k] = Fraction(0)
-        elif k.mirror() in values or k.mirror() in todo:
-            continue
-        else:
-            todo.append(k)
+    keys = {okey(K.link(sig)) for sig in K.complex.faces_of_dim(K.dim - 4)}
+    todo = [k for k in sorted(keys, key=OKey.encode) if k.sign == 1 or (k.sign and k.mirror() not in keys)]
+    f = LocalCochain(4)
     if jobs > 1 and len(todo) > 1:
         import multiprocessing as mp
 
@@ -262,21 +248,14 @@ def p1_dual_local(
             with mp.get_context("spawn").Pool(min(jobs, len(todo))) as pool:
                 tasks = [(k.encode(), budget, seed) for k in todo]
                 for k, (val, saved) in zip(todo, pool.starmap(_local_f_worker, tasks)):
-                    values[k] = val
+                    f.set(k, val)
                     cache.merge(saved)
+            todo = []
         except OSError:
             pass  # no process pool here: the loop below computes every class
     for k in todo:
-        if k not in values:
-            values[k] = local_f(materialize(k), budget=budget, seed=seed, cache=cache)
-    terms = {}
-    for sig, k in link_keys.items():
-        v = values.get(k)
-        if v is None:
-            v = -values[k.mirror()]
-        if v:
-            terms[sig] = v
-    chain = SimplicialChain(K, m - 4, terms)
+        f.set(k, local_f(materialize(k), budget=budget, seed=seed, cache=cache))
+    chain = f_sharp(f, K)
     if not chain.is_cycle():
         raise NotACycle("the local-formula chain is not a cycle")
     return chain

@@ -215,6 +215,41 @@ def test_malformed_input_is_a_typed_error(capsys, data_dir, argv_of):
     assert captured.err == ""
 
 
+def _cp2_json(path, orientation) -> str:
+    """The bundled CP^2 as a JSON document, each facet written in descending
+    vertex order; ``orientation`` maps the oriented CP^2 to the signs."""
+    from bistellar.library import cp2_9
+    from bistellar.simplicial import orient
+
+    OK = orient(cp2_9())
+    facets = [list(f[::-1]) for f in sorted(OK.facets)]
+    return _write(path, json.dumps({"facets": facets, "orientation": orientation(OK, facets)}))
+
+
+def test_p1_uses_the_json_orientation(capsys, tmp_path):
+    from bistellar.simplicial import perm_parity
+
+    def minus_cp2(OK, facets):
+        return [-OK.facet_signs[tuple(sorted(f))] * perm_parity(f) for f in facets]
+
+    code, out = _run(capsys, ["p1", "local", _cp2_json(tmp_path / "k.json", minus_cp2)])
+    assert code == 0
+    assert json.loads(out)["p1_number"] == {"num": "-3", "den": "1"}
+
+
+@pytest.mark.parametrize(
+    "orientation, error",
+    [(lambda OK, facets: [1] * len(facets), "NonOrientable"), (lambda OK, facets: [1], "MalformedInput")],
+    ids=["incoherent", "wrong-length"],
+)
+def test_bad_json_orientation_is_a_typed_error(capsys, tmp_path, orientation, error):
+    code = main(["p1", "local", _cp2_json(tmp_path / "k.json", orientation)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out)["error"] == error
+    assert captured.err == ""
+
+
 def test_budget_error_reports_progress(capsys, data_dir):
     code, out = _run(capsys, ["--budget", "0", "reduce", str(data_dir / "cross_4.facets")])
     assert code == 1

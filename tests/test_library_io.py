@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bistellar.errors import NotClosedManifold
+from bistellar.errors import MalformedInput, NotClosedManifold
 from bistellar.library import (
     ComplexLibraryEntry,
     catalog,
@@ -53,7 +53,25 @@ def test_json_facet_format(tmp_path):
     path_obj.write_text(json.dumps(doc))
     K, ori = read_facet_file(str(path_obj))
     assert K == build_complex(doc["facets"])
-    assert ori == [1, -1, 1, -1]
+    assert ori == {(0, 1, 2): 1, (0, 1, 3): -1, (0, 2, 3): 1, (1, 2, 3): -1}
+
+
+def test_json_orientation_applies_to_the_facet_as_written(tmp_path):
+    # the same orientation as above: -1 on [1, 0, 2] is +1 on (0, 1, 2), and so on
+    doc = {"facets": [[1, 0, 2], [0, 1, 3], [3, 0, 2], [3, 2, 1]], "orientation": [-1, -1, 1, 1]}
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(doc))
+    _, ori = read_facet_file(str(path))
+    assert ori == {(0, 1, 2): 1, (0, 1, 3): -1, (0, 2, 3): 1, (1, 2, 3): -1}
+
+
+@pytest.mark.parametrize("orientation", [[1], [1, -1, 1, 2], "+-+-"])
+def test_json_orientation_must_give_a_sign_per_facet(tmp_path, orientation):
+    doc = {"facets": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]], "orientation": orientation}
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MalformedInput):
+        read_facet_file(str(path))
 
 
 def test_comments_and_blank_lines(tmp_path):

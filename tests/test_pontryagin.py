@@ -224,6 +224,39 @@ def test_p1_jobs_matches_serial_and_keeps_certificates(tmp_path):
             p1_dual_local(K, budget=0, cache=XiCache(), jobs=jobs)
 
 
+def test_p1_computes_each_mirror_pair_on_its_first_class():
+    """local_f runs on the +1 class of a mirror pair, on the -1 class where
+    that occurs alone, and never on an achiral class: the certificates (and
+    so the saved cache bytes) follow that choice."""
+    K = perturbed_cp2(0, steps=1)
+    keys = {okey(K.link((v,))) for v in K.vertices}
+    lone = {k for k in keys if k.sign == -1 and k.mirror() not in keys}
+    assert len(keys) == 5 and len(lone) == 1 and any(k.sign == 0 for k in keys)
+    cache = XiCache()
+    p1_dual_local(K, cache=cache)
+    assert set(cache.certs) == {k for k in keys if k.sign == 1} | lone
+
+
+def test_memo_tables_never_change_an_answer():
+    import sys
+
+    first, second = perturbed_cp2(1, steps=2), perturbed_cp2(0, steps=1)
+    p1_dual_local(first, cache=XiCache())
+    warm = XiCache()
+    chain = p1_dual_local(second, cache=warm)
+    mods = [m for n, m in list(sys.modules.items()) if n == "bistellar" or n.startswith("bistellar.")]
+    tables = {id(o): o for m in mods for o in vars(m).values() if hasattr(o, "cache_clear")}.values()
+    assert {t.__name__ for t in tables} >= {
+        "_ucanon", "_ocanon", "_rep_signs", "complexity_of_key", "_materialize_cached", "_d3_key"
+    }
+    assert all(t.cache_info().currsize for t in tables)
+    for t in tables:
+        t.cache_clear()
+    cold = XiCache()
+    assert p1_dual_local(second, cache=cold).terms == chain.terms
+    assert cold.to_json() == warm.to_json()
+
+
 def test_p1_direct_replays_each_certificate_once(monkeypatch):
     """The 2-sphere certificate chains are built once per certificate, not
     once per codimension-3 coface."""

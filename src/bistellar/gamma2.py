@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .canonical import OKey
@@ -57,6 +57,7 @@ from .moves import (
     u_set,
 )
 from .simplicial import OrientedComplex, Simplex
+from .talgebra import Chain
 
 # ---------------------------------------------------------------------------
 # complexity stratification
@@ -93,60 +94,28 @@ def decreasing_moves(L: OrientedComplex) -> list[tuple[BistellarMove, OrientedCo
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Gamma2Chain:
+class Gamma2Chain(Chain):
     """Finitely supported chain on canonical move-graph edges.
 
     An edge and its inverse are one key with opposite signs, so the
     antisymmetry {beta^-1} = -{beta} holds by construction.
     """
 
-    terms: dict[GammaEdgeKey, Fraction] = field(default_factory=dict)
+    terms: dict[GammaEdgeKey, Fraction]
 
-    def add_edge(self, key: GammaEdgeKey, coeff) -> "Gamma2Chain":
-        c = self.terms.get(key, Fraction(0)) + Fraction(coeff)
-        if c:
-            self.terms[key] = c
-        else:
-            self.terms.pop(key, None)
-        return self
+    add_edge = Chain.add
 
     def add_move(self, move: BistellarMove, coeff=1, result: OrientedComplex | None = None) -> "Gamma2Chain":
         se = edge_key(move, result)
         if se is not None:
-            self.add_edge(se.key, se.sign * Fraction(coeff))
+            self.add(se.key, se.sign * Fraction(coeff))
         return self
 
-    def coeff(self, key: GammaEdgeKey) -> Fraction:
-        return self.terms.get(key, Fraction(0))
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Gamma2Chain) and self.terms == other.terms
-
-    def plus(self, other: "Gamma2Chain", scale=1) -> "Gamma2Chain":
-        out = Gamma2Chain(dict(self.terms))
-        s = Fraction(scale)
-        for k, v in other.terms.items():
-            out.add_edge(k, v * s)
-        return out
-
-    def scaled(self, scale) -> "Gamma2Chain":
-        s = Fraction(scale)
-        return Gamma2Chain({k: v * s for k, v in self.terms.items() if v * s})
-
     def boundary(self) -> dict[OKey, Fraction]:
-        out: dict[OKey, Fraction] = {}
+        out = Chain()
         for k, c in self.terms.items():
-            for key, sgn in ((k.head, 1), (k.tail, -1)):
-                v = out.get(key, Fraction(0)) + sgn * c
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
-        return out
+            out.add(k.head, c).add(k.tail, -c)
+        return out.terms
 
     def is_cycle(self) -> bool:
         return not self.boundary()
@@ -162,17 +131,11 @@ class Gamma2Chain:
             out.add_move(BistellarMove(-mv.host, mv.sigma, mv.tau), c)
         return out
 
-    def to_json(self) -> list:
-        return [
-            [k.encode(), str(v.numerator), str(v.denominator)]
-            for k, v in sorted(self.terms.items(), key=lambda kv: kv[0].encode())
-        ]
-
     @staticmethod
     def from_json(data: list) -> "Gamma2Chain":
         out = Gamma2Chain()
         for enc, num, den in data:
-            out.add_edge(GammaEdgeKey.decode(enc), Fraction(int(num), int(den)))
+            out.add(GammaEdgeKey.decode(enc), Fraction(int(num), int(den)))
         return out
 
 
@@ -376,12 +339,10 @@ def _normalize_witness(L: OrientedComplex, m1, m2):
     if len(s1) == 1:
         L = apply_move(BistellarMove(L, s1, t1))
         m1 = (t1, s1)
-        (s2, t2) = m2
         sign = -sign
     if len(s2) == 1:
-        L2 = apply_move(BistellarMove(L, s2, t2))
+        L = apply_move(BistellarMove(L, s2, t2))
         m2 = (t2, s2)
-        L = L2
         sign = -sign
     return L, m1, m2, sign
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import MalformedInput, NotClosedManifold, parsing
-from .simplicial import Complex, Simplex, boundary_of_simplex, build_complex, is_orientable, perm_parity
+from .simplicial import Complex, Simplex, boundary_of_simplex, build_complex, is_orientable, perm_parity, simplex
 
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -78,8 +78,9 @@ def read_facet_file(path: str) -> tuple[Complex, dict[Simplex, int] | None]:
     """Read the whitespace-separated facet-list format ('#' comments), or a
     JSON document with "facets" and optional "orientation".
 
-    The orientation lists one sign, 1 or -1, per facet, for the facet with
-    its vertices in the order written.  It is returned as the sign of each
+    A facet listed twice, in any vertex order, is ``MalformedInput``.  The
+    orientation lists one sign, 1 or -1, per facet, for the facet with its
+    vertices in the order written.  It is returned as the sign of each
     facet in ascending vertex order, or None when the document has none.
     """
     with open(path) as fh, parsing(path):
@@ -96,6 +97,12 @@ def read_facet_file(path: str) -> tuple[Complex, dict[Simplex, int] | None]:
                 if line:
                     facets.append([int(x) for x in line.split()])
     K = build_complex(facets)
+    if len(K.facets) < len(facets):
+        seen: set[Simplex] = set()
+        for f in map(simplex, facets):
+            if f in seen:
+                raise MalformedInput(f"{path}: facet {list(f)} is listed twice")
+            seen.add(f)
     if orientation is None:
         return K, None
     ok = isinstance(orientation, list) and len(orientation) == len(facets)

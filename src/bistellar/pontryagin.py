@@ -286,12 +286,11 @@ def p1_dual_direct(
     _need_dim4(K)
     cache = cache if cache is not None else XiCache()
     m = K.dim
-    terms = {}
+    chain = SimplicialChain(K, m - 4)
     for sig in K.complex.faces_of_dim(m - 4):
         lk3 = K.link(sig)
         zeta = cache.eta(cache.certificate(okey(lk3), budget=budget, seed=seed)).scaled(-1)
-        rest = [v for v in lk3.vertices]
-        for w in rest:
+        for w in lk3.vertices:
             tau = tuple(sorted(sig + (w,)))
             # orient tau so that the incidence coefficient [tau : sig] is +1
             lk2 = K.link(tau)
@@ -300,10 +299,7 @@ def p1_dual_direct(
             zeta = zeta.plus(cache.red2(cache.certificate(okey(lk2), budget=budget, seed=seed)), 1)
         if not zeta.is_cycle():
             raise NotACycle("zeta_sigma is not a cycle: incidence orientation bug")
-        r = c_of_cycle(zeta)
-        if r:
-            terms[sig] = r
-    chain = SimplicialChain(K, m - 4, terms)
+        chain.add(sig, c_of_cycle(zeta))
     if not chain.is_cycle():
         raise NotACycle("the direct-procedure chain is not a cycle")
     return chain

@@ -56,6 +56,12 @@ def perm_parity(seq: Iterable[int]) -> int:
     return sign
 
 
+def faces(s: Simplex) -> list[tuple[Simplex, int]]:
+    """The codimension-1 faces of ``s``, each with its boundary sign:
+    ``(s without s[i], (-1)**i)``."""
+    return [(s[:i] + s[i + 1 :], -1 if i % 2 else 1) for i in range(len(s))]
+
+
 class Complex:
     """An abstract simplicial complex stored by facets, closed under faces."""
 
@@ -149,42 +155,39 @@ class Complex:
     def is_pure(self) -> bool:
         return len({len(f) for f in self.facets}) == 1
 
+    @cached_property
+    def ridges(self) -> dict[Simplex, list[Simplex]]:
+        """Each codimension-1 face of a facet, mapped to the facets that
+        contain it, in ascending order."""
+        out: dict[Simplex, list[Simplex]] = {}
+        for f in sorted(self.facets):
+            for r, _ in faces(f):
+                out.setdefault(r, []).append(f)
+        return out
+
     def ridge_degrees(self) -> dict[Simplex, int]:
         """Multiplicity of each codimension-1 face among facets (pure complexes)."""
-        out: dict[Simplex, int] = {}
-        for f in self.facets:
-            for i in range(len(f)):
-                r = f[:i] + f[i + 1 :]
-                out[r] = out.get(r, 0) + 1
-        return out
+        return {r: len(fs) for r, fs in self.ridges.items()}
 
     @cached_property
     def is_closed_pseudomanifold(self) -> bool:
         if not self.is_pure or self.dim < 1:
             return False
-        return all(d == 2 for d in self.ridge_degrees().values()) and self.is_strongly_connected
+        return all(len(fs) == 2 for fs in self.ridges.values()) and self.is_strongly_connected
 
     @cached_property
     def is_strongly_connected(self) -> bool:
         """Facet-ridge adjacency graph is connected."""
-        facets = list(self.facets)
-        if len(facets) <= 1:
-            return True
-        by_ridge: dict[Simplex, list[int]] = {}
-        for i, f in enumerate(facets):
-            for j in range(len(f)):
-                by_ridge.setdefault(f[:j] + f[j + 1 :], []).append(i)
-        seen = {0}
-        stack = [0]
+        start = min(self.facets)
+        seen = {start}
+        stack = [start]
         while stack:
-            i = stack.pop()
-            f = facets[i]
-            for j in range(len(f)):
-                for k in by_ridge[f[:j] + f[j + 1 :]]:
-                    if k not in seen:
-                        seen.add(k)
-                        stack.append(k)
-        return len(seen) == len(facets)
+            for r, _ in faces(stack.pop()):
+                for g in self.ridges[r]:
+                    if g not in seen:
+                        seen.add(g)
+                        stack.append(g)
+        return len(seen) == len(self.facets)
 
     @cached_property
     def is_connected(self) -> bool:
@@ -229,9 +232,8 @@ class OrientedComplex:
     def _check_coherent(self) -> None:
         acc: dict[Simplex, int] = {}
         for f, s in self.facet_signs.items():
-            for i in range(len(f)):
-                r = f[:i] + f[i + 1 :]
-                acc[r] = acc.get(r, 0) + s * (-1) ** i
+            for r, sign in faces(f):
+                acc[r] = acc.get(r, 0) + s * sign
         if any(v != 0 for v in acc.values()):
             raise NonOrientable("facet signs are not coherent")
 
@@ -327,13 +329,8 @@ def orient(K: Complex) -> OrientedComplex:
     """
     if not K.is_pure:
         raise NotPseudomanifold("complex is not pure")
-    if K.dim < 0 or any(d != 2 for d in K.ridge_degrees().values()):
+    if K.dim < 0 or any(len(fs) != 2 for fs in K.ridges.values()):
         raise NotPseudomanifold("every ridge must lie in exactly two facets")
-    facets = sorted(K.facets)
-    by_ridge: dict[Simplex, list[Simplex]] = {}
-    for f in facets:
-        for i in range(len(f)):
-            by_ridge.setdefault(f[:i] + f[i + 1 :], []).append(f)
     signs: dict[Simplex, int] = {}
 
     def propagate(seed: Simplex) -> None:
@@ -341,10 +338,9 @@ def orient(K: Complex) -> OrientedComplex:
         stack = [seed]
         while stack:
             f = stack.pop()
-            for i in range(len(f)):
-                r = f[:i] + f[i + 1 :]
-                induced = signs[f] * (-1) ** i
-                (g,) = [x for x in by_ridge[r] if x != f]
+            for r, sign in faces(f):
+                induced = signs[f] * sign
+                (g,) = [x for x in K.ridges[r] if x != f]
                 (w,) = set(g) - set(r)
                 need = -induced * (-1) ** g.index(w)
                 if g in signs:
@@ -355,7 +351,7 @@ def orient(K: Complex) -> OrientedComplex:
                     stack.append(g)
 
     # each connected component is seeded with +1 on its least facet
-    for f in facets:
+    for f in sorted(K.facets):
         if f not in signs:
             propagate(f)
     return OrientedComplex(K, signs, check=False)

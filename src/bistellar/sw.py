@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import NotClosedManifold
-from .simplicial import Complex, OrientedComplex, Simplex, barycentric_subdivision
+from .simplicial import Complex, OrientedComplex, Simplex, barycentric_subdivision, faces
 
 
 @dataclass
@@ -23,8 +23,7 @@ class Mod2Chain:
     def boundary(self) -> "Mod2Chain":
         acc: set[Simplex] = set()
         for f in self.simplices:
-            for i in range(len(f)):
-                acc ^= {f[:i] + f[i + 1 :]}
+            acc ^= {r for r, _ in faces(f)}
         return Mod2Chain(self.ambient, self.degree - 1, frozenset(acc))
 
     def is_cycle(self) -> bool:
@@ -65,8 +64,8 @@ def is_mod2_boundary(chain: Mod2Chain) -> bool:
     basis: list[int] = []
     for r in rows:
         vec = 0
-        for i in range(len(r)):
-            vec |= 1 << cols[r[:i] + r[i + 1 :]]
+        for face, _ in faces(r):
+            vec |= 1 << cols[face]
         for b in basis:
             low = b & -b
             if vec & low:

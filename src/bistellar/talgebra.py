@@ -6,24 +6,28 @@ with an orientation-reversing automorphism are torsion and are stored as
 zero.  The boundary sums vertex links with their induced orientations; the
 product is the join.
 
+``Chain`` is the one sparse exact rational vector behind every chain of
+the library: sphere chains here, move-graph chains in
+:mod:`bistellar.gamma2`, and simplicial chains on a manifold.
 ``LocalCochain`` is the dual object: a finitely supported rational
-function on oriented sphere classes with f(-L) = -f(L); the coboundary,
-the chain f_sharp on a manifold, the chain homotopy s through the sphere
-of a move, and the fundamental-class cycle alpha live here too.
+function on oriented sphere classes with f(-L) = -f(L), stored as the
+sphere chain of its values.  The coboundary, the chain f_sharp on a
+manifold, the chain homotopy s through the sphere of a move, and the
+fundamental-class cycle alpha live here too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
 from fractions import Fraction
 from typing import Iterable
 
 from .canonical import OKey, materialize, okey
 from .errors import DimensionTooSmall, NotClosedCycle
 from .moves import BistellarMove, sphere_from_move
-from .simplicial import Complex, OrientedComplex, Simplex, join_oriented
+from .simplicial import Complex, OrientedComplex, Simplex, faces, join_oriented, perm_parity
 
-Rational = Fraction
+_ZERO = Fraction(0)
 
 
 def _norm_key_coeff(key: OKey, coeff: Fraction) -> tuple[OKey, Fraction] | None:
@@ -35,53 +39,85 @@ def _norm_key_coeff(key: OKey, coeff: Fraction) -> tuple[OKey, Fraction] | None:
     return key, coeff
 
 
-@dataclass
-class SphereChain:
-    """Finitely supported rational combination of oriented sphere classes."""
+class Chain:
+    """A finitely supported exact rational combination of hashable keys.
 
-    grade: int
-    terms: dict[OKey, Fraction] = field(default_factory=dict)
+    ``terms`` maps each key to its nonzero coefficient; ``add`` is the one
+    place that accumulates a coefficient and drops the key at zero.
+    Subclasses fix what a key is and carry their shape (grade, ambient
+    complex, degree) as extra attributes, which ``plus`` and ``scaled`` copy.
+    """
 
-    def add(self, key: OKey, coeff) -> "SphereChain":
-        nc = _norm_key_coeff(key, Fraction(coeff))
-        if nc is None:
-            return self
-        k, c = nc
-        new = self.terms.get(k, Fraction(0)) + c
-        if new:
-            self.terms[k] = new
+    def __init__(self, terms: dict | None = None):
+        self.terms = {} if terms is None else terms
+
+    @staticmethod
+    def _json_key(key) -> str | list:
+        """The JSON form of a key; ``to_json`` sorts by it."""
+        return key.encode()
+
+    def _like(self, terms: dict):
+        out = copy.copy(self)
+        out.terms = terms
+        return out
+
+    def add(self, key, coeff):
+        c = self.terms.get(key, _ZERO) + Fraction(coeff)
+        if c:
+            self.terms[key] = c
         else:
-            self.terms.pop(k, None)
+            self.terms.pop(key, None)
         return self
 
-    def add_sphere(self, L: OrientedComplex, coeff=1) -> "SphereChain":
-        return self.add(okey(L), coeff)
+    def coeff(self, key) -> Fraction:
+        return self.terms.get(key, _ZERO)
+
+    def plus(self, other: "Chain", scale=1):
+        out = self._like(dict(self.terms))
+        s = Fraction(scale)
+        for k, v in other.terms.items():
+            out.add(k, v * s)
+        return out
+
+    def scaled(self, scale):
+        s = Fraction(scale)
+        return self._like({k: w for k, v in self.terms.items() if (w := v * s)})
+
+    def total(self) -> Fraction:
+        return sum(self.terms.values(), _ZERO)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SphereChain) and self.grade == other.grade and self.terms == other.terms
+        return type(other) is type(self) and vars(other) == vars(self)
 
-    def scaled(self, c) -> "SphereChain":
-        c = Fraction(c)
-        out = SphereChain(self.grade)
-        for k, v in self.terms.items():
-            out.add(k, v * c)
-        return out
-
-    def plus(self, other: "SphereChain") -> "SphereChain":
-        assert self.grade == other.grade
-        out = SphereChain(self.grade, dict(self.terms))
-        for k, v in other.terms.items():
-            out.add(k, v)
-        return out
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     def to_json(self) -> list:
-        return [
-            [k.encode(), str(v.numerator), str(v.denominator)]
-            for k, v in sorted(self.terms.items(), key=lambda kv: kv[0].encode())
-        ]
+        pairs = sorted((self._json_key(k), v) for k, v in self.terms.items())
+        return [[enc, str(v.numerator), str(v.denominator)] for enc, v in pairs]
+
+
+class SphereChain(Chain):
+    """Finitely supported rational combination of oriented sphere classes."""
+
+    def __init__(self, grade: int, terms: dict[OKey, Fraction] | None = None):
+        self.grade = grade
+        super().__init__(terms)
+
+    def add(self, key: OKey, coeff) -> "SphereChain":
+        nc = _norm_key_coeff(key, coeff)
+        return self if nc is None else super().add(*nc)
+
+    def coeff(self, key: OKey) -> Fraction:
+        """The signed coefficient of <L>: that of <-L> negated, 0 on torsion."""
+        nc = _norm_key_coeff(key, 1)
+        return _ZERO if nc is None else nc[1] * super().coeff(nc[0])
+
+    def add_sphere(self, L: OrientedComplex, coeff=1) -> "SphereChain":
+        return self.add(okey(L), coeff)
 
 
 def sphere_chain(L: OrientedComplex, coeff=1) -> SphereChain:
@@ -111,45 +147,21 @@ def join_product_t(x: SphereChain, y: SphereChain) -> SphereChain:
     return out
 
 
-@dataclass
-class LocalCochain:
-    """Rational function on oriented (grade-1)-sphere classes, finite table
-    plus default zero, with f(-L) = -f(L) enforced by storage."""
-
-    grade: int
-    table: dict[OKey, Fraction] = field(default_factory=dict)
+class LocalCochain(SphereChain):
+    """Rational function on oriented (grade-1)-sphere classes: f(L) is the
+    signed coefficient of <L>, so f(-L) = -f(L) holds by storage and
+    torsion classes are zero."""
 
     def set(self, key_or_sphere, value) -> "LocalCochain":
-        key = key_or_sphere if isinstance(key_or_sphere, OKey) else okey(key_or_sphere)
-        nc = _norm_key_coeff(key, Fraction(value))
-        if nc is None:
-            return self  # torsion class: forced zero over Q
-        k, v = nc
-        if v:
-            self.table[k] = v
-        else:
-            self.table.pop(k, None)
-        return self
+        key = _as_key(key_or_sphere)
+        return self.add(key, Fraction(value) - self.coeff(key))
 
     def __call__(self, arg) -> Fraction:
-        if isinstance(arg, OrientedComplex):
-            key = okey(arg)
-        else:
-            key = arg
-        if key.sign == 0:
-            return Fraction(0)
-        if key.sign == -1:
-            return -self.table.get(key.mirror(), Fraction(0))
-        return self.table.get(key, Fraction(0))
+        return self.coeff(_as_key(arg))
 
-    def eval_chain(self, x: SphereChain) -> Fraction:
-        return sum((c * self(k) for k, c in x.terms.items()), Fraction(0))
 
-    def to_json(self) -> list:
-        return [
-            [k.encode(), str(v.numerator), str(v.denominator)]
-            for k, v in sorted(self.table.items(), key=lambda kv: kv[0].encode())
-        ]
+def _as_key(key_or_sphere) -> OKey:
+    return key_or_sphere if isinstance(key_or_sphere, OKey) else okey(key_or_sphere)
 
 
 def delta_eval(f: LocalCochain, L: OrientedComplex) -> Fraction:
@@ -168,12 +180,10 @@ def f_sharp(f: LocalCochain, K: OrientedComplex) -> "SimplicialChain":
     m, n = K.dim, f.grade
     if m < n:
         raise DimensionTooSmall(f"manifold dimension {m} < cochain grade {n}")
-    terms: dict[Simplex, Fraction] = {}
+    out = SimplicialChain(K, m - n)
     for sig in K.complex.faces_of_dim(m - n):
-        c = f(K.link(sig))
-        if c:
-            terms[sig] = c
-    return SimplicialChain(K, m - n, terms)
+        out.add(sig, f(K.link(sig)))
+    return out
 
 
 def s_eval(f: LocalCochain, move: BistellarMove) -> Fraction:
@@ -223,59 +233,30 @@ def alpha_cycle(K: OrientedComplex) -> SphereChain:
     return out
 
 
-@dataclass
-class SimplicialChain:
+class SimplicialChain(Chain):
     """Rational simplicial chain on an ambient complex.
 
     Coefficients are attached to ascending-ordered simplices; flipping a
     simplex orientation negates its coefficient.
     """
 
-    ambient: OrientedComplex | Complex
-    degree: int
-    terms: dict[Simplex, Fraction] = field(default_factory=dict)
+    def __init__(self, ambient: OrientedComplex | Complex, degree: int, terms: dict[Simplex, Fraction] | None = None):
+        self.ambient = ambient
+        self.degree = degree
+        super().__init__(terms)
+
+    _json_key = staticmethod(list)
 
     def coefficient(self, ordered_simplex: Iterable[int]) -> Fraction:
-        from .simplicial import perm_parity
-
         t = tuple(ordered_simplex)
-        return self.terms.get(tuple(sorted(t)), Fraction(0)) * perm_parity(t)
+        return self.coeff(tuple(sorted(t))) * perm_parity(t)
 
     def boundary(self) -> "SimplicialChain":
-        out: dict[Simplex, Fraction] = {}
+        out = SimplicialChain(self.ambient, self.degree - 1)
         for sig, c in self.terms.items():
-            for i in range(len(sig)):
-                face = sig[:i] + sig[i + 1 :]
-                val = out.get(face, Fraction(0)) + c * (-1) ** i
-                if val:
-                    out[face] = val
-                else:
-                    out.pop(face, None)
-        return SimplicialChain(self.ambient, self.degree - 1, out)
+            for face, sign in faces(sig):
+                out.add(face, sign * c)
+        return out
 
     def is_cycle(self) -> bool:
         return self.degree == 0 or not self.boundary().terms
-
-    def total(self) -> Fraction:
-        return sum(self.terms.values(), Fraction(0))
-
-    def plus(self, other: "SimplicialChain") -> "SimplicialChain":
-        assert self.degree == other.degree
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            val = out.get(k, Fraction(0)) + v
-            if val:
-                out[k] = val
-            else:
-                out.pop(k, None)
-        return SimplicialChain(self.ambient, self.degree, out)
-
-    def scaled(self, c) -> "SimplicialChain":
-        c = Fraction(c)
-        return SimplicialChain(self.ambient, self.degree, {k: v * c for k, v in self.terms.items() if v * c})
-
-    def to_json(self) -> list:
-        return [
-            [list(k), str(v.numerator), str(v.denominator)]
-            for k, v in sorted(self.terms.items())
-        ]

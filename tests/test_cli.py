@@ -215,6 +215,15 @@ def test_malformed_input_is_a_typed_error(capsys, data_dir, argv_of):
     assert captured.err == ""
 
 
+def test_facet_listed_twice_is_a_typed_error(capsys, tmp_path):
+    path = _write(tmp_path / "twice.facets", "0 1 2\n0 1 3\n0 2 3\n1 2 3\n2 1 0\n")
+    code = main(["reduce", path])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out)["error"] == "MalformedInput"
+    assert captured.err == ""
+
+
 def _cp2_json(path, orientation) -> str:
     """The bundled CP^2 as a JSON document, each facet written in descending
     vertex order; ``orientation`` maps the oriented CP^2 to the signs."""

@@ -74,6 +74,18 @@ def test_json_orientation_must_give_a_sign_per_facet(tmp_path, orientation):
         read_facet_file(str(path))
 
 
+@pytest.mark.parametrize("orientation", [None, [1, -1, 1, -1, -1]], ids=["plain", "oriented"])
+def test_facet_listed_twice_is_malformed(tmp_path, orientation):
+    # [2, 1, 0] repeats [0, 1, 2]; the first four signs are coherent
+    doc = {"facets": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3], [2, 1, 0]]}
+    if orientation is not None:
+        doc["orientation"] = orientation
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MalformedInput, match=r"facet \[0, 1, 2\] is listed twice"):
+        read_facet_file(str(path))
+
+
 def test_comments_and_blank_lines(tmp_path):
     p = tmp_path / "c.facets"
     p.write_text("# header\n\n0 1 2  # trailing\n0 1 3\n0 2 3\n1 2 3\n")

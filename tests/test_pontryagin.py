@@ -273,3 +273,19 @@ def test_p1_direct_replays_each_certificate_once(monkeypatch):
     chain = p1_dual_direct(orient(cp2_9()), cache=XiCache())
     assert chain.terms == {(v,): Fraction(1, 3) for v in range(9)}
     assert len(calls) == len(set(calls)) == 4
+
+
+def test_cold_p1_bytes_pinned():
+    """Cold local p1 on an asymmetric input keeps its exact bytes: the saved
+    cache (every xi chain and certificate) and the p1 chain, serialized by
+    the shared chain arithmetic."""
+    import hashlib
+    import json
+
+    def digest(data) -> str:
+        return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+
+    cache = XiCache()
+    chain = p1_dual_local(perturbed_cp2(0, steps=1), cache=cache)
+    assert digest(cache.to_json()) == "e872f70b2d882ac7854366cf1c6babf9270dfa643cc9d38e92928b0e7885e3ff"
+    assert digest(chain.to_json()) == "c90a152c99b2232cc6af647e96891549572fd2a97fa7194ae52858516711bfae"

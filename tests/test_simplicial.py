@@ -3,13 +3,20 @@ from itertools import combinations
 
 import pytest
 
-from bistellar.errors import DuplicateVertexInFacet, FacetContainment, NonOrientable, SimplexNotInComplex
+from bistellar.errors import (
+    DuplicateVertexInFacet,
+    FacetContainment,
+    NonOrientable,
+    NotPseudomanifold,
+    SimplexNotInComplex,
+)
 from bistellar.canonical import ukey
 from bistellar.simplicial import (
     barycentric_subdivision,
     boundary_of_simplex,
     build_complex,
     cone,
+    faces,
     is_orientable,
     join,
     orient,
@@ -119,6 +126,32 @@ def test_orient_unique_up_to_global_flip():
     seed = min(oc.facets)
     assert flipped.facet_signs[seed] == -1
     assert {f: -s for f, s in oc.facet_signs.items()} == flipped.facet_signs
+
+
+def test_faces_and_ridges():
+    assert faces((2, 5, 7)) == [((5, 7), 1), ((2, 7), -1), ((2, 5), 1)]
+    K = build_complex([[0, 1, 2], [0, 1, 3], [0, 2, 3]])
+    assert K.ridges[(0, 1)] == [(0, 1, 2), (0, 1, 3)]
+    assert K.ridges[(1, 2)] == [(0, 1, 2)]
+    assert K.ridge_degrees() == {r: len(fs) for r, fs in K.ridges.items()}
+
+
+@pytest.mark.parametrize(
+    "facets, closed",
+    [
+        (list(combinations(range(4), 3)), True),
+        (list(combinations(range(4), 3)) + list(combinations(range(3, 7), 3)), False),
+        (list(combinations(range(4), 3)) + list(combinations(range(4, 8), 3)), False),
+    ],
+    ids=["one-tetrahedron-boundary", "two-sharing-a-vertex", "two-disjoint"],
+)
+def test_closed_pseudomanifold_needs_strong_connectivity(facets, closed):
+    assert build_complex(facets).is_closed_pseudomanifold is closed
+
+
+def test_orient_rejects_three_facets_on_a_ridge():
+    with pytest.raises(NotPseudomanifold):
+        orient(build_complex([[0, 1, 2], [0, 1, 3], [0, 1, 4]]))
 
 
 def test_closure_property():

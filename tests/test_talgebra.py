@@ -128,6 +128,13 @@ def test_cochain_equivariance():
     assert f(L) == -f(-L)
 
 
+def test_cochain_set_overwrites_through_the_mirror():
+    L = random_walk_sphere(random.Random(4), steps=8)  # a chiral 9-vertex sphere
+    f = LocalCochain(3).set(L, Fraction(7, 2)).set(-L, Fraction(1))
+    assert f(L) == -1 and f(-L) == 1 and len(f.terms) == 1
+    assert not f.set(L, 0).terms
+
+
 def test_f_sharp_zero_cochain_and_dimension_guard():
     d5 = orient(boundary_of_simplex(5))  # a 4-manifold
     f = LocalCochain(4)

@@ -31,22 +31,22 @@ for s1, s2 in pairs:
 # a random closed loop of moves, decomposed two ways
 rng = random.Random(2026)
 from bistellar.canonical import okey
-from bistellar.moves import apply_move, enumerate_moves
+from bistellar.moves import enumerate_moves
 from bistellar.simplicial import boundary_of_simplex
 
 state = orient(boundary_of_simplex(3))
 seen = {okey(state): 0}
 edges = []
 while True:
-    cands = [(m, apply_move(m)) for m in enumerate_moves(state)]
-    cands = [(m, r) for m, r in cands if sphere_complexity(r) <= 9]
-    m, state = cands[rng.randrange(len(cands))]
-    edges.append((m, state))
+    cands = [m for m in enumerate_moves(state) if sphere_complexity(m.result) <= 9]
+    m = cands[rng.randrange(len(cands))]
+    state = m.result
+    edges.append(m)
     if okey(state) in seen:
         start = seen[okey(state)]
         loop = Gamma2Chain()
-        for mm, rr in edges[start:]:
-            loop.add_move(mm, 1, rr)
+        for mm in edges[start:]:
+            loop.add_move(mm)
         break
     seen[okey(state)] = len(edges)
 

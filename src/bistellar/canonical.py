@@ -40,10 +40,6 @@ class OKey(NamedTuple):
     def mirror(self) -> "OKey":
         return OKey(self.facets, -self.sign)
 
-    @property
-    def self_mirror(self) -> bool:
-        return self.sign == 0
-
     def nvertices(self) -> int:
         return len({v for f in self.facets for v in f})
 

@@ -21,6 +21,8 @@ from .simplicial import Complex, boundary_of_simplex, orient
 def spheres_by_expansion(max_vertices: int) -> dict[int, list[FacetTuple]]:
     """Unoriented 2-sphere classes with at most ``max_vertices`` vertices,
     found by breadth-first bistellar expansion from the tetrahedron."""
+    if max_vertices < 4:
+        return {}  # no 2-sphere has fewer than 4 vertices
     start = orient(boundary_of_simplex(3))
     seen: dict[FacetTuple, int] = {}
     frontier = deque([start])

@@ -24,6 +24,11 @@ measure, and only gamma's edges can move it: the test fails if gamma has an
 edge above the top complexity, and otherwise passes iff the sum over
 gamma's edges e at the top of |w_e - s*g_e| - |w_e| is negative (w and g
 being the coefficients in the work chain and in gamma).
+
+Moves read what they need from the objects that own it: a vertex degree
+from the cached ``Complex.degrees``, the support of a move (the triangles
+of sigma * d(tau)) from ``BistellarMove.removed``, and a move's endpoint
+from ``BistellarMove.result``.
 """
 
 from __future__ import annotations
@@ -69,24 +74,18 @@ def _tied(a1: Fraction, a2: Fraction) -> Fraction:
     return a1 + Fraction(1, 6) if a1 == a2 else max(a1, a2)
 
 
-def move_complexity(move: BistellarMove, result: OrientedComplex | None = None) -> Fraction:
-    a2 = sphere_complexity(result if result is not None else apply_move(move))
-    return _tied(sphere_complexity(move.host), a2)
+def move_complexity(move: BistellarMove) -> Fraction:
+    return _tied(sphere_complexity(move.host), sphere_complexity(move.result))
 
 
 def edge_complexity(key: GammaEdgeKey) -> Fraction:
     return _tied(complexity_of_key(key.tail), complexity_of_key(key.head))
 
 
-def decreasing_moves(L: OrientedComplex) -> list[tuple[BistellarMove, OrientedComplex]]:
-    """All moves strictly decreasing the sphere complexity, with results."""
+def decreasing_moves(L: OrientedComplex) -> list[BistellarMove]:
+    """All moves strictly decreasing the sphere complexity."""
     a = sphere_complexity(L)
-    out = []
-    for mv in enumerate_moves(L):
-        res = apply_move(mv)
-        if sphere_complexity(res) < a:
-            out.append((mv, res))
-    return out
+    return [mv for mv in enumerate_moves(L) if sphere_complexity(mv.result) < a]
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +102,8 @@ class Gamma2Chain(Chain):
 
     terms: dict[GammaEdgeKey, Fraction]
 
-    add_edge = Chain.add
-
-    def add_move(self, move: BistellarMove, coeff=1, result: OrientedComplex | None = None) -> "Gamma2Chain":
-        se = edge_key(move, result)
+    def add_move(self, move: BistellarMove, coeff=1) -> "Gamma2Chain":
+        se = edge_key(move)
         if se is not None:
             self.add(se.key, se.sign * Fraction(coeff))
         return self
@@ -209,16 +206,9 @@ class ElementaryCycle:
 
 
 def _support_triangles(L: OrientedComplex, sigma: Simplex, tau: Simplex) -> tuple[set, set]:
-    """(triangle set, vertex set) of the move's support in the current state."""
-    if len(sigma) == 3:
-        return {sigma}, set(sigma)
-    if len(sigma) == 2:
-        tris = {tuple(sorted(sigma + (t,))) for t in tau}
-        return tris, set(sigma) | set(tau)
-    # removal: support is the closed star of the vertex
-    ss = set(sigma)
-    tris = {f for f in L.facets if ss <= set(f)}
-    return tris, set(sigma) | set(tau)
+    """(triangle set, vertex set) of the move's support sigma * d(tau)."""
+    tris = {f for f, _ in BistellarMove(L, sigma, tau).removed}
+    return tris, set().union(*tris)
 
 
 def _sector_counts(L: OrientedComplex, w: int, tris1: set, tris2: set) -> tuple[int, int]:
@@ -383,11 +373,10 @@ def commutation_cycle(L: OrientedComplex, sigma1, sigma2) -> ElementaryCycle:
     for s, t in plan:
         mv = BistellarMove(state, s, t)
         try:
-            nxt = apply_move(mv)
+            state = mv.result
         except InvalidMove as exc:
             raise NotApplicable(f"move at {s} is not available mid-cycle: {exc}") from exc
-        chain.add_move(mv, 1, nxt)
-        state = nxt
+        chain.add_move(mv)
     if state.complex != L.complex:
         raise ClosureFailure("commutation did not return to the start complex")
     if not chain.is_cycle():
@@ -406,21 +395,19 @@ def _try_moves(state: OrientedComplex, plan) -> tuple[Gamma2Chain, OrientedCompl
     for s, t in plan:
         mv = BistellarMove(state, tuple(sorted(s)), tuple(sorted(t)))
         try:
-            nxt = apply_move(mv)
+            state = mv.result
         except InvalidMove:
             return None
-        chain.add_move(mv, 1, nxt)
-        state = nxt
+        chain.add_move(mv)
     return chain, state
 
 
-def special_cycle_a(move: BistellarMove, result: OrientedComplex | None = None) -> ElementaryCycle | None:
+def special_cycle_a(move: BistellarMove) -> ElementaryCycle | None:
     """The 3-edge cycle (insert, flip, remove) across a flip that trades a
     degree-3 vertex for another; None if the move lacks the pattern."""
     X = move.host
     if len(move.sigma) != 2:
         return None
-    Y = result if result is not None else apply_move(move)
     sig, tau = move.sigma, move.tau
     cands = [
         (a, b)
@@ -581,18 +568,17 @@ def _candidates_single(key: GammaEdgeKey):
     for end in ("tail", "head"):
         mv = move_from_endpoint(key, end)
         H = mv.host
-        res = apply_move(mv)
         # commute with a removal of an untouched degree-3 vertex
         touched = set(u_set(mv)) | set(mv.sigma) | set(mv.tau)
         for v in sorted(H.vertices):
             if v not in touched and H.degree(v) == 3:
                 yield [_commute(H, mv.sigma, (v,))]
         # commute with a complexity-decreasing flip
-        for other, _ in decreasing_moves(H):
+        for other in decreasing_moves(H):
             if len(other.sigma) == 2 and other.sigma != mv.sigma:
                 yield [_commute(H, mv.sigma, other.sigma)]
         # the special 3-edge cycle across a degree-3 trade
-        yield [special_cycle_a(mv, res)]
+        yield [special_cycle_a(mv)]
         # pentagon cycles through either endpoint
         if len(mv.sigma) == 2:
             for Cv in mv.tau:
@@ -623,7 +609,7 @@ def _candidates_paired(key: GammaEdgeKey, partners: list[GammaEdgeKey]):
                     yield [special_cycle_b(S, e, Q, P)]
                 yield [special_cycle_c(S, mt.sigma, mp.sigma)]
                 yield [special_cycle_c(S, mp.sigma, mt.sigma)]
-    inter = [m for m, _ in decreasing_moves(S) if m.sigma != mt.sigma]
+    inter = [m for m in decreasing_moves(S) if m.sigma != mt.sigma]
     for kp in partners:
         mp = move_from_endpoint(kp, _top(kp))
         for m3 in inter:

@@ -7,11 +7,15 @@ are).  Applying the move replaces the full subcomplex sigma * d(tau) by
 d(sigma) * tau.  k = dim(sigma) = n gives stellar subdivision of a facet
 (tau is one fresh vertex); k = 0 removes a vertex.
 
-Both stars lie in the boundary of D = sigma + tau, so the orientation is
-transported in closed form (dd(D) = 0): with D sorted, a replaced facet
-D - {t} of sign s fixes c = s * (-1)**index(t), every replaced facet has
-sign c * (-1)**index(t), and every new facet D - {v} gets sign
--c * (-1)**index(v).
+A move owns what it derives.  ``removed`` and ``added`` are the facets of
+sigma * d(tau) and d(sigma) * tau: both stars lie in the boundary of
+D = sigma + tau, so with D sorted they are the faces D - {t} (t in tau) and
+D - {v} (v in sigma), each with its boundary sign (-1)**index in D.  The
+orientation is transported in closed form (dd(D) = 0): every replaced
+facet has sign c times its boundary sign for one c in {+1, -1}, and every
+new facet gets -c times its boundary sign.  ``result`` is the moved
+complex, built by ``apply_move`` on first use and kept, so no caller
+threads a move's endpoint by hand or rebuilds it.
 
 Moves of oriented spheres fall into equivalence classes (orientation
 preserving isomorphism carrying sigma to sigma'); the essential classes are
@@ -29,7 +33,7 @@ from typing import Collection, NamedTuple
 
 from .canonical import OKey, designated_labelings, marked_encoding, materialize, okey, oriented_canon
 from .errors import InvalidMove, SphereCheckFailed
-from .simplicial import Complex, OrientedComplex, Simplex, orient, perm_parity
+from .simplicial import Complex, OrientedComplex, Simplex, faces, orient, perm_parity
 
 
 @dataclass(frozen=True)
@@ -47,6 +51,30 @@ class BistellarMove:
     @property
     def k(self) -> int:
         return len(self.sigma) - 1
+
+    @functools.cached_property
+    def result(self) -> OrientedComplex:
+        """The complex after the move (validated), built once."""
+        return apply_move(self)
+
+    @property
+    def removed(self) -> tuple[tuple[Simplex, int], ...]:
+        """The facets of sigma * d(tau), each with its sign in d(D)."""
+        return self._stars[0]
+
+    @property
+    def added(self) -> tuple[tuple[Simplex, int], ...]:
+        """The facets of d(sigma) * tau, each with its sign in d(D)."""
+        return self._stars[1]
+
+    @functools.cached_property
+    def _stars(self) -> tuple[tuple[tuple[Simplex, int], ...], ...]:
+        # D - {v} contains sigma when v is in tau, and tau when v is in sigma
+        D = tuple(sorted(self.sigma + self.tau))
+        removed, added = [], []
+        for v, fs in zip(D, faces(D)):
+            (removed if v in self.tau else added).append(fs)
+        return tuple(removed), tuple(added)
 
     def validate(self) -> None:
         host, sig, tau = self.host, self.sigma, self.tau
@@ -112,22 +140,18 @@ def apply_move(move: BistellarMove) -> OrientedComplex:
     """Replace sigma * d(tau) by d(sigma) * tau, transporting the orientation
     in closed form (see the module docstring)."""
     move.validate()
-    host, sig, tau = move.host, move.sigma, move.tau
-    D = tuple(sorted(sig + tau))
-    old = {D[:i] + D[i + 1 :] for i, v in enumerate(D) if v in tau}
-    t = D.index(tau[0])
-    c = host.facet_signs[D[:t] + D[t + 1 :]] * (-1) ** t
-    signs = {f: s for f, s in host.facet_signs.items() if f not in old}
-    for i, v in enumerate(D):
-        if v in sig:
-            signs[D[:i] + D[i + 1 :]] = -c * (-1) ** i
+    removed, added = move.removed, move.added
+    f0, b0 = removed[0]
+    c = move.host.facet_signs[f0] * b0
+    old = {f for f, _ in removed}
+    signs = {f: s for f, s in move.host.facet_signs.items() if f not in old}
+    for f, b in added:
+        signs[f] = -c * b
     return OrientedComplex(Complex(signs, _validated=True), signs, check=False)
 
 
-def inverse_move(move: BistellarMove, result: OrientedComplex | None = None) -> BistellarMove:
-    if result is None:
-        result = apply_move(move)
-    return BistellarMove(result, move.tau, move.sigma)
+def inverse_move(move: BistellarMove) -> BistellarMove:
+    return BistellarMove(move.result, move.tau, move.sigma)
 
 
 def u_set(move: BistellarMove) -> tuple[int, ...]:
@@ -166,7 +190,7 @@ def sphere_from_move(move: BistellarMove, check_sphere: bool = True) -> Oriented
     is -L1.
     """
     L1 = move.host
-    L2 = apply_move(move)
+    L2 = move.result
     top = max(max(L1.vertices), max(L2.vertices))
     u1, u2 = top + 1, top + 2
     facets = {tuple(sorted(f + (u1,))) for f in L1.facets}
@@ -243,22 +267,20 @@ def _endpoint_rank(key: OKey):
     return (key.nvertices(), key.encode())
 
 
-def is_inessential(move: BistellarMove, result: OrientedComplex | None = None) -> bool:
+def is_inessential(move: BistellarMove) -> bool:
     """True iff some orientation-preserving isomorphism host -> result maps
     sigma to tau."""
-    if result is None:
-        result = apply_move(move)
+    result = move.result
     a, b = oriented_canon(move.host), oriented_canon(result)
     if a.okey != b.okey:
         return False
     return marked_encoding(move.host, move.sigma) == marked_encoding(result, move.tau)
 
 
-def edge_key(move: BistellarMove, result: OrientedComplex | None = None) -> SignedEdge | None:
+def edge_key(move: BistellarMove) -> SignedEdge | None:
     """The Gamma_n edge of an essential move, with its sign relative to the
     canonical direction; None for inessential moves."""
-    if result is None:
-        result = apply_move(move)
+    result = move.result
     tail_key, head_key = okey(move.host), okey(result)
     enc_fwd = marked_encoding(move.host, move.sigma)
     enc_bwd = marked_encoding(result, move.tau)
@@ -290,6 +312,6 @@ def move_from_endpoint(key: GammaEdgeKey, endpoint: str) -> BistellarMove:
     if endpoint == "tail":
         return mv
     rep = materialize(key.head)
-    lab = designated_labelings(apply_move(mv))[0]
+    lab = designated_labelings(mv.result)[0]
     sig_new = tuple(sorted(lab[v] for v in mv.tau))
     return BistellarMove(rep, sig_new, move_tau(rep, sig_new))

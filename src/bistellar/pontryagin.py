@@ -27,7 +27,7 @@ from fractions import Fraction
 from .canonical import OKey, materialize, okey
 from .errors import DimensionTooSmall, InvalidMove, NotACycle, parsing
 from .gamma2 import Gamma2Chain, c_of_cycle, decreasing_moves
-from .moves import BistellarMove, apply_move, induced_vertex_moves, is_inessential
+from .moves import BistellarMove, induced_vertex_moves, is_inessential
 from .reduction import MoveSequence, reduce_to_boundary, replay
 from .simplicial import OrientedComplex, boundary_of_simplex, orient
 from .talgebra import LocalCochain, SimplicialChain, f_sharp
@@ -148,10 +148,8 @@ def _xi(key: OKey, cache: XiCache) -> Gamma2Chain:
         assert moves, "a 2-sphere above the tetrahedron always has a decreasing move"
         r = Fraction(1, len(moves))
         out = Gamma2Chain()
-        for mv, res in moves:
-            out = out.plus(_xi(okey(res), cache), r)
-            sub = Gamma2Chain().add_move(mv, 1, res)
-            out = out.plus(sub, -r)
+        for mv in moves:
+            out = out.plus(_xi(okey(mv.result), cache), r).add_move(mv, -r)
     bnd = out.boundary()
     want: dict[OKey, Fraction] = {}
     if key != _d3_key():
@@ -162,16 +160,14 @@ def _xi(key: OKey, cache: XiCache) -> Gamma2Chain:
     return out
 
 
-def h_value(move: BistellarMove, cache: XiCache | None = None, result: OrientedComplex | None = None) -> Fraction:
+def h_value(move: BistellarMove, cache: XiCache | None = None) -> Fraction:
     """h({beta}) = <c, {beta} + xi(tail) - xi(head)> for an essential move."""
     cache = cache if cache is not None else XiCache()
-    if result is None:
-        result = apply_move(move)
-    if is_inessential(move, result):
+    if is_inessential(move):
         raise InvalidMove("h is defined on essential moves")
-    arg = Gamma2Chain().add_move(move, 1, result)
+    arg = Gamma2Chain().add_move(move)
     arg = arg.plus(_xi(okey(move.host), cache), 1)
-    arg = arg.plus(_xi(okey(result), cache), -1)
+    arg = arg.plus(_xi(okey(move.result), cache), -1)
     if not arg.is_cycle():
         raise NotACycle("h argument chain is not a cycle")
     return c_of_cycle(arg)

@@ -2,8 +2,11 @@
 
 The search is greedy descent on (vertex count, for 2-spheres the
 complexity, sum of squared vertex degrees) with seeded random
-tie-breaking and random plateau walks as escapes.  A move is scored by a
-degree diff without building the resulting complex.  The result is a
+tie-breaking and random plateau walks as escapes.  A move is scored
+without building the resulting complex: the state's cached vertex degrees
+(``Complex.degrees``) change only on the move's two stars, ``removed`` and
+``added``.  Each plateau state is the cached ``result`` of the move that
+reached it, so a found path is not applied again.  The result is a
 replay-verified ``MoveSequence`` recorded in the coordinates of the
 canonical representative of the start class, so the certificate is
 self-contained and deterministic for a fixed seed.
@@ -67,14 +70,6 @@ def replay(seq: MoveSequence) -> tuple[OrientedComplex, list[OrientedComplex]]:
     return state, states
 
 
-def _degrees(K: OrientedComplex) -> dict[int, int]:
-    degs = dict.fromkeys(K.vertices, 0)
-    for f in K.facets:
-        for v in f:
-            degs[v] += 1
-    return degs
-
-
 def _energy_from_degrees(dim: int, degs: dict[int, int]) -> tuple[int, int, int]:
     vals = degs.values()
     # for 2-spheres the complexity orders states within a vertex count; a
@@ -82,35 +77,24 @@ def _energy_from_degrees(dim: int, degs: dict[int, int]) -> tuple[int, int, int]
     return (len(degs), complexity_thirds(vals) if dim == 2 else 0, sum(d * d for d in vals))
 
 
-def _move_energy(state: OrientedComplex, degs: dict[int, int], mv: BistellarMove):
-    """Energy of the move's result, via the facet diff only."""
-    ss = set(mv.sigma)
-    delta: dict[int, int] = {}
-    for f in state.facets:
-        if ss <= set(f):
+def _move_energy(mv: BistellarMove):
+    """Energy of the move's result: degrees change only on its two stars."""
+    degs = dict(mv.host.degrees)
+    for star, d in ((mv.removed, -1), (mv.added, 1)):
+        for f, _ in star:
             for v in f:
-                delta[v] = delta.get(v, 0) - 1
-    if len(mv.sigma) == 1:
-        new_facets = [mv.tau]
-    else:
-        new_facets = [tuple(sorted([v for v in mv.sigma if v != s] + list(mv.tau))) for s in mv.sigma]
-    for f in new_facets:
-        for v in f:
-            delta[v] = delta.get(v, 0) + 1
-    nd = dict(degs)
-    for v, d in delta.items():
-        nd[v] = nd.get(v, 0) + d
-        if nd[v] == 0:
-            del nd[v]
-    return _energy_from_degrees(state.dim, nd)
+                degs[v] = degs.get(v, 0) + d
+    for v in mv.sigma:  # a removed vertex leaves no facet behind
+        if not degs[v]:
+            del degs[v]
+    return _energy_from_degrees(mv.host.dim, degs)
 
 
 def _iso_invariant(K: OrientedComplex) -> tuple:
     """Sorted vertex degrees and sorted edge degrees (facets per edge):
     equal for isomorphic complexes and far cheaper than a canonical form."""
-    vdeg = Counter(chain.from_iterable(K.facets))
     edeg = Counter(chain.from_iterable(map(combinations, K.facets, repeat(2))))
-    return tuple(sorted(vdeg.values())), tuple(sorted(edeg.values()))
+    return tuple(sorted(K.degrees.values())), tuple(sorted(edeg.values()))
 
 
 class _Visited:
@@ -148,9 +132,7 @@ def _find_descent(state: OrientedComplex, rng: random.Random, cap: int):
     Breadth-first over canonical classes in seeded order; returns the move
     path or None when the plateau is exhausted or the cap is hit.
     """
-    n = state.dim
-    degs = _degrees(state)
-    cur = _energy_from_degrees(n, degs)
+    cur = _energy_from_degrees(state.dim, state.degrees)
     frontier = deque([(state, [])])
     visited = _Visited(state)
     expanded = 0
@@ -159,9 +141,7 @@ def _find_descent(state: OrientedComplex, rng: random.Random, cap: int):
         expanded += 1
         if expanded > cap:
             return None
-        moves = enumerate_moves(st)
-        degs = _degrees(st)
-        scored = [(_move_energy(st, degs, mv), mv) for mv in moves]
+        scored = [(_move_energy(mv), mv) for mv in enumerate_moves(st)]
         reducing = [x for x in scored if x[0][:2] < cur[:2]]
         if reducing:
             top = min(x[0] for x in reducing)
@@ -172,9 +152,8 @@ def _find_descent(state: OrientedComplex, rng: random.Random, cap: int):
         # low-energy neighbors first makes short descents likely
         level.sort(key=lambda x: x[0])
         for _, mv in level:
-            nxt = apply_move(mv)
-            if visited.add(nxt):
-                frontier.append((nxt, path + [mv]))
+            if visited.add(mv.result):
+                frontier.append((mv.result, path + [mv]))
     return None
 
 
@@ -200,9 +179,8 @@ def reduce_to_boundary(L: OrientedComplex, budget: int = 4000, seed: int = 0) ->
                 best_state=state,
                 moves_done=trail,
             )
-        for mv in path:
-            state = apply_move(BistellarMove(state, mv.sigma, mv.tau))
-            trail.append((mv.sigma, mv.tau))
+        state = path[-1].result
+        trail.extend((mv.sigma, mv.tau) for mv in path)
     seq = MoveSequence(start_key, tuple(trail), okey(state))
     replay(seq)
     return seq

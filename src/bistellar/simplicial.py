@@ -19,8 +19,9 @@ Orientation conventions used throughout the library:
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -98,8 +99,15 @@ class Complex:
                 out.update(combinations(f, k))
         return frozenset(out)
 
+    @cached_property
+    def _faces_by_dim(self) -> dict[int, list[Simplex]]:
+        out: dict[int, list[Simplex]] = {}
+        for f in sorted(self.faces):
+            out.setdefault(len(f) - 1, []).append(f)
+        return out
+
     def faces_of_dim(self, k: int) -> list[Simplex]:
-        return sorted(f for f in self.faces if len(f) == k + 1)
+        return list(self._faces_by_dim.get(k, ()))
 
     @cached_property
     def f_vector(self) -> tuple[int, ...]:
@@ -132,10 +140,8 @@ class Complex:
         if sig not in self.faces:
             raise SimplexNotInComplex(f"{sig} is not a face")
         ss = set(sig)
-        lk_facets = {tuple(v for v in f if v not in ss) for f in self.facets if ss <= set(f)}
-        # facets of the link are the maximal ones among these
-        maximal = {f for f in lk_facets if not any(f != g and set(f) < set(g) for g in lk_facets)}
-        return Complex(maximal, _validated=True)
+        # no maximality filter: facets are pairwise incomparable, so are f - sigma
+        return Complex({tuple(v for v in f if v not in ss) for f in self.facets if ss <= set(f)}, _validated=True)
 
     def star(self, sigma: Iterable[int]) -> "Complex":
         sig = simplex(sigma)
@@ -145,9 +151,13 @@ class Complex:
         st_facets = {f for f in self.facets if ss <= set(f)}
         return Complex(st_facets, _validated=True)
 
+    @cached_property
+    def degrees(self) -> Counter:
+        """Number of facets containing each vertex."""
+        return Counter(chain.from_iterable(self.facets))
+
     def degree(self, v: int) -> int:
-        """Number of facets containing the vertex ``v``."""
-        return sum(1 for f in self.facets if v in f)
+        return self.degrees[v]
 
     # -- predicates --------------------------------------------------------
 
@@ -258,6 +268,10 @@ class OrientedComplex:
     def f_vector(self):
         return self.complex.f_vector
 
+    @property
+    def degrees(self) -> Counter:
+        return self.complex.degrees
+
     def degree(self, v: int) -> int:
         return self.complex.degree(v)
 
@@ -292,16 +306,15 @@ class OrientedComplex:
         sigma's vertices first, then lam's, each ascending.
         """
         sig = simplex(sigma)
-        lk = self.complex.link(sig)
-        if not sig:
-            return OrientedComplex(lk, self.facet_signs, check=False)
+        if sig not in self.faces:
+            raise SimplexNotInComplex(f"{sig} is not a face")
         ss = set(sig)
         signs: dict[Simplex, int] = {}
         for f, s in self.facet_signs.items():
             if ss <= set(f):
                 lam = tuple(v for v in f if v not in ss)
                 signs[lam] = s * perm_parity(sig + lam)
-        return OrientedComplex(lk, signs, check=False)
+        return OrientedComplex(Complex(signs, _validated=True), signs, check=False)
 
     def link_cycle(self, v: int) -> list[int]:
         """For a 2-dimensional pseudomanifold: link(v) as a positively directed cycle."""

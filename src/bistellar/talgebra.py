@@ -24,7 +24,7 @@ from typing import Iterable
 
 from .canonical import OKey, materialize, okey
 from .errors import DimensionTooSmall, NotClosedCycle
-from .moves import BistellarMove, sphere_from_move
+from .moves import BistellarMove, induced_vertex_moves, sphere_from_move
 from .simplicial import Complex, OrientedComplex, Simplex, faces, join_oriented, perm_parity
 
 _ZERO = Fraction(0)
@@ -196,14 +196,10 @@ def s_eval(f: LocalCochain, move: BistellarMove) -> Fraction:
     return val if f.grade % 2 == 0 else -val
 
 
-def d_edge(f: LocalCochain, move: BistellarMove, result: OrientedComplex | None = None) -> Fraction:
+def d_edge(f: LocalCochain, move: BistellarMove) -> Fraction:
     """Cellular coboundary of a vertex cochain, evaluated on a move:
     (df)({beta}) = f(head) - f(tail)."""
-    from .moves import apply_move
-
-    if result is None:
-        result = apply_move(move)
-    return f(result) - f(move.host)
+    return f(move.result) - f(move.host)
 
 
 def delta_edge(h, move: BistellarMove) -> Fraction:
@@ -212,8 +208,6 @@ def delta_edge(h, move: BistellarMove) -> Fraction:
 
     ``h`` is any callable taking a concrete move to a rational.
     """
-    from .moves import induced_vertex_moves
-
     n = move.host.dim - 1
     total = Fraction(0)
     for _, sub in induced_vertex_moves(move):

@@ -88,8 +88,8 @@ def random_loop_cycle(
         if k in seen:
             i = seen[k]
             chain = Gamma2Chain()
-            for mm, rr in edges[i:]:
-                chain.add_move(mm, 1, rr)
+            for mm, _ in edges[i:]:
+                chain.add_move(mm)
             return chain if chain.terms else None
         seen[k] = len(edges)
     return None

@@ -197,7 +197,7 @@ def test_criterion_5_algebraic_identities():
         f = LocalCochain(3)
         for s in (L, res, random_walk_sphere(rng, steps=rng.randrange(0, 4))):
             f.set(s, Fraction(rng.randrange(-6, 7), rng.randrange(1, 4)))
-        lhs = d_edge(f, mv, res)
+        lhs = d_edge(f, mv)
         term1 = delta_edge(lambda m: s_eval(f, m), mv)
         Lb = sphere_from_move(mv, check_sphere=False)
         s_delta = delta_eval(f, Lb) if (f.grade + 1) % 2 == 0 else -delta_eval(f, Lb)
@@ -251,7 +251,7 @@ def test_criterion_8_gamma1_path():
             res = apply_move(mv)
             if len(res.vertices) > 12:
                 continue
-            se = edge_key(mv, res)
+            se = edge_key(mv)
             assert se is not None
             edges.setdefault(tuple(sorted((n, len(res.vertices)))), set()).add(se.key)
     assert set(edges) == {(n, n + 1) for n in range(3, 12)}

@@ -11,7 +11,7 @@ from bistellar.canonical import (
     relabel_oriented,
     ukey,
 )
-from bistellar.enumeration import spheres_by_expansion
+from bistellar.enumeration import oriented_sphere_classes, spheres_by_expansion
 from bistellar.simplicial import Complex, boundary_of_simplex, build_complex, orient
 from helpers import octahedron
 
@@ -98,3 +98,10 @@ def test_oriented_isomorphism_and_marked_encoding():
     # marked encodings are relabeling-invariant
     edge = sorted(oc.complex.faces_of_dim(1))[0]
     assert marked_encoding(oc, edge) == marked_encoding(other, tuple(sorted(perm[v] for v in edge)))
+
+
+def test_no_sphere_below_four_vertices():
+    for n in (3, 0, -2):
+        assert spheres_by_expansion(n) == {}
+        assert oriented_sphere_classes(n) == {}
+    assert spheres_by_expansion(4) == {4: [ukey(boundary_of_simplex(3))]}

@@ -88,6 +88,14 @@ def test_enumerate_counts(capsys, data_dir):
     }
 
 
+@pytest.mark.parametrize("n", ["3", "0", "-2"])
+def test_enumerate_below_four_vertices_is_empty(capsys, n):
+    code = main(["enumerate-spheres", "--max-vertices", n])
+    cap = capsys.readouterr()
+    assert code == 0 and cap.err == ""
+    assert json.loads(cap.out) == {"unoriented_counts": {}, "oriented_counts": {}}
+
+
 def test_gamma2_decompose_round_trip(capsys, data_dir, tmp_path):
     from bistellar.gamma2 import commutation_cycle
     from helpers import icosahedron

@@ -63,8 +63,7 @@ def test_apply_then_inverse_is_identity_class():
         for k in keys:
             L = orient(Complex(k, _validated=True))
             for mv in enumerate_moves(L):
-                res = apply_move(mv)
-                back = apply_move(inverse_move(mv, res))
+                back = apply_move(inverse_move(mv))
                 assert ukey(back.complex) == ukey(L.complex)
                 assert oriented_isomorphism(back, L) is not None
 
@@ -156,8 +155,7 @@ def test_edge_key_equivalence_and_antisymmetry():
     keys = {edge_key(m).key for m in moves}
     assert len(keys) == 1  # all facet subdivisions are equivalent
     mv = moves[0]
-    res = apply_move(mv)
-    fwd, bwd = edge_key(mv, res), edge_key(inverse_move(mv, res))
+    fwd, bwd = edge_key(mv), edge_key(inverse_move(mv))
     assert fwd.key == bwd.key and fwd.sign == -bwd.sign
 
 
@@ -231,7 +229,7 @@ def test_gamma1_is_a_path():
             m = len(res.vertices)
             if m > 12:
                 continue
-            se = edge_key(mv, res)
+            se = edge_key(mv)
             assert se is not None  # vertex-count changes: always essential
             edges.setdefault(tuple(sorted((n, m))), set()).add(se.key)
     assert set(edges) == {(n, n + 1) for n in range(3, 12)}
@@ -263,4 +261,42 @@ def test_orientation_transport_matches_orient(n):
         assert Lb.link((u2,)) == res
         assert Lb.link((u1,)) == -state
         state = res
+    assert {0, n - 1} <= kinds
+
+
+def test_one_application_per_move(monkeypatch):
+    """The move's cached result serves every function that needs its endpoint."""
+    import bistellar.moves as moves_mod
+    from bistellar.gamma2 import move_complexity
+
+    calls = []
+    real = moves_mod.apply_move
+    monkeypatch.setattr(moves_mod, "apply_move", lambda mv: calls.append(mv) or real(mv))
+    mv = next(m for m in enumerate_moves(octahedron()) if m.k == 1)
+    edge_key(mv)
+    is_inessential(mv)
+    move_complexity(mv)
+    inverse_move(mv)
+    assert calls == [mv]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_removed_and_added_are_the_facet_diff(n):
+    """On seeded walks in dimensions 2-4 with insertions and removals:
+    ``removed`` is host - result and ``added`` is result - host, and the
+    signs in d(D) carry the host's orientation onto the result's, negated."""
+    rng = random.Random(200 + n)
+    state = orient(boundary_of_simplex(n))
+    kinds = set()
+    for _ in range(25):
+        moves = sorted(enumerate_moves(state), key=lambda m: (m.sigma, m.tau))
+        for mv in moves:
+            res = apply_move(mv)
+            assert {f for f, _ in mv.removed} == state.facets - res.facets
+            assert {f for f, _ in mv.added} == res.facets - state.facets
+            (c,) = {state.facet_signs[f] * b for f, b in mv.removed}
+            assert {res.facet_signs[f] * b for f, b in mv.added} == {-c}
+        k = rng.choice(sorted({m.k for m in moves}))
+        kinds.add(k)
+        state = apply_move(rng.choice([m for m in moves if m.k == k]))
     assert {0, n - 1} <= kinds

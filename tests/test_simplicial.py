@@ -63,6 +63,10 @@ def test_link_examples():
     assert octa.link((0,)).f_vector == (4, 4)
     # link of the empty simplex is the complex itself
     assert d3.link(()) == d3
+    # a non-pure complex: a triangle with a dangling edge at vertex 0
+    K = build_complex([[0, 1, 2], [0, 3]])
+    assert K.link((0,)).facets == {(1, 2), (3,)}
+    assert K.link((0, 1)).facets == {(2,)}
     with pytest.raises(SimplexNotInComplex):
         d3.link((9,))
 
@@ -134,6 +138,19 @@ def test_faces_and_ridges():
     assert K.ridges[(0, 1)] == [(0, 1, 2), (0, 1, 3)]
     assert K.ridges[(1, 2)] == [(0, 1, 2)]
     assert K.ridge_degrees() == {r: len(fs) for r, fs in K.ridges.items()}
+
+
+def test_faces_of_dim_and_degrees():
+    K = build_complex([[0, 1, 2], [0, 1, 3], [0, 2, 3], [2, 4]])
+    for k in range(-1, K.dim + 2):
+        assert K.faces_of_dim(k) == sorted(f for f in K.faces if len(f) == k + 1)
+    K.faces_of_dim(1).clear()  # callers get a copy
+    assert len(K.faces_of_dim(1)) == 7
+    for L in (K, build_complex(RP2_6), random_walk_sphere(random.Random(2), steps=6).complex):
+        want = {v: sum(1 for f in L.facets if v in f) for v in L.vertices}
+        assert dict(L.degrees) == want
+        assert [L.degree(v) for v in L.vertices] == list(want.values())
+    assert K.degree(99) == 0
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from bistellar.canonical import okey
 from bistellar.errors import DimensionTooSmall
 from bistellar.moves import apply_move, enumerate_moves, sphere_from_move
 from bistellar.simplicial import boundary_of_simplex, orient
@@ -122,10 +123,10 @@ def test_torsion_classes_forced_to_zero():
 
 
 def test_cochain_equivariance():
-    rng = random.Random(13)
-    L = random_walk_sphere(rng, steps=5)
+    L = random_walk_sphere(random.Random(4), steps=8)  # a chiral 9-vertex sphere
+    assert okey(L).sign != 0
     f = LocalCochain(3).set(L, Fraction(7, 2))
-    assert f(L) == -f(-L)
+    assert f(L) == Fraction(7, 2) and f(-L) == Fraction(-7, 2)
 
 
 def test_cochain_set_overwrites_through_the_mirror():
@@ -176,7 +177,7 @@ def test_chain_homotopy_identity_grade3():
         res = apply_move(mv)
         support = [L, res] + [random_walk_sphere(rng, steps=rng.randrange(0, 4)) for _ in range(2)]
         f = _random_cochain(rng, support, 3)
-        lhs = d_edge(f, mv, res)
+        lhs = d_edge(f, mv)
         term1 = delta_edge(lambda m: s_eval(f, m), mv)
         Lb = sphere_from_move(mv, check_sphere=False)
         s_delta = delta_eval(f, Lb) if (f.grade + 1) % 2 == 0 else -delta_eval(f, Lb)

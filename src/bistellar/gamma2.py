@@ -28,7 +28,9 @@ being the coefficients in the work chain and in gamma).
 Moves read what they need from the objects that own it: a vertex degree
 from the cached ``Complex.degrees``, the support of a move (the triangles
 of sigma * d(tau)) from ``BistellarMove.removed``, and a move's endpoint
-from ``BistellarMove.result``.
+from ``BistellarMove.result``.  One walker, ``_walk``, applies the moves of
+every elementary cycle; a commutation cycle is classified on a state of its
+own walk.  ``_outside`` is the one sector-count rule.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ from .errors import (
 from .moves import (
     BistellarMove,
     GammaEdgeKey,
-    apply_move,
     complexity_of_key,
+    complexity_thirds,
     edge_key,
     enumerate_moves,
     materialize_edge,
@@ -83,9 +85,9 @@ def edge_complexity(key: GammaEdgeKey) -> Fraction:
 
 
 def decreasing_moves(L: OrientedComplex) -> list[BistellarMove]:
-    """All moves strictly decreasing the sphere complexity."""
-    a = sphere_complexity(L)
-    return [mv for mv in enumerate_moves(L) if sphere_complexity(mv.result) < a]
+    """All moves strictly decreasing the sphere complexity, scored by their result degrees."""
+    a = complexity_thirds(L.degrees.values())
+    return [mv for mv in enumerate_moves(L) if complexity_thirds(mv.result_degrees().values()) < a]
 
 
 # ---------------------------------------------------------------------------
@@ -201,14 +203,32 @@ class ElementaryCycle:
 
 
 # ---------------------------------------------------------------------------
-# move descriptors and supports
+# walks, supports and sector counts
 # ---------------------------------------------------------------------------
 
 
-def _support_triangles(L: OrientedComplex, sigma: Simplex, tau: Simplex) -> tuple[set, set]:
-    """(triangle set, vertex set) of the move's support sigma * d(tau)."""
-    tris = {f for f, _ in BistellarMove(L, sigma, tau).removed}
-    return tris, set().union(*tris)
+def _walk(state: OrientedComplex, plan) -> list[BistellarMove] | None:
+    """The moves of ``plan``, (sigma, tau) pairs, applied in turn from
+    ``state``; None when one of them is not available."""
+    walk = []
+    for s, t in plan:
+        mv = BistellarMove(state, tuple(sorted(s)), tuple(sorted(t)))
+        try:
+            state = mv.result
+        except InvalidMove:
+            return None
+        walk.append(mv)
+    return walk
+
+
+def _chain(walk: list[BistellarMove]) -> Gamma2Chain:
+    """The sum of the Gamma_2 edges of a walk's moves."""
+    return functools.reduce(Gamma2Chain.add_move, walk, Gamma2Chain())
+
+
+def _outside(L: OrientedComplex, v: int, patch) -> int:
+    """The number of triangles of L at v outside ``patch`` (distinct triangles of L)."""
+    return L.degree(v) - sum(1 for t in patch if v in t)
 
 
 def _sector_counts(L: OrientedComplex, w: int, tris1: set, tris2: set) -> tuple[int, int]:
@@ -261,19 +281,19 @@ def _sector_counts(L: OrientedComplex, w: int, tris1: set, tris2: set) -> tuple[
     return p, q
 
 
-def _classify_pair(L: OrientedComplex, m1: tuple[Simplex, Simplex], m2: tuple[Simplex, Simplex]):
-    """Classify a normalized ordered pair of moves (no removals) on L.
+def _classify_pair(L: OrientedComplex, m1: tuple, m2: tuple):
+    """Classify an ordered pair of moves (no removals) on L, each given as
+    (sigma, tau, support star).
 
     Returns (kind, params, sign).  The figure conventions are read with the
     positive rotation induced by the orientation of L.
     """
-    (s1, t1), (s2, t2) = m1, m2
+    (s1, t1, st1), (s2, t2, st2) = m1, m2
     k1, k2 = len(s1) - 1, len(s2) - 1
     if {k1, k2} - {1, 2}:
         raise UnrecognizedConfiguration("normalized pair must consist of flips/insertions")
-    tris1, v1 = _support_triangles(L, s1, t1)
-    tris2, v2 = _support_triangles(L, s2, t2)
-    inter = v1 & v2
+    tris1, tris2 = {f for f, _ in st1}, {f for f, _ in st2}
+    inter = set().union(*tris1) & set().union(*tris2)
     if not inter:
         kind = {(2, 2): "comm-a", (2, 1): "comm-d", (1, 2): "comm-d", (1, 1): "comm-g"}[(k1, k2)]
         return kind, (), 1
@@ -291,7 +311,7 @@ def _classify_pair(L: OrientedComplex, m1: tuple[Simplex, Simplex], m2: tuple[Si
         M = tuple(sorted(inter))
         if M not in L.complex:
             raise UnrecognizedConfiguration("two shared vertices without a shared edge")
-        for s, t in (m1, m2):
+        for s, t, _ in (m1, m2):
             if len(s) == 2 and (M == s or M == tuple(sorted(t))):
                 raise UnrecognizedConfiguration("supports share a diagonal")
         if k1 == 1 and k2 == 2:
@@ -305,8 +325,7 @@ def _classify_pair(L: OrientedComplex, m1: tuple[Simplex, Simplex], m2: tuple[Si
         if L.sign_of((t_, h_, x1)) != 1:
             t_, h_ = h_, t_
         union = tris1 | tris2
-        n_h = sum(1 for f in L.facets if h_ in f and f not in union)
-        n_t = sum(1 for f in L.facets if t_ in f and f not in union)
+        n_h, n_t = _outside(L, h_, union), _outside(L, t_, union)
         if k1 == 2 and k2 == 2:
             return "comm-c", (n_h, n_t), 1
         if k1 == 2 and k2 == 1:
@@ -322,32 +341,6 @@ def _classify_pair(L: OrientedComplex, m1: tuple[Simplex, Simplex], m2: tuple[Si
     raise UnrecognizedConfiguration(f"supports share {len(inter)} vertices")
 
 
-def _normalize_witness(L: OrientedComplex, m1, m2):
-    """Re-anchor removals as insertions; returns (L, m1, m2, sign)."""
-    sign = 1
-    (s1, t1), (s2, t2) = m1, m2
-    if len(s1) == 1:
-        L = apply_move(BistellarMove(L, s1, t1))
-        m1 = (t1, s1)
-        sign = -sign
-    if len(s2) == 1:
-        L = apply_move(BistellarMove(L, s2, t2))
-        m2 = (t2, s2)
-        sign = -sign
-    return L, m1, m2, sign
-
-
-def classify_elementary(L: OrientedComplex, sigma1: Simplex, sigma2: Simplex):
-    """Kind and sector parameters of the commutation cycle gamma(L, s1, s2)."""
-    sigma1, sigma2 = tuple(sorted(sigma1)), tuple(sorted(sigma2))
-    tau1, tau2 = move_tau(L, sigma1), move_tau(L, sigma2)
-    if tau1 is None or tau2 is None:
-        raise NotApplicable(f"no move at {sigma1 if tau1 is None else sigma2}")
-    Ln, m1n, m2n, nsign = _normalize_witness(L, (sigma1, tau1), (sigma2, tau2))
-    kind, params, csign = _classify_pair(Ln, m1n, m2n)
-    return kind, params, nsign * csign
-
-
 # ---------------------------------------------------------------------------
 # commutation cycles (first type)
 # ---------------------------------------------------------------------------
@@ -356,7 +349,9 @@ def classify_elementary(L: OrientedComplex, sigma1: Simplex, sigma2: Simplex):
 def commutation_cycle(L: OrientedComplex, sigma1, sigma2) -> ElementaryCycle:
     """The 4-move cycle commuting the moves at sigma1 and sigma2.
 
-    Raises NotApplicable when the paper's three conditions fail, and
+    It is classified on its walk, which visits L, L.m1, L.m1.m2 and L.m2: a
+    removal is re-anchored as the insertion undoing it, which negates the
+    sign.  Raises NotApplicable when the paper's three conditions fail, and
     ClosureFailure if the constructed chain is not a cycle.
     """
     sigma1, sigma2 = tuple(sorted(sigma1)), tuple(sorted(sigma2))
@@ -367,39 +362,33 @@ def commutation_cycle(L: OrientedComplex, sigma1, sigma2) -> ElementaryCycle:
     union = tuple(sorted(set(sigma1) | set(sigma2)))
     if union in L.complex:
         raise NotApplicable("a simplex contains both sigma1 and sigma2")
-    chain = Gamma2Chain()
-    state = L
-    plan = [(sigma1, tau1), (sigma2, tau2), (tau1, sigma1), (tau2, sigma2)]
-    for s, t in plan:
-        mv = BistellarMove(state, s, t)
-        try:
-            state = mv.result
-        except InvalidMove as exc:
-            raise NotApplicable(f"move at {s} is not available mid-cycle: {exc}") from exc
-        chain.add_move(mv)
-    if state.complex != L.complex:
+    walk = _walk(L, [(sigma1, tau1), (sigma2, tau2), (tau1, sigma1), (tau2, sigma2)])
+    if walk is None:
+        raise NotApplicable(f"the moves at {sigma1} and {sigma2} are not available in turn")
+    if walk[-1].result.complex != L.complex:
         raise ClosureFailure("commutation did not return to the start complex")
+    chain = _chain(walk)
     if not chain.is_cycle():
         raise ClosureFailure("commutation chain has nonzero boundary")
-    kind, params, sign = classify_elementary(L, sigma1, sigma2)
-    return ElementaryCycle(kind, params, chain, sign)
+    # classify on the state past the removals and before the insertions; a
+    # re-anchored removal's support is its added star
+    r1, r2 = len(sigma1) == 1, len(sigma2) == 1
+    host = walk[{(0, 0): 0, (1, 0): 1, (1, 1): 2, (0, 1): 3}[r1, r2]].host
+    pairs = [(mv.tau, mv.sigma, mv.added) if r else (mv.sigma, mv.tau, mv.removed) for mv, r in zip(walk, (r1, r2))]
+    kind, params, sign = _classify_pair(host, *pairs)
+    return ElementaryCycle(kind, params, chain, (-1) ** (r1 + r2) * sign)
+
+
+def classify_elementary(L: OrientedComplex, sigma1: Simplex, sigma2: Simplex):
+    """Kind, sector parameters and sign of the commutation cycle
+    gamma(L, s1, s2); raises as ``commutation_cycle`` does."""
+    g = commutation_cycle(L, sigma1, sigma2)
+    return g.kind, g.params, g.sign
 
 
 # ---------------------------------------------------------------------------
 # special cycles (second type)
 # ---------------------------------------------------------------------------
-
-
-def _try_moves(state: OrientedComplex, plan) -> tuple[Gamma2Chain, OrientedComplex] | None:
-    chain = Gamma2Chain()
-    for s, t in plan:
-        mv = BistellarMove(state, tuple(sorted(s)), tuple(sorted(t)))
-        try:
-            state = mv.result
-        except InvalidMove:
-            return None
-        chain.add_move(mv)
-    return chain, state
 
 
 def special_cycle_a(move: BistellarMove) -> ElementaryCycle | None:
@@ -425,14 +414,13 @@ def special_cycle_a(move: BistellarMove) -> ElementaryCycle | None:
         Rv = next(v for v in sig if v != b)
         link_tri = tuple(sorted((b, Rv, T)))
         # T-sphere: remove a from X
-        got = _try_moves(X, [((a,), link_tri)])
+        got = _walk(X, [((a,), link_tri)])
         if got is None:
             continue
-        _, Tsphere = got
-        built = _try_moves(Tsphere, [(link_tri, (a,)), (sig, tau), ((b,), tuple(sorted((Lap, a, T))))])
-        if built is None:
+        walk = _walk(got[-1].result, [(link_tri, (a,)), (sig, tau), ((b,), tuple(sorted((Lap, a, T))))])
+        if walk is None:
             continue
-        chain, end = built
+        chain = _chain(walk)
         if not chain.is_cycle():
             continue
         patch = [
@@ -441,11 +429,7 @@ def special_cycle_a(move: BistellarMove) -> ElementaryCycle | None:
         ]
         if any(t not in X.complex for t in patch):
             continue
-
-        def out(v):
-            return X.degree(v) - sum(1 for t in patch if v in t)
-
-        params = (out(Lap), out(T), out(Rv))
+        params = tuple(_outside(X, v, patch) for v in (Lap, T, Rv))
         s_or = X.sign_of((b, a, T))
         return ElementaryCycle("spec-a", params, chain, s_or)
     return None
@@ -470,11 +454,11 @@ def special_cycle_b(R: OrientedComplex, e: int, D: int, C: int) -> ElementaryCyc
     else:
         return None  # not adjacent corners
     # states: R --flip {e,D}->{A,C}--> TM --remove e--> TL; then forward
-    got = _try_moves(R, [((e, D), (A, C)), ((e,), (A, B, C))])
+    got = _walk(R, [((e, D), (A, C)), ((e,), (A, B, C))])
     if got is None:
         return None
-    _, TL = got
-    built = _try_moves(
+    TL = got[-1].result
+    walk = _walk(
         TL,
         [
             ((A, B, C), (e,)),
@@ -484,17 +468,13 @@ def special_cycle_b(R: OrientedComplex, e: int, D: int, C: int) -> ElementaryCyc
             ((B, D), (A, C)),
         ],
     )
-    if built is None:
+    if walk is None or walk[-1].result.complex != TL.complex:
         return None
-    chain, end = built
-    if end.complex != TL.complex or not chain.is_cycle():
+    chain = _chain(walk)
+    if not chain.is_cycle():
         return None
     around = {tuple(sorted((e, cycle[j], cycle[(j + 1) % d]))) for j in range(d)}
-
-    def out(v):
-        return R.degree(v) - sum(1 for t in around if v in t)
-
-    params = (out(A), out(D), out(C), out(B))
+    params = tuple(_outside(R, v, around) for v in (A, D, C, B))
     # orientation read on the state TM where {A,B,e} is a facet; it already
     # is one in R (a triangle around e), with the same sign
     s_or = R.sign_of((A, B, e))
@@ -517,7 +497,7 @@ def special_cycle_c(L: OrientedComplex, sigma1: Simplex, sigma2: Simplex) -> Ele
     (B,) = set(tau2) - {Dv}
     if len({A, B, Cv, Dv, E}) != 5:
         return None
-    built = _try_moves(
+    walk = _walk(
         L,
         [
             ((A, Dv), (E, Cv)),
@@ -527,19 +507,15 @@ def special_cycle_c(L: OrientedComplex, sigma1: Simplex, sigma2: Simplex) -> Ele
             ((Dv, B), (A, Cv)),
         ],
     )
-    if built is None:
+    if walk is None or walk[-1].result.complex != L.complex:
         return None
-    chain, end = built
-    if end.complex != L.complex or not chain.is_cycle():
+    chain = _chain(walk)
+    if not chain.is_cycle():
         return None
     fan = [tuple(sorted(t)) for t in ((A, B, Cv), (A, Cv, Dv), (A, Dv, E))]
     if any(t not in L.complex for t in fan):
         return None
-
-    def out(v):
-        return L.degree(v) - sum(1 for t in fan if v in t)
-
-    params = (out(A), out(E), out(Dv), out(Cv), out(B))
+    params = tuple(_outside(L, v, fan) for v in (A, E, Dv, Cv, B))
     s_or = L.sign_of((A, B, Cv))
     return ElementaryCycle("spec-c", params, chain, s_or)
 

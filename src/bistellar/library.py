@@ -96,7 +96,7 @@ def read_facet_file(path: str) -> tuple[Complex, dict[Simplex, int] | None]:
                 line = line.split("#", 1)[0].strip()
                 if line:
                     facets.append([int(x) for x in line.split()])
-    K = build_complex(facets)
+        K = build_complex(facets)
     if len(K.facets) < len(facets):
         seen: set[Simplex] = set()
         for f in map(simplex, facets):

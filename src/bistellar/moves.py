@@ -15,7 +15,8 @@ orientation is transported in closed form (dd(D) = 0): every replaced
 facet has sign c times its boundary sign for one c in {+1, -1}, and every
 new facet gets -c times its boundary sign.  ``result`` is the moved
 complex, built by ``apply_move`` on first use and kept, so no caller
-threads a move's endpoint by hand or rebuilds it.
+threads a move's endpoint by hand or rebuilds it; ``result_degrees()``
+reads the result's vertex degrees off the two stars without building it.
 
 Moves of oriented spheres fall into equivalence classes (orientation
 preserving isomorphism carrying sigma to sigma'); the essential classes are
@@ -75,6 +76,19 @@ class BistellarMove:
         for v, fs in zip(D, faces(D)):
             (removed if v in self.tau else added).append(fs)
         return tuple(removed), tuple(added)
+
+    def result_degrees(self) -> dict[int, int]:
+        """Vertex degrees of the result: the host's cached degrees change
+        only on the two stars."""
+        degs = dict(self.host.degrees)
+        for star, d in ((self.removed, -1), (self.added, 1)):
+            for f, _ in star:
+                for v in f:
+                    degs[v] = degs.get(v, 0) + d
+        for v in self.sigma:  # a removed vertex leaves no facet behind
+            if not degs[v]:
+                del degs[v]
+        return degs
 
     def validate(self) -> None:
         host, sig, tau = self.host, self.sigma, self.tau
@@ -298,7 +312,10 @@ def edge_key(move: BistellarMove) -> SignedEdge | None:
 def materialize_edge(key: GammaEdgeKey) -> BistellarMove:
     """A concrete move realizing the edge in its canonical direction."""
     host = materialize(key.tail)
-    return BistellarMove(host, key.orbit, move_tau(host, key.orbit))
+    tau = move_tau(host, key.orbit)
+    if tau is None:
+        raise InvalidMove(f"edge {key.encode()} carries no move")
+    return BistellarMove(host, key.orbit, tau)
 
 
 def move_from_endpoint(key: GammaEdgeKey, endpoint: str) -> BistellarMove:

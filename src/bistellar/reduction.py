@@ -3,13 +3,12 @@
 The search is greedy descent on (vertex count, for 2-spheres the
 complexity, sum of squared vertex degrees) with seeded random
 tie-breaking and random plateau walks as escapes.  A move is scored
-without building the resulting complex: the state's cached vertex degrees
-(``Complex.degrees``) change only on the move's two stars, ``removed`` and
-``added``.  Each plateau state is the cached ``result`` of the move that
-reached it, so a found path is not applied again.  The result is a
-replay-verified ``MoveSequence`` recorded in the coordinates of the
-canonical representative of the start class, so the certificate is
-self-contained and deterministic for a fixed seed.
+without building the resulting complex, from
+``BistellarMove.result_degrees()``.  Each plateau state is the cached
+``result`` of the move that reached it, so a found path is not applied
+again.  The result is a replay-verified ``MoveSequence`` recorded in the
+coordinates of the canonical representative of the start class, so the
+certificate is self-contained and deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -77,19 +76,6 @@ def _energy_from_degrees(dim: int, degs: dict[int, int]) -> tuple[int, int, int]
     return (len(degs), complexity_thirds(vals) if dim == 2 else 0, sum(d * d for d in vals))
 
 
-def _move_energy(mv: BistellarMove):
-    """Energy of the move's result: degrees change only on its two stars."""
-    degs = dict(mv.host.degrees)
-    for star, d in ((mv.removed, -1), (mv.added, 1)):
-        for f, _ in star:
-            for v in f:
-                degs[v] = degs.get(v, 0) + d
-    for v in mv.sigma:  # a removed vertex leaves no facet behind
-        if not degs[v]:
-            del degs[v]
-    return _energy_from_degrees(mv.host.dim, degs)
-
-
 def _iso_invariant(K: OrientedComplex) -> tuple:
     """Sorted vertex degrees and sorted edge degrees (facets per edge):
     equal for isomorphic complexes and far cheaper than a canonical form."""
@@ -141,7 +127,7 @@ def _find_descent(state: OrientedComplex, rng: random.Random, cap: int):
         expanded += 1
         if expanded > cap:
             return None
-        scored = [(_move_energy(mv), mv) for mv in enumerate_moves(st)]
+        scored = [(_energy_from_degrees(st.dim, mv.result_degrees()), mv) for mv in enumerate_moves(st)]
         reducing = [x for x in scored if x[0][:2] < cur[:2]]
         if reducing:
             top = min(x[0] for x in reducing)

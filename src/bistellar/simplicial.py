@@ -143,14 +143,6 @@ class Complex:
         # no maximality filter: facets are pairwise incomparable, so are f - sigma
         return Complex({tuple(v for v in f if v not in ss) for f in self.facets if ss <= set(f)}, _validated=True)
 
-    def star(self, sigma: Iterable[int]) -> "Complex":
-        sig = simplex(sigma)
-        if sig not in self.faces:
-            raise SimplexNotInComplex(f"{sig} is not a face")
-        ss = set(sig)
-        st_facets = {f for f in self.facets if ss <= set(f)}
-        return Complex(st_facets, _validated=True)
-
     @cached_property
     def degrees(self) -> Counter:
         """Number of facets containing each vertex."""

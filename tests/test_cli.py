@@ -212,14 +212,29 @@ def _write(path, text: str) -> str:
         lambda d: ["check", _write(d / "bad.json", '{"facets": [[0, 1, 2],')],
         lambda d: ["--xi-cache", _write(d / "xi.json", '{"xi": {"'), "p1", "local", str(d / "boundary_delta_5.facets")],
         lambda d: ["gamma2", "decompose", _write(d / "chain.json", '[["nonsense","1","1"]]')],
+        lambda d: ["check", _write(d / "vertex.json", '{"facets": [[0, 1, "x"], [0, 1, 2]]}')],
+        lambda d: ["check", _write(d / "facets.json", '{"facets": 5}')],
     ],
-    ids=["facet-text", "facet-json", "xi-cache", "chain"],
+    ids=["facet-text", "facet-json", "xi-cache", "chain", "json-vertex", "json-facets"],
 )
 def test_malformed_input_is_a_typed_error(capsys, data_dir, argv_of):
     code = main(argv_of(data_dir))
     captured = capsys.readouterr()
     assert code == 1
     assert json.loads(captured.out)["error"] == "MalformedInput"
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("orbit", ["9,9", "0,1"])
+def test_edge_without_a_move_is_a_typed_error(capsys, tmp_path, orbit):
+    """A chain edge whose orbit carries no move on its tail sphere (a vertex
+    not in it, or an edge whose link spans a face) is InvalidMove."""
+    d3 = "+;0,1,2|0,1,3|0,2,3|1,2,3"
+    path = _write(tmp_path / "chain.json", json.dumps([[f"{d3}  {d3}  {orbit}", "1", "1"]]))
+    code = main(["gamma2", "decompose", path])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out)["error"] == "InvalidMove"
     assert captured.err == ""
 
 

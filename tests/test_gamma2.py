@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from bistellar.errors import InvalidParams, NotApplicable
+from bistellar.errors import ClosureFailure, InvalidParams, NotApplicable, UnrecognizedConfiguration
 from bistellar.gamma2 import (
     Gamma2Chain,
     _accept,
+    _classify_pair,
     c_of_cycle,
     c_value,
     classify_elementary,
@@ -16,7 +17,7 @@ from bistellar.gamma2 import (
     move_complexity,
     sphere_complexity,
 )
-from bistellar.moves import apply_move, enumerate_moves
+from bistellar.moves import BistellarMove, apply_move, enumerate_moves, move_tau
 from bistellar.simplicial import boundary_of_simplex, orient
 from helpers import icosahedron, octahedron, random_loop_cycle, random_walk_sphere
 
@@ -147,6 +148,43 @@ def test_classify_elementary_endpoint():
     ico = icosahedron()
     kind, params, sign = classify_elementary(ico, (0, 1, 2), (0, 5, 6))
     assert kind == "comm-b" and sign in (1, -1)
+
+
+def _reference_classification(L, sigma1, sigma2):
+    """The rule the walk replaces: apply each removal to L again, re-anchor
+    it as the insertion (tau, sigma), and classify the pair on the result."""
+    pair, sign = [], 1
+    for s, t in ((sigma1, move_tau(L, sigma1)), (sigma2, move_tau(L, sigma2))):
+        if len(s) == 1:
+            L = apply_move(BistellarMove(L, s, t))
+            s, t, sign = t, s, -sign
+        pair.append((s, t))
+    try:
+        kind, params, csign = _classify_pair(L, *[(s, t, BistellarMove(L, s, t).removed) for s, t in pair])
+    except UnrecognizedConfiguration:
+        return "unrecognized"
+    return kind, params, sign * csign
+
+
+def test_classification_matches_reapplied_removals():
+    """Every commutation cycle on seeded spheres is classified on its own
+    walk exactly as re-applying its removals classifies it, in all four
+    cases of which moves are removals."""
+    cases = set()
+    for seed in (1, 2, 3, 4):
+        L = random_walk_sphere(random.Random(seed), steps=8)
+        sigmas = sorted({m.sigma for m in enumerate_moves(L)})
+        for s1 in sigmas:
+            for s2 in sigmas:
+                try:
+                    got = classify_elementary(L, s1, s2)
+                except UnrecognizedConfiguration:
+                    got = "unrecognized"
+                except (NotApplicable, ClosureFailure):
+                    continue
+                assert got == _reference_classification(L, s1, s2)
+                cases.add((len(s1) == 1, len(s2) == 1))
+    assert len(cases) == 4
 
 
 def test_decompose_zero_chain():

@@ -296,7 +296,31 @@ def test_removed_and_added_are_the_facet_diff(n):
             assert {f for f, _ in mv.added} == res.facets - state.facets
             (c,) = {state.facet_signs[f] * b for f, b in mv.removed}
             assert {res.facet_signs[f] * b for f, b in mv.added} == {-c}
+            assert mv.result_degrees() == res.degrees
         k = rng.choice(sorted({m.k for m in moves}))
         kinds.add(k)
         state = apply_move(rng.choice([m for m in moves if m.k == k]))
     assert {0, n - 1} <= kinds
+
+
+def test_decreasing_moves_build_no_result(monkeypatch):
+    """``decreasing_moves`` scores moves from their result degrees, applies
+    none, and keeps exactly the moves whose result has lower complexity."""
+    import bistellar.moves as moves_mod
+    from bistellar.gamma2 import decreasing_moves, sphere_complexity
+
+    calls = []
+    real = moves_mod.apply_move
+    monkeypatch.setattr(moves_mod, "apply_move", lambda mv: calls.append(mv) or real(mv))
+    rng = random.Random(7)
+    kept = 0
+    for _ in range(10):
+        L = random_walk_sphere(rng, steps=rng.randrange(1, 9))
+        calls.clear()
+        got = decreasing_moves(L)
+        assert calls == []
+        a = sphere_complexity(L)
+        want = [mv for mv in enumerate_moves(L) if sphere_complexity(mv.result) < a]
+        assert [(m.sigma, m.tau) for m in got] == [(m.sigma, m.tau) for m in want]
+        kept += len(want)
+    assert kept

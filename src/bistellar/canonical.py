@@ -52,10 +52,17 @@ class OKey(NamedTuple):
 
     @staticmethod
     def decode(text: str) -> "OKey":
-        s, body = text.split(";", 1)
-        sign = {"+": 1, "-": -1, "0": 0}[s]
-        facets = tuple(tuple(int(v) for v in part.split(",")) for part in body.split("|"))
-        return OKey(facets, sign)
+        return _decode_okey(text)
+
+
+@functools.cache
+def _decode_okey(text: str) -> OKey:
+    """``OKey.decode`` memoized on the text: a cache file repeats each class
+    key in many edges and certificates."""
+    s, body = text.split(";", 1)
+    sign = {"+": 1, "-": -1, "0": 0}[s]
+    facets = tuple(tuple(int(v) for v in part.split(",")) for part in body.split("|"))
+    return OKey(facets, sign)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,10 @@ scaled by the s that kills the target edge, is accepted iff it lowers that
 measure, and only gamma's edges can move it: the test fails if gamma has an
 edge above the top complexity, and otherwise passes iff the sum over
 gamma's edges e at the top of |w_e - s*g_e| - |w_e| is negative (w and g
-being the coefficients in the work chain and in gamma).
+being the coefficients in the work chain and in gamma).  The peeling loop
+compares strata as integers, six times the complexity, read with each
+edge's sort key from one table per edge (``_edge_order``); commutation
+cycles are memoized per (host, sigma1, sigma2) (``_commute``).
 
 Moves read what they need from the objects that own it: a vertex degree
 from the cached ``Complex.degrees``, the support of a move (the triangles
@@ -71,17 +74,26 @@ from .talgebra import Chain
 # ---------------------------------------------------------------------------
 
 
-def _tied(a1: Fraction, a2: Fraction) -> Fraction:
-    """Complexity of a move between spheres of complexities a1 and a2."""
-    return a1 + Fraction(1, 6) if a1 == a2 else max(a1, a2)
+def _tied(a1: int, a2: int) -> int:
+    """Six times the complexity of a move between spheres of complexities
+    a1/3 and a2/3: the larger one, plus 1/6 when they tie."""
+    return 2 * max(a1, a2) + (a1 == a2)
 
 
 def move_complexity(move: BistellarMove) -> Fraction:
-    return _tied(sphere_complexity(move.host), sphere_complexity(move.result))
+    a1, a2 = (complexity_thirds(L.degrees.values()) for L in (move.host, move.result))
+    return Fraction(_tied(a1, a2), 6)
 
 
 def edge_complexity(key: GammaEdgeKey) -> Fraction:
-    return _tied(complexity_of_key(key.tail), complexity_of_key(key.head))
+    return Fraction(_edge_order(key)[0], 6)
+
+
+@functools.cache
+def _edge_order(key: GammaEdgeKey) -> tuple[int, str]:
+    """Six times the complexity of an edge, then its ``encode()``: the order
+    in which the decomposition peels edges."""
+    return _tied(complexity_of_key(key.tail), complexity_of_key(key.head)), key.encode()
 
 
 def decreasing_moves(L: OrientedComplex) -> list[BistellarMove]:
@@ -188,7 +200,7 @@ def c_value(kind: str, params: tuple[int, ...]) -> Fraction:
     raise InvalidParams(f"unknown kind {kind}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ElementaryCycle:
     """A catalogued cycle: ``<c, chain> = sign * c_value(kind, params)``."""
 
@@ -525,8 +537,14 @@ def special_cycle_c(L: OrientedComplex, sigma1: Simplex, sigma2: Simplex) -> Ele
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _commute(L: OrientedComplex, sigma1, sigma2) -> ElementaryCycle | None:
-    """The commutation cycle, or None where the catalogue does not apply."""
+    """The commutation cycle, or None where the catalogue does not apply.
+
+    Memoized on the value of the host (a materialized representative), so
+    the same cycle serves every target that asks for it; no caller mutates
+    its chain.
+    """
     try:
         return commutation_cycle(L, sigma1, sigma2)
     except (NotApplicable, ClosureFailure, UnrecognizedConfiguration):
@@ -595,13 +613,14 @@ def _candidates_paired(key: GammaEdgeKey, partners: list[GammaEdgeKey]):
                     yield [first, _commute(S, m3.sigma, mp.sigma)]
 
 
-def _accept(work: Gamma2Chain, top: Fraction, key: GammaEdgeKey, chain: Gamma2Chain) -> Fraction | None:
+def _accept(work: Gamma2Chain, top: int, key: GammaEdgeKey, chain: Gamma2Chain) -> Fraction | None:
     """The scale s that kills ``key`` in ``work - s*chain``, if that lowers
     the (max complexity, weight there) measure of ``work``; else None.
 
-    Only the edges of ``chain`` move the measure: one above ``top`` raises
-    the maximum (s is nonzero), and otherwise the weight at ``top`` changes
-    by the sum below, a weight of 0 meaning the maximum drops.
+    ``top`` is six times the top complexity of ``work``.  Only the edges of
+    ``chain`` move the measure: one above ``top`` raises the maximum (s is
+    nonzero), and otherwise the weight at ``top`` changes by the sum below,
+    a weight of 0 meaning the maximum drops.
     """
     ce = chain.coeff(key)
     if abs(ce) != 1:
@@ -609,7 +628,7 @@ def _accept(work: Gamma2Chain, top: Fraction, key: GammaEdgeKey, chain: Gamma2Ch
     s = work.coeff(key) / ce
     delta = Fraction(0)
     for e, g in chain.terms.items():
-        c = edge_complexity(e)
+        c = _edge_order(e)[0]
         if c > top:
             return None
         if c == top:
@@ -637,13 +656,13 @@ def decompose_cycle(zeta: Gamma2Chain, order_seed: int | None = None) -> list[tu
     work = Gamma2Chain(dict(zeta.terms))
     out: list[tuple[int, ElementaryCycle]] = []
     while work:
-        cx = {k: edge_complexity(k) for k in work.terms}
-        top = max(cx.values())
-        top_edges = sorted((k for k, c in cx.items() if c == top), key=lambda k: k.encode())
+        ranked = [(_edge_order(k), k) for k in work.terms]
+        top = max(o[0] for o, _ in ranked)
+        top_edges = [k for _, k in sorted(x for x in ranked if x[0][0] == top)]
         if rng is not None:
             rng.shuffle(top_edges)
         key = top_edges[0]
-        if int(6 * top) % 2:
+        if top % 2:
             candidates = _candidates_single(key)
         else:
             anchor = getattr(key, _top(key))
@@ -660,7 +679,7 @@ def decompose_cycle(zeta: Gamma2Chain, order_seed: int | None = None) -> list[tu
                 break
         else:
             raise DecompositionStuck(
-                f"no catalogued cycle applies to edge at complexity {top}", residual=work
+                f"no catalogued cycle applies to edge at complexity {Fraction(top, 6)}", residual=work
             )
         for g in pieces:
             work = work.plus(g.chain, -scale)

@@ -269,8 +269,9 @@ def sphere_complexity(L: OrientedComplex | OKey) -> Fraction:
 
 
 @functools.cache
-def complexity_of_key(key: OKey) -> Fraction:
-    return sphere_complexity(key)
+def complexity_of_key(key: OKey) -> int:
+    """Three times the complexity of a 2-sphere class (``complexity_thirds``)."""
+    return int(3 * sphere_complexity(key))
 
 
 def _endpoint_rank(key: OKey):

@@ -25,7 +25,7 @@ import os
 from fractions import Fraction
 
 from .canonical import OKey, materialize, okey
-from .errors import DimensionTooSmall, InvalidMove, NotACycle, parsing
+from .errors import DimensionTooSmall, InvalidMove, MalformedInput, NotACycle, parsing
 from .gamma2 import Gamma2Chain, c_of_cycle, decreasing_moves
 from .moves import BistellarMove, induced_vertex_moves, is_inessential
 from .reduction import MoveSequence, reduce_to_boundary, replay
@@ -34,11 +34,15 @@ from .talgebra import LocalCochain, SimplicialChain, f_sharp
 
 
 class XiCache:
-    """Persistent store for xi-chains and reduction certificates.
+    """Persistent store for xi-chains, reduction certificates and the eta
+    chains of the certificates.
 
     Keys are oriented canonical class keys.  The xi-chain of a mirrored
     class is the mirror image of the stored representative's chain, so only
-    one representative per unoriented class is ever computed.
+    one representative per unoriented class is ever computed.  The file
+    keeps eta under the class of its certificate; a loaded eta is keyed by
+    the certificate read with it and is used only after that certificate
+    has replayed to its recorded end key.
     """
 
     def __init__(self, path: str | None = None):
@@ -46,6 +50,7 @@ class XiCache:
         self.chains: dict[OKey, Gamma2Chain] = {}
         self.certs: dict[OKey, MoveSequence] = {}
         self._eta: dict[MoveSequence, Gamma2Chain] = {}
+        self._unreplayed: set[MoveSequence] = set()  # certificates of loaded eta chains
         self._red2: dict[MoveSequence, Gamma2Chain] = {}
         if path and os.path.exists(path):
             self.load(path)
@@ -59,15 +64,22 @@ class XiCache:
         this cache lacks."""
         for enc, chain in data.get("xi", {}).items():
             self.chains.setdefault(OKey.decode(enc), Gamma2Chain.from_json(chain))
-        for enc, cert in data.get("certificates", {}).items():
-            self.certs.setdefault(OKey.decode(enc), MoveSequence.from_json(cert))
+        certs = {enc: MoveSequence.from_json(cert) for enc, cert in data.get("certificates", {}).items()}
+        for enc, cert in certs.items():
+            self.certs.setdefault(OKey.decode(enc), cert)
+        for enc, chain in data.get("eta", {}).items():
+            if enc not in certs:
+                raise MalformedInput(f"eta entry {enc[:40]}... has no certificate for its class")
+            if certs[enc] not in self._eta:
+                self._eta[certs[enc]] = Gamma2Chain.from_json(chain)
+                self._unreplayed.add(certs[enc])
 
     def to_json(self) -> dict:
+        certs = sorted(self.certs.items(), key=lambda kv: kv[0].encode())
         return {
             "xi": {k.encode(): v.to_json() for k, v in sorted(self.chains.items(), key=lambda kv: kv[0].encode())},
-            "certificates": {
-                k.encode(): v.to_json() for k, v in sorted(self.certs.items(), key=lambda kv: kv[0].encode())
-            },
+            "certificates": {k.encode(): v.to_json() for k, v in certs},
+            "eta": {k.encode(): self._eta[v].to_json() for k, v in certs if v in self._eta},
         }
 
     def save(self, path: str | None = None) -> None:
@@ -88,7 +100,9 @@ class XiCache:
 
     def eta(self, cert: MoveSequence) -> Gamma2Chain:
         """Sum of the induced vertex-move edges along a reduction certificate
-        of a 3-sphere class toward the 4-simplex boundary."""
+        of a 3-sphere class toward the 4-simplex boundary.  A loaded chain is
+        returned once its certificate replays; a failed replay raises each
+        time it is asked for."""
         hit = self._eta.get(cert)
         if hit is None:
             hit = Gamma2Chain()
@@ -97,6 +111,9 @@ class XiCache:
                     if sub is not None:
                         hit.add_move(sub)
             self._eta[cert] = hit
+        elif cert in self._unreplayed:
+            replay(cert)
+            self._unreplayed.discard(cert)
         return hit
 
     def red2(self, cert: MoveSequence) -> Gamma2Chain:

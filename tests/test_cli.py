@@ -205,6 +205,15 @@ def _write(path, text: str) -> str:
     return str(path)
 
 
+# the class of the boundary of the 4-simplex and its (empty) certificate
+D4 = "0;0,1,2,3|0,1,2,4|0,1,3,4|0,2,3,4|1,2,3,4"
+D4_CERT = {"start_key": D4, "end_key": D4, "moves": []}
+
+
+def _p1_with_cache(d, data: dict) -> list[str]:
+    return ["--xi-cache", _write(d / "xi.json", json.dumps(data)), "p1", "local", str(d / "boundary_delta_5.facets")]
+
+
 @pytest.mark.parametrize(
     "argv_of",
     [
@@ -214,8 +223,10 @@ def _write(path, text: str) -> str:
         lambda d: ["gamma2", "decompose", _write(d / "chain.json", '[["nonsense","1","1"]]')],
         lambda d: ["check", _write(d / "vertex.json", '{"facets": [[0, 1, "x"], [0, 1, 2]]}')],
         lambda d: ["check", _write(d / "facets.json", '{"facets": 5}')],
+        lambda d: _p1_with_cache(d, {"eta": {D4: []}}),
+        lambda d: _p1_with_cache(d, {"certificates": {D4: D4_CERT}, "eta": {D4: [["nonsense", "1", "1"]]}}),
     ],
-    ids=["facet-text", "facet-json", "xi-cache", "chain", "json-vertex", "json-facets"],
+    ids=["facet-text", "facet-json", "xi-cache", "chain", "json-vertex", "json-facets", "eta-without-certificate", "eta-chain"],
 )
 def test_malformed_input_is_a_typed_error(capsys, data_dir, argv_of):
     code = main(argv_of(data_dir))

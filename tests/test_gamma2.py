@@ -7,6 +7,7 @@ from bistellar.errors import ClosureFailure, InvalidParams, NotApplicable, Unrec
 from bistellar.gamma2 import (
     Gamma2Chain,
     _accept,
+    _commute,
     _classify_pair,
     c_of_cycle,
     c_value,
@@ -282,6 +283,24 @@ def test_decomposition_pieces_pinned(seed, order_seed):
     assert _pieces(parts) == PINNED_PIECES[(seed, order_seed)]
 
 
+def test_decomposition_pieces_repeat_on_memoized_commutations():
+    """A second decomposition of the pinned cycles in one process takes its
+    commutation cycles from the memo and returns the first run's pieces;
+    neither run mutates a piece's chain."""
+
+    def snapshot(parts):
+        return [(n, g.kind, g.params, g.sign, g.chain.to_json()) for n, g in parts]
+
+    for seed, order_seed in sorted(PINNED_PIECES, key=str):
+        first = decompose_cycle(_loop_cycle(seed), order_seed=order_seed)
+        before = snapshot(first)
+        hits = _commute.cache_info().hits
+        second = decompose_cycle(_loop_cycle(seed), order_seed=order_seed)
+        assert _commute.cache_info().hits > hits
+        assert snapshot(second) == before == snapshot(first)
+        assert _pieces(second) == PINNED_PIECES[(seed, order_seed)]
+
+
 def _measure(chain: Gamma2Chain):
     """The whole-chain measure the peeling loop lowers: (max complexity,
     total |weight| there), with (-1, 0) for the empty chain."""
@@ -309,7 +328,7 @@ def test_accept_matches_whole_chain_measure():
                         continue
                     for s in (1, -1, 2, -2):
                         w = work.plus(Gamma2Chain({key: s * ce - work.coeff(key)}))
-                        top = _measure(w)[0]
+                        top = int(6 * _measure(w)[0])
                         got = _accept(w, top, key, g.chain)
                         want = _measure(w.plus(g.chain, -s)) < _measure(w)
                         assert (got is not None) == want

@@ -9,7 +9,7 @@ from bistellar.gamma2 import Gamma2Chain
 from bistellar.library import cp2_9
 from bistellar.moves import apply_move, enumerate_moves, inverse_move, materialize_edge
 from bistellar.pontryagin import XiCache, h_value, local_f, p1_dual_direct, p1_dual_local, p1_number, xi_chain
-from bistellar.reduction import reduce_to_boundary
+from bistellar.reduction import MoveSequence, reduce_to_boundary
 from bistellar.simplicial import boundary_of_simplex, build_complex, orient
 from helpers import octahedron, perturbed_cp2, random_loop_cycle, random_walk_sphere
 
@@ -243,10 +243,15 @@ def test_memo_tables_never_change_an_answer():
     p1_dual_local(first, cache=XiCache())
     warm = XiCache()
     chain = p1_dual_local(second, cache=warm)
+    # a cache read back from its saved form decodes every class key
+    loaded = XiCache()
+    loaded.merge(warm.to_json())
+    assert p1_dual_local(second, cache=loaded).terms == chain.terms
     mods = [m for n, m in list(sys.modules.items()) if n == "bistellar" or n.startswith("bistellar.")]
     tables = {id(o): o for m in mods for o in vars(m).values() if hasattr(o, "cache_clear")}.values()
     assert {t.__name__ for t in tables} >= {
-        "_ucanon", "_ocanon", "_rep_signs", "complexity_of_key", "_materialize_cached", "_d3_key"
+        "_ucanon", "_ocanon", "_rep_signs", "complexity_of_key", "_materialize_cached", "_d3_key",
+        "_commute", "_edge_order", "_decode_okey",
     }
     assert all(t.cache_info().currsize for t in tables)
     for t in tables:
@@ -254,6 +259,44 @@ def test_memo_tables_never_change_an_answer():
     cold = XiCache()
     assert p1_dual_local(second, cache=cold).terms == chain.terms
     assert cold.to_json() == warm.to_json()
+
+
+def test_warm_p1_reads_eta_from_the_file(tmp_path, monkeypatch):
+    """Warm local p1 on a saved cache keys no induced vertex move and
+    replays each certificate once, and gives the cold chain; a file without
+    the eta section gives the same chain and gains the section when saved."""
+    import json
+
+    import bistellar.pontryagin as pontryagin
+
+    K = perturbed_cp2(0, steps=1)
+    path = str(tmp_path / "xi.json")
+    cold = XiCache(path)
+    chain = p1_dual_local(K, cache=cold)
+    cold.save()
+    old_format = str(tmp_path / "old.json")
+    with open(path) as fh:
+        data = json.load(fh)
+    assert set(data["eta"]) == set(data["certificates"])
+    del data["eta"]
+    with open(old_format, "w") as fh:
+        json.dump(data, fh)
+
+    induced, replays = [], []
+    real_induced, real_replay = pontryagin.induced_vertex_moves, pontryagin.replay
+    monkeypatch.setattr(pontryagin, "induced_vertex_moves", lambda mv: induced.append(mv) or real_induced(mv))
+    monkeypatch.setattr(pontryagin, "replay", lambda seq: replays.append(seq) or real_replay(seq))
+    warm = XiCache(path)
+    assert p1_dual_local(K, cache=warm).terms == chain.terms
+    assert not induced
+    assert sorted(map(MoveSequence.dumps, replays)) == sorted(map(MoveSequence.dumps, warm.certs.values()))
+
+    old = XiCache(old_format)
+    assert p1_dual_local(K, cache=old).terms == chain.terms
+    assert induced
+    old.save()
+    with open(old_format) as fh, open(path) as want:
+        assert json.load(fh) == json.load(want)
 
 
 def test_p1_direct_replays_each_certificate_once(monkeypatch):
@@ -275,9 +318,9 @@ def test_p1_direct_replays_each_certificate_once(monkeypatch):
 
 
 def test_cold_p1_bytes_pinned():
-    """Cold local p1 on an asymmetric input keeps its exact bytes: the saved
-    cache (every xi chain and certificate) and the p1 chain, serialized by
-    the shared chain arithmetic."""
+    """Cold local p1 on an asymmetric input keeps its exact bytes: the xi
+    chains and certificates of the saved cache, the whole cache with its eta
+    chains, and the p1 chain, serialized by the shared chain arithmetic."""
     import hashlib
     import json
 
@@ -286,5 +329,8 @@ def test_cold_p1_bytes_pinned():
 
     cache = XiCache()
     chain = p1_dual_local(perturbed_cp2(0, steps=1), cache=cache)
-    assert digest(cache.to_json()) == "e872f70b2d882ac7854366cf1c6babf9270dfa643cc9d38e92928b0e7885e3ff"
+    saved = cache.to_json()
+    old_sections = {k: saved[k] for k in ("xi", "certificates")}
+    assert digest(old_sections) == "e872f70b2d882ac7854366cf1c6babf9270dfa643cc9d38e92928b0e7885e3ff"
+    assert digest(saved) == "340ed34d15321f9d64b907ac64386cc7a715849eb6b8c1baf9a4e18443442070"
     assert digest(chain.to_json()) == "c90a152c99b2232cc6af647e96891549572fd2a97fa7194ae52858516711bfae"

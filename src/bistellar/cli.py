@@ -96,7 +96,7 @@ def cmd_p1(args) -> int:
     K = _load_oriented(args.complex)
     cache = XiCache(args.xi_cache)
     if args.procedure == "local":
-        chain = p1_dual_local(K, budget=args.budget, seed=args.seed, cache=cache, jobs=args.jobs)
+        chain = p1_dual_local(K, budget=args.budget, seed=args.seed, cache=cache)
     else:
         chain = p1_dual_direct(K, budget=args.budget, seed=args.seed, cache=cache)
     if args.xi_cache:
@@ -164,9 +164,6 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument(
         "--trace", action="store_true", default=argparse.SUPPRESS, help="include chain-level traces"
     )
-    common.add_argument(
-        "--jobs", type=int, default=argparse.SUPPRESS, help="cap on concurrent local-formula workers"
-    )
     return common
 
 
@@ -182,7 +179,7 @@ def main(argv=None) -> int:
         description="Exact combinatorial characteristic classes from facet lists.",
         parents=[_common_flags()],
     )
-    ap.set_defaults(seed=0, budget=4000, xi_cache=None, format="json", trace=False, jobs=1)
+    ap.set_defaults(seed=0, budget=4000, xi_cache=None, format="json", trace=False)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", parents=[common], help="sphere/manifold verdicts for a facet list")

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations
 from typing import Collection, NamedTuple
@@ -39,11 +39,16 @@ from .simplicial import Complex, OrientedComplex, Simplex, faces, orient, perm_p
 
 @dataclass(frozen=True)
 class BistellarMove:
-    """The move (host, sigma, tau); tau may contain one fresh vertex (k = n)."""
+    """The move (host, sigma, tau); tau may contain one fresh vertex (k = n).
+
+    ``tau_checked`` marks a tau just computed by ``move_tau`` for this host
+    and sigma, so ``validate`` does not compute it again.
+    """
 
     host: OrientedComplex
     sigma: Simplex
     tau: Simplex
+    tau_checked: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", tuple(self.sigma))
@@ -91,6 +96,8 @@ class BistellarMove:
         return degs
 
     def validate(self) -> None:
+        if self.tau_checked:
+            return
         host, sig, tau = self.host, self.sigma, self.tau
         want = move_tau(host, sig)
         if want is None:
@@ -146,7 +153,7 @@ def enumerate_moves(K: OrientedComplex) -> list[BistellarMove]:
     for sig in sorted(star):
         tau = move_tau(K, sig, star=star)
         if tau is not None:
-            out.append(BistellarMove(K, sig, tau))
+            out.append(BistellarMove(K, sig, tau, tau_checked=True))
     return out
 
 
@@ -274,12 +281,10 @@ def complexity_of_key(key: OKey) -> int:
     return int(3 * sphere_complexity(key))
 
 
-def _endpoint_rank(key: OKey):
+def _endpoint_rank(key: OKey) -> int:
     """Ordering of Gamma_n vertices: complexity for 2-spheres, else vertex
-    count, with key bytes breaking ties."""
-    if key.dim() == 2:
-        return (complexity_of_key(key), key.encode())
-    return (key.nvertices(), key.encode())
+    count; ``edge_key`` breaks ties by key bytes."""
+    return complexity_of_key(key) if key.dim() == 2 else key.nvertices()
 
 
 def is_inessential(move: BistellarMove) -> bool:
@@ -305,7 +310,8 @@ def edge_key(move: BistellarMove) -> SignedEdge | None:
         if enc_fwd < enc_bwd:
             return SignedEdge(GammaEdgeKey(tail_key, head_key, enc_fwd), 1)
         return SignedEdge(GammaEdgeKey(tail_key, head_key, enc_bwd), -1)
-    if _endpoint_rank(tail_key) < _endpoint_rank(head_key):
+    rt, rh = _endpoint_rank(tail_key), _endpoint_rank(head_key)
+    if rt < rh or (rt == rh and tail_key.encode() < head_key.encode()):
         return SignedEdge(GammaEdgeKey(tail_key, head_key, enc_fwd), 1)
     return SignedEdge(GammaEdgeKey(head_key, tail_key, enc_bwd), -1)
 
@@ -316,7 +322,7 @@ def materialize_edge(key: GammaEdgeKey) -> BistellarMove:
     tau = move_tau(host, key.orbit)
     if tau is None:
         raise InvalidMove(f"edge {key.encode()} carries no move")
-    return BistellarMove(host, key.orbit, tau)
+    return BistellarMove(host, key.orbit, tau, tau_checked=True)
 
 
 def move_from_endpoint(key: GammaEdgeKey, endpoint: str) -> BistellarMove:

@@ -51,7 +51,7 @@ class XiCache:
         self.certs: dict[OKey, MoveSequence] = {}
         self._eta: dict[MoveSequence, Gamma2Chain] = {}
         self._unreplayed: set[MoveSequence] = set()  # certificates of loaded eta chains
-        self._red2: dict[MoveSequence, Gamma2Chain] = {}
+        self._red2: dict[OKey, Gamma2Chain] = {}
         if path and os.path.exists(path):
             self.load(path)
 
@@ -116,14 +116,27 @@ class XiCache:
             self._unreplayed.discard(cert)
         return hit
 
-    def red2(self, cert: MoveSequence) -> Gamma2Chain:
-        """Edge chain of a reduction certificate of a 2-sphere class."""
-        hit = self._red2.get(cert)
+    def red2(self, key: OKey, budget: int = 4000, seed: int = 0) -> Gamma2Chain:
+        """The reduction chain of a 2-sphere class that the direct procedure
+        uses: the edges of a reduction certificate.
+
+        One certificate serves a mirror pair: it reduces the pair's first
+        class in ``OKey.encode`` order, and the other class takes the mirror
+        of its chain.  An achiral class takes the mean of the chain and its
+        mirror, so both sides of its codimension-3 simplices agree.
+        """
+        hit = self._red2.get(key)
         if hit is None:
-            hit = Gamma2Chain()
-            for mv in _cert_moves(cert):
-                hit.add_move(mv)
-            self._red2[cert] = hit
+            rep = min(key, key.mirror(), key=OKey.encode)
+            if rep != key:
+                hit = self.red2(rep, budget=budget, seed=seed).mirror()
+            else:
+                hit = Gamma2Chain()
+                for mv in _cert_moves(self.certificate(key, budget=budget, seed=seed)):
+                    hit.add_move(mv)
+                if key.sign == 0:
+                    hit = hit.scaled(Fraction(1, 2)).plus(hit.mirror(), Fraction(1, 2))
+            self._red2[key] = hit
         return hit
 
 
@@ -221,12 +234,6 @@ def local_f(
     return c_of_cycle(zeta)
 
 
-def _local_f_worker(encoded: str, budget: int, seed: int) -> tuple[Fraction, dict]:
-    cache = XiCache()
-    val = local_f(materialize(OKey.decode(encoded)), budget=budget, seed=seed, cache=cache)
-    return val, cache.to_json()
-
-
 def _need_dim4(K: OrientedComplex) -> None:
     if K.dim < 4:
         raise DimensionTooSmall(f"the first Pontryagin class needs dimension >= 4, not {K.dim}")
@@ -237,35 +244,18 @@ def p1_dual_local(
     budget: int = 4000,
     seed: int = 0,
     cache: XiCache | None = None,
-    jobs: int = 1,
 ) -> SimplicialChain:
     """The Poincare dual of the first rational Pontryagin class, by the
     universal local formula: f_sharp of the local cochain f = local_f, the
     degree dim-4 chain carrying f(link sigma) on each simplex sigma.  As
     f(-L) = -f(L), local_f runs once per mirror pair, on its first class in
     ``OKey.encode`` order (the +1 class when both occur).
-
-    ``jobs`` caps concurrent workers over distinct link classes; the result
-    is independent of scheduling because the arithmetic is exact and keyed
-    by class.
     """
     _need_dim4(K)
     cache = cache if cache is not None else XiCache()
     keys = {okey(K.link(sig)) for sig in K.complex.faces_of_dim(K.dim - 4)}
     todo = [k for k in sorted(keys, key=OKey.encode) if k.sign == 1 or (k.sign and k.mirror() not in keys)]
     f = LocalCochain(4)
-    if jobs > 1 and len(todo) > 1:
-        import multiprocessing as mp
-
-        try:
-            with mp.get_context("spawn").Pool(min(jobs, len(todo))) as pool:
-                tasks = [(k.encode(), budget, seed) for k in todo]
-                for k, (val, saved) in zip(todo, pool.starmap(_local_f_worker, tasks)):
-                    f.set(k, val)
-                    cache.merge(saved)
-            todo = []
-        except OSError:
-            pass  # no process pool here: the loop below computes every class
     for k in todo:
         f.set(k, local_f(materialize(k), budget=budget, seed=seed, cache=cache))
     chain = f_sharp(f, K)
@@ -293,8 +283,9 @@ def p1_dual_direct(
 
     For each codimension-4 simplex sigma (taken with ascending orientation)
     the cycle zeta_sigma combines the induced vertex moves of a reduction
-    of link(sigma) with the reduction chains of the links of the
-    codimension-3 cofaces, oriented so each incidence coefficient is +1.
+    of link(sigma) with the reduction chains (``XiCache.red2``) of the
+    links of the codimension-3 cofaces sigma + w, each oriented as the link
+    of w in link(sigma).
     """
     _need_dim4(K)
     cache = cache if cache is not None else XiCache()
@@ -304,12 +295,8 @@ def p1_dual_direct(
         lk3 = K.link(sig)
         zeta = cache.eta(cache.certificate(okey(lk3), budget=budget, seed=seed)).scaled(-1)
         for w in lk3.vertices:
-            tau = tuple(sorted(sig + (w,)))
-            # orient tau so that the incidence coefficient [tau : sig] is +1
-            lk2 = K.link(tau)
-            if (-1) ** tau.index(w) == -1:
-                lk2 = -lk2
-            zeta = zeta.plus(cache.red2(cache.certificate(okey(lk2), budget=budget, seed=seed)), 1)
+            # link(sig + w), oriented as the link of w in link(sig)
+            zeta = zeta.plus(cache.red2(okey(lk3.link((w,))), budget=budget, seed=seed), 1)
         if not zeta.is_cycle():
             raise NotACycle("zeta_sigma is not a cycle: incidence orientation bug")
         chain.add(sig, c_of_cycle(zeta))

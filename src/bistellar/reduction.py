@@ -1,12 +1,26 @@
 """Reduction of combinatorial spheres to boundaries of simplices.
 
-The search is greedy descent on (vertex count, for 2-spheres the
-complexity, sum of squared vertex degrees) with seeded random
-tie-breaking and random plateau walks as escapes.  A move is scored
-without building the resulting complex, from
-``BistellarMove.result_degrees()``.  Each plateau state is the cached
+A 3-sphere is reduced by vertex elimination.  The link of a vertex v is a
+2-sphere, and a 2-sphere above the tetrahedron always has a
+complexity-decreasing move (``gamma2.decreasing_moves``).  Each link move
+(sigma', tau') lifts to the move (sigma' + v, tau') of the 3-sphere, whose
+induced move at v is the link move itself; the lift is valid iff tau' is not
+a face of the 3-sphere.  Once the link is the boundary of a tetrahedron, the
+move ((v), link vertices) removes v.  The vertices of lowest degree are tried
+in seeded order, each lift is the one of least energy (sum of squared vertex
+degrees) with seeded ties, and the elimination with the fewest moves, then
+the least end energy, is taken.  A vertex is blocked when no decreasing link
+move lifts or when its elimination needs more than ``budget`` moves.
+
+2-spheres, 4-spheres and a 3-sphere whose vertices are all blocked use
+greedy descent on (vertex count, for 2-spheres the complexity, sum of
+squared vertex degrees) with seeded random tie-breaking and random plateau
+walks as escapes.  A move is scored without building the resulting complex,
+from ``BistellarMove.result_degrees()``.  Each plateau state is the cached
 ``result`` of the move that reached it, so a found path is not applied
-again.  The result is a replay-verified ``MoveSequence`` recorded in the
+again.
+
+The result is a replay-verified ``MoveSequence`` recorded in the
 coordinates of the canonical representative of the start class, so the
 certificate is self-contained and deterministic for a fixed seed.
 """
@@ -17,11 +31,12 @@ import json
 import random
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, groupby, repeat
 
 from .canonical import OKey, materialize, okey, ukey
 from .errors import BudgetExhausted
-from .moves import BistellarMove, apply_move, complexity_thirds, enumerate_moves
+from .gamma2 import decreasing_moves
+from .moves import BistellarMove, apply_move, complexity_thirds, enumerate_moves, move_tau
 from .simplicial import OrientedComplex, Simplex
 
 
@@ -143,12 +158,56 @@ def _find_descent(state: OrientedComplex, rng: random.Random, cap: int):
     return None
 
 
+def _eliminate(state: OrientedComplex, v: int, rng: random.Random, cap: int) -> list[BistellarMove] | None:
+    """Moves of the 3-sphere ``state`` that remove v: lifts of a complexity
+    descent of link(v), then the removal of v.  None when v is blocked: no
+    decreasing link move lifts, or the elimination needs more than ``cap``
+    moves."""
+    link = state.link((v,))
+    path: list[BistellarMove] = []
+    while len(link.vertices) > 4:
+        lifts = []
+        for lm in decreasing_moves(link):
+            sig = tuple(sorted(lm.sigma + (v,)))
+            if move_tau(state, sig) == lm.tau:
+                mv = BistellarMove(state, sig, lm.tau, tau_checked=True)
+                lifts.append((_energy_from_degrees(3, mv.result_degrees()), lm, mv))
+        if not lifts:
+            return None
+        top = min(e for e, _, _ in lifts)
+        pool = [(lm, mv) for e, lm, mv in lifts if e == top]
+        lm, mv = pool[rng.randrange(len(pool))]
+        path.append(mv)
+        state, link = mv.result, lm.result
+    tau = move_tau(state, (v,))
+    if tau is None or len(path) >= cap:
+        return None
+    path.append(BistellarMove(state, (v,), tau, tau_checked=True))
+    return path
+
+
+def _eliminate_some_vertex(state: OrientedComplex, rng: random.Random, cap: int) -> list[BistellarMove] | None:
+    """The best elimination among the vertices of lowest degree that are not
+    blocked (fewest moves, then least end energy, then seeded order); None
+    when every vertex is blocked."""
+    order = list(state.vertices)
+    rng.shuffle(order)
+    order.sort(key=state.degrees.__getitem__)
+    for _, group in groupby(order, key=state.degrees.__getitem__):
+        paths = [p for p in (_eliminate(state, v, rng, cap) for v in group) if p is not None]
+        if paths:
+            return min(paths, key=lambda p: (len(p), _energy_from_degrees(3, p[-1].result_degrees())))
+    return None
+
+
 def reduce_to_boundary(L: OrientedComplex, budget: int = 4000, seed: int = 0) -> MoveSequence:
     """A verified move sequence from L's class to the boundary of a simplex.
 
-    Deterministic given the seed.  Raises BudgetExhausted (with the best
-    partial state) if the search does not finish within ``budget`` expanded
-    plateau states.
+    Deterministic given the seed.  A 3-sphere is reduced by vertex
+    elimination, with the plateau search as the fallback when every vertex
+    is blocked.  Raises BudgetExhausted (with the best partial state) if the
+    plateau search does not finish within ``budget`` expanded plateau
+    states; with ``budget`` 0 it is raised before any move.
     """
     n = L.dim
     target_nv = n + 2
@@ -158,7 +217,9 @@ def reduce_to_boundary(L: OrientedComplex, budget: int = 4000, seed: int = 0) ->
     state = rep
     trail: list[tuple[Simplex, Simplex]] = []
     while len(state.vertices) > target_nv:
-        path = _find_descent(state, rng, cap=budget)
+        path = _eliminate_some_vertex(state, rng, budget) if n == 3 else None
+        if path is None:
+            path = _find_descent(state, rng, cap=budget)
         if path is None:
             raise BudgetExhausted(
                 f"reduction plateau cap {budget} exhausted (seed {seed})",

@@ -44,6 +44,19 @@ def perturbed_cp2(seed: int, steps: int = 5) -> OrientedComplex:
     return state
 
 
+def random_three_sphere(rng: random.Random, nverts: int, grow: float = 0.3) -> OrientedComplex:
+    """A random oriented 3-sphere with ``nverts`` vertices: a walk from the
+    boundary of the 4-simplex that subdivides a random facet with
+    probability ``grow`` and otherwise makes a random edge or triangle flip."""
+    state = orient(boundary_of_simplex(4))
+    while len(state.vertices) < nverts:
+        moves = enumerate_moves(state)
+        flips = [m for m in moves if m.k in (1, 2)]
+        pool = flips if flips and rng.random() >= grow else [m for m in moves if m.k == 3]
+        state = apply_move(pool[rng.randrange(len(pool))])
+    return state
+
+
 def random_walk_sphere(rng: random.Random, steps: int = 6, max_cx: Fraction = Fraction(9)) -> OrientedComplex:
     """A random oriented 2-sphere reached by a bounded random walk."""
     state = orient(boundary_of_simplex(3))

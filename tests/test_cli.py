@@ -139,24 +139,6 @@ def test_shared_flag_before_subcommand(capsys, data_dir, flag):
     assert before == after
 
 
-def test_jobs_before_subcommand(capsys, data_dir, monkeypatch):
-    import bistellar.cli as cli
-
-    seen = []
-    real = cli.p1_dual_local
-
-    def spy(*args, **kwargs):
-        seen.append(kwargs["jobs"])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "p1_dual_local", spy)
-    path = str(data_dir / "boundary_delta_5.facets")
-    after = _run(capsys, ["p1", "local", "--jobs", "2", path])
-    before = _run(capsys, ["--jobs", "2", "p1", "local", path])
-    assert before == after
-    assert seen == [2, 2]
-
-
 def test_shared_flag_between_group_and_subcommand(capsys, tmp_path):
     from bistellar.gamma2 import commutation_cycle
     from helpers import icosahedron
@@ -181,23 +163,6 @@ def test_p1_below_dimension_four_is_an_error(capsys, data_dir, procedure):
     code, out = _run(capsys, ["p1", procedure, str(data_dir / "boundary_delta_4.facets")])
     assert code == 1
     assert json.loads(out)["error"] == "DimensionTooSmall"
-
-
-def test_p1_jobs_cache_file_matches_serial(capsys, tmp_path):
-    """--jobs workers send their xi chains back, so the saved cache is the
-    serial one, byte for byte."""
-    from bistellar.simplicial import Complex
-    from helpers import perturbed_cp2
-
-    facets = tmp_path / "k.facets"
-    write_facet_file(str(facets), Complex(perturbed_cp2(0, steps=1).facets))
-    runs = {}
-    for jobs in ("1", "2"):
-        cachep = tmp_path / f"xi{jobs}.json"
-        runs[jobs] = _run(capsys, ["p1", "local", "--jobs", jobs, "--xi-cache", str(cachep), str(facets)])
-    assert runs["1"] == runs["2"] and runs["1"][0] == 0
-    assert (tmp_path / "xi1.json").read_bytes() == (tmp_path / "xi2.json").read_bytes()
-    assert json.loads((tmp_path / "xi2.json").read_text())["xi"]
 
 
 def _write(path, text: str) -> str:
@@ -278,6 +243,17 @@ def test_p1_uses_the_json_orientation(capsys, tmp_path):
     code, out = _run(capsys, ["p1", "local", _cp2_json(tmp_path / "k.json", minus_cp2)])
     assert code == 0
     assert json.loads(out)["p1_number"] == {"num": "-3", "den": "1"}
+
+
+def test_p1_direct_on_a_perturbed_input(capsys, tmp_path):
+    from helpers import perturbed_cp2
+
+    K = perturbed_cp2(0, steps=1)
+    facets = sorted(K.facets)
+    doc = {"facets": [list(f) for f in facets], "orientation": [K.facet_signs[f] for f in facets]}
+    code, out = _run(capsys, ["p1", "direct", _write(tmp_path / "k.json", json.dumps(doc))])
+    assert code == 0
+    assert json.loads(out)["p1_number"] == {"num": "3", "den": "1"}
 
 
 @pytest.mark.parametrize(

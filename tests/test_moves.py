@@ -114,6 +114,41 @@ def test_invalid_move_rejected():
         apply_move(BistellarMove(d3, (0, 1, 2), (3,)))  # stale tau vertex
 
 
+def test_only_moves_of_unchecked_tau_are_validated(monkeypatch):
+    """An enumerated move carries the tau ``move_tau`` just gave it, so
+    applying it computes no second tau; a move built from a caller's
+    (sigma, tau), such as a certificate step, is still checked."""
+    import bistellar.moves as moves
+    from bistellar.reduction import MoveSequence, reduce_to_boundary, replay
+
+    calls = []
+    real = moves.move_tau
+    monkeypatch.setattr(moves, "move_tau", lambda *a, **k: calls.append(a) or real(*a, **k))
+    mv = enumerate_moves(octahedron())[0]
+    calls.clear()
+    apply_move(mv)
+    assert not calls
+    apply_move(BistellarMove(mv.host, mv.sigma, mv.tau))
+    assert len(calls) == 1
+
+    seq = reduce_to_boundary(octahedron())
+    (sig, tau), *rest = seq.moves
+    bad = MoveSequence(seq.start, ((sig, tau + (99,)), *rest), seq.end)
+    with pytest.raises(InvalidMove):
+        replay(bad)
+
+
+def test_edge_key_encodes_class_keys_only_on_a_rank_tie(monkeypatch):
+    from bistellar.canonical import OKey
+
+    calls = []
+    real = OKey.encode
+    monkeypatch.setattr(OKey, "encode", lambda self: calls.append(self) or real(self))
+    # every move of the octahedron changes the complexity
+    assert all(edge_key(mv) for mv in enumerate_moves(octahedron()))
+    assert not calls
+
+
 def test_induced_moves_facet_subdivision():
     d3 = orient(boundary_of_simplex(3))
     mv = [m for m in enumerate_moves(d3) if m.sigma == (0, 1, 2)][0]

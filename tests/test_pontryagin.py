@@ -206,21 +206,9 @@ def test_p1_needs_dimension_four(fn, n):
         fn(orient(boundary_of_simplex(n)), cache=XiCache())
 
 
-def test_p1_jobs_matches_serial_and_keeps_certificates(tmp_path):
-    K = perturbed_cp2(0, steps=1)
-    classes = {min(k, k.mirror()) for k in (okey(K.link((v,))) for v in K.vertices) if k.sign}
-    assert len(classes) >= 2  # the worker pool runs only for two or more classes
-    serial = p1_dual_local(K, cache=XiCache())
-    path = str(tmp_path / "xi.json")
-    cache = XiCache(path)
-    pooled = p1_dual_local(K, cache=cache, jobs=2)
-    assert pooled.terms == serial.terms
-    cache.save()
-    saved = XiCache(path).certs
-    assert all(k in saved or k.mirror() in saved for k in classes)
-    for jobs in (1, 2):
-        with pytest.raises(BudgetExhausted):
-            p1_dual_local(K, budget=0, cache=XiCache(), jobs=jobs)
+def test_p1_budget_zero_is_exhausted():
+    with pytest.raises(BudgetExhausted):
+        p1_dual_local(perturbed_cp2(0, steps=1), budget=0, cache=XiCache())
 
 
 def test_p1_computes_each_mirror_pair_on_its_first_class():
@@ -314,13 +302,34 @@ def test_p1_direct_replays_each_certificate_once(monkeypatch):
     monkeypatch.setattr(pontryagin, "replay", spy)
     chain = p1_dual_direct(orient(cp2_9()), cache=XiCache())
     assert chain.terms == {(v,): Fraction(1, 3) for v in range(9)}
-    assert len(calls) == len(set(calls)) == 4
+    # one 3-sphere certificate and one 2-sphere certificate per mirror pair
+    assert len(calls) == len(set(calls)) == 3
 
 
-def test_cold_p1_bytes_pinned():
-    """Cold local p1 on an asymmetric input keeps its exact bytes: the xi
-    chains and certificates of the saved cache, the whole cache with its eta
-    chains, and the p1 chain, serialized by the shared chain arithmetic."""
+@pytest.mark.parametrize("seed, steps", [(0, 1), (1, 5), (5, 12)])
+def test_p1_direct_matches_local_off_symmetry(seed, steps):
+    """On CP^2 after seeded Pachner moves the two procedures give the same
+    total, and reversing the orientation negates it."""
+    K = perturbed_cp2(seed, steps)
+    cache = XiCache()
+    direct = p1_dual_direct(K, cache=cache)
+    assert direct.is_cycle()
+    assert direct.total() == p1_dual_local(K, cache=cache).total() == 3
+    assert p1_dual_direct(-K, cache=cache).total() == -3
+
+
+def test_p1_direct_is_invariant_under_pachner_moves():
+    rng = random.Random(3)
+    K = perturbed_cp2(2, steps=5)
+    cache = XiCache()
+    for _ in range(3):
+        assert p1_dual_direct(K, cache=cache).total() == 3
+        moves = sorted(enumerate_moves(K), key=lambda m: (m.sigma, m.tau))
+        K = apply_move(moves[rng.randrange(len(moves))])
+    assert p1_dual_direct(K, cache=cache).total() == 3
+
+
+def _cold_p1_digests() -> dict:
     import hashlib
     import json
 
@@ -330,7 +339,22 @@ def test_cold_p1_bytes_pinned():
     cache = XiCache()
     chain = p1_dual_local(perturbed_cp2(0, steps=1), cache=cache)
     saved = cache.to_json()
-    old_sections = {k: saved[k] for k in ("xi", "certificates")}
-    assert digest(old_sections) == "e872f70b2d882ac7854366cf1c6babf9270dfa643cc9d38e92928b0e7885e3ff"
-    assert digest(saved) == "340ed34d15321f9d64b907ac64386cc7a715849eb6b8c1baf9a4e18443442070"
-    assert digest(chain.to_json()) == "c90a152c99b2232cc6af647e96891549572fd2a97fa7194ae52858516711bfae"
+    return {"xi": digest(saved["xi"]), "certificates": digest(saved["certificates"]),
+            "file": digest(saved), "chain": digest(chain.to_json())}
+
+
+def test_cold_p1_chain_and_xi_bytes_pinned():
+    """Cold local p1 on an asymmetric input keeps the exact bytes of its xi
+    chains and of the p1 chain, serialized by the shared chain arithmetic;
+    neither depends on which reduction certificates are found."""
+    got = _cold_p1_digests()
+    assert got["xi"] == "7bd2daddc7552b53f7b3a0095943ba560b68daddc8768b13aa417529a6bf74f9"
+    assert got["chain"] == "c90a152c99b2232cc6af647e96891549572fd2a97fa7194ae52858516711bfae"
+
+
+def test_cold_p1_certificate_bytes_pinned():
+    """The certificates of the saved cache, and the whole file with its eta
+    chains, keep their exact bytes for the default seed."""
+    got = _cold_p1_digests()
+    assert got["certificates"] == "d83bd709720c27763d22aea89ff598712fd7e07ea7c1b03cb0a657e52da39040"
+    assert got["file"] == "569dba3a472190c763c433c1e4b6fc876189496ca50ccfd9c54603d22334f8fc"

@@ -1,11 +1,21 @@
+import random
+
 import pytest
 
+import bistellar.reduction as reduction
 from bistellar.canonical import okey
 from bistellar.errors import BudgetExhausted
 from bistellar.moves import apply_move, enumerate_moves
 from bistellar.reduction import MoveSequence, reduce_to_boundary, replay
 from bistellar.simplicial import boundary_of_simplex, join, orient
-from helpers import icosahedron, octahedron, perturbed_cp2
+from helpers import icosahedron, octahedron, perturbed_cp2, random_three_sphere
+
+
+def _cross_polytope():
+    s0 = boundary_of_simplex(1)
+    four, _, _ = join(s0, s0)
+    cp, _, _ = join(four, four)
+    return orient(cp)
 
 
 def test_boundary_reduces_to_empty_sequence():
@@ -24,10 +34,7 @@ def test_six_vertex_sphere_single_move():
 
 
 def test_cross_polytope_reduction_replays():
-    s0 = boundary_of_simplex(1)
-    four, _, _ = join(s0, s0)
-    cp, _, _ = join(four, four)
-    seq = reduce_to_boundary(orient(cp), seed=3)
+    seq = reduce_to_boundary(_cross_polytope(), seed=3)
     assert len(seq.moves) >= 3
     final, states = replay(seq)
     assert okey(final) == seq.end
@@ -35,10 +42,7 @@ def test_cross_polytope_reduction_replays():
 
 
 def test_determinism_and_seed_variation():
-    s0 = boundary_of_simplex(1)
-    four, _, _ = join(s0, s0)
-    cp, _, _ = join(four, four)
-    ocp = orient(cp)
+    ocp = _cross_polytope()
     assert reduce_to_boundary(ocp, seed=7) == reduce_to_boundary(ocp, seed=7)
     seqs = {reduce_to_boundary(ocp, seed=s).moves for s in range(5)}
     assert len(seqs) >= 2
@@ -67,6 +71,61 @@ def test_certificate_json_round_trip():
 # reduce_to_boundary(...).dumps() of the link of vertex 2 of perturbed_cp2(4):
 # an 11-vertex 3-sphere with a trivial automorphism group, not its own mirror
 PINNED_CERTIFICATES = {
+    0: (
+        '{"end_key": "0;0,1,2,3|0,1,2,4|0,1,3,4|0,2,3,4|1,2,3,4", '
+        '"moves": ['
+        '{"sigma": [1], "tau": [6, 8, 9, 10]}, '
+        '{"sigma": [0], "tau": [2, 7, 9, 10]}, '
+        '{"sigma": [2], "tau": [7, 8, 9, 10]}, '
+        '{"sigma": [3, 10], "tau": [4, 6, 9]}, '
+        '{"sigma": [5, 10], "tau": [6, 7, 8]}, '
+        '{"sigma": [4, 10], "tau": [6, 7, 9]}, '
+        '{"sigma": [10], "tau": [6, 7, 8, 9]}, '
+        '{"sigma": [3, 8], "tau": [4, 5, 7]}, '
+        '{"sigma": [3, 7], "tau": [4, 5, 6]}, '
+        '{"sigma": [3], "tau": [4, 5, 6, 9]}, '
+        '{"sigma": [5, 9], "tau": [4, 6, 8]}, '
+        '{"sigma": [9], "tau": [4, 6, 7, 8]}], "start_key": "+;0,2,7,9|0,2,7,10|'
+        '0,2,9,10|0,7,9,10|1,6,8,9|1,6,8,10|1,6,9,10|1,8,9,10|2,7,8,9|2,7,8,10|'
+        '2,8,9,10|3,4,5,8|3,4,5,9|3,4,6,7|3,4,6,10|3,4,7,8|3,4,9,10|3,5,6,7|'
+        '3,5,6,9|3,5,7,8|3,6,9,10|4,5,8,9|4,6,7,10|4,7,8,9|4,7,9,10|5,6,7,10|'
+        '5,6,8,9|5,6,8,10|5,7,8,10"}'
+    ),
+    1: (
+        '{"end_key": "0;0,1,2,3|0,1,2,4|0,1,3,4|0,2,3,4|1,2,3,4", '
+        '"moves": ['
+        '{"sigma": [1], "tau": [6, 8, 9, 10]}, '
+        '{"sigma": [0], "tau": [2, 7, 9, 10]}, '
+        '{"sigma": [2], "tau": [7, 8, 9, 10]}, '
+        '{"sigma": [4, 5], "tau": [3, 8, 9]}, '
+        '{"sigma": [4, 6], "tau": [3, 7, 10]}, '
+        '{"sigma": [4, 10], "tau": [3, 7, 9]}, '
+        '{"sigma": [4], "tau": [3, 7, 8, 9]}, '
+        '{"sigma": [7, 9], "tau": [3, 8, 10]}, '
+        '{"sigma": [9, 10], "tau": [3, 6, 8]}, '
+        '{"sigma": [9], "tau": [3, 5, 6, 8]}, '
+        '{"sigma": [3, 5], "tau": [6, 7, 8]}, '
+        '{"sigma": [5], "tau": [6, 7, 8, 10]}], "start_key": "+;0,2,7,9|0,2,7,10|'
+        '0,2,9,10|0,7,9,10|1,6,8,9|1,6,8,10|1,6,9,10|1,8,9,10|2,7,8,9|2,7,8,10|'
+        '2,8,9,10|3,4,5,8|3,4,5,9|3,4,6,7|3,4,6,10|3,4,7,8|3,4,9,10|3,5,6,7|'
+        '3,5,6,9|3,5,7,8|3,6,9,10|4,5,8,9|4,6,7,10|4,7,8,9|4,7,9,10|5,6,7,10|'
+        '5,6,8,9|5,6,8,10|5,7,8,10"}'
+    ),
+}
+
+
+def test_certificate_bytes_pinned():
+    """Certificates on an asymmetric link keep their exact bytes: the
+    elimination order, the seeded choice of each lifted move and the
+    orientation transport of every applied move all feed them."""
+    link = perturbed_cp2(seed=4).link((2,))
+    for seed, expected in PINNED_CERTIFICATES.items():
+        assert reduce_to_boundary(link, seed=seed).dumps() == expected
+
+
+# the same link reduced by the plateau search alone, as every 3-sphere was
+# before vertex elimination
+PINNED_PLATEAU_CERTIFICATES = {
     0: (
         '{"end_key": "0;0,1,2,3|0,1,2,4|0,1,3,4|0,2,3,4|1,2,3,4", '
         '"moves": ['
@@ -110,10 +169,69 @@ PINNED_CERTIFICATES = {
 }
 
 
-def test_certificate_bytes_pinned():
-    """Certificates on an asymmetric link keep their exact bytes: the plateau
-    search, its class deduplication and the orientation transport of every
-    applied move all feed them."""
+
+def test_plateau_certificate_bytes_pinned(monkeypatch):
+    """The fallback search keeps its exact bytes: its class deduplication and
+    seeded plateau walks feed them."""
+    monkeypatch.setattr(reduction, "_eliminate_some_vertex", lambda state, rng, cap: None)
     link = perturbed_cp2(seed=4).link((2,))
-    for seed, expected in PINNED_CERTIFICATES.items():
+    for seed, expected in PINNED_PLATEAU_CERTIFICATES.items():
         assert reduce_to_boundary(link, seed=seed).dumps() == expected
+
+
+def _spy(monkeypatch, name: str) -> list:
+    calls = []
+    real = getattr(reduction, name)
+    monkeypatch.setattr(reduction, name, lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("seed, nverts", [(0, 16), (1, 22), (2, 28), (3, 34), (4, 40)])
+def test_random_three_spheres_reduce_by_elimination_alone(monkeypatch, seed, nverts):
+    K = random_three_sphere(random.Random(seed), nverts)
+    fallback = _spy(monkeypatch, "_find_descent")
+    seq = reduce_to_boundary(K, seed=seed)
+    assert not fallback
+    final, _ = replay(seq)
+    assert len(final.vertices) == 5 and seq.end == okey(orient(boundary_of_simplex(4)))
+
+
+def test_blocked_vertices_fall_back_to_the_plateau_search(monkeypatch):
+    monkeypatch.setattr(reduction, "_eliminate", lambda state, v, rng, cap: None)
+    fallback = _spy(monkeypatch, "_find_descent")
+    for K in (_cross_polytope(), random_three_sphere(random.Random(5), 10)):
+        seq = reduce_to_boundary(K, seed=1)
+        final, _ = replay(seq)
+        assert len(final.vertices) == 5
+    assert fallback
+
+
+def test_tracked_link_is_the_vertex_link(monkeypatch):
+    """Each link state of an elimination is the oriented link of v in the
+    3-sphere state its move lifts to; v goes once its link is a
+    tetrahedron boundary."""
+    K = random_three_sphere(random.Random(7), 14)
+    links = _spy(monkeypatch, "decreasing_moves")
+    rng = random.Random(0)
+    eliminated = 0
+    for v in K.vertices:
+        links.clear()
+        path = reduction._eliminate(K, v, rng, cap=100)
+        if path is None:
+            continue
+        eliminated += 1
+        assert [(L,) for L in (mv.host.link((v,)) for mv in path[:-1])] == links
+        last = path[-1]
+        assert last.sigma == (v,) and last.tau == last.host.link((v,)).vertices and len(last.tau) == 4
+        assert v not in last.result.vertices
+    assert eliminated >= len(K.vertices) // 2
+
+
+def test_budget_binds_elimination():
+    cp = _cross_polytope()  # every vertex link is an octahedron: 3 flips and the removal
+    with pytest.raises(BudgetExhausted) as exc:
+        reduce_to_boundary(cp, budget=0)
+    assert exc.value.moves_done == [] and len(exc.value.best_state.vertices) == 8
+    with pytest.raises(BudgetExhausted):
+        reduce_to_boundary(cp, budget=1)
+    assert len(reduce_to_boundary(cp).moves) >= 4

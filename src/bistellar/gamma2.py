@@ -138,7 +138,7 @@ class Gamma2Chain(Chain):
         """Image under orientation reversal of all spheres."""
         out = Gamma2Chain()
         for k, c in self.terms.items():
-            mv = _materialize_cached(k)
+            mv = materialize_edge(k)
             out.add_move(BistellarMove(-mv.host, mv.sigma, mv.tau), c)
         return out
 
@@ -148,11 +148,6 @@ class Gamma2Chain(Chain):
         for enc, num, den in data:
             out.add(GammaEdgeKey.decode(enc), Fraction(int(num), int(den)))
         return out
-
-
-@functools.cache
-def _materialize_cached(key: GammaEdgeKey) -> BistellarMove:
-    return materialize_edge(key)
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,17 @@ class BistellarMove:
         """The complex after the move (validated), built once."""
         return apply_move(self)
 
+    @functools.cached_property
+    def edge(self) -> SignedEdge | None:
+        """The signed Gamma_n edge (``edge_key``), computed once."""
+        return edge_key(self)
+
+    @functools.cached_property
+    def result_class(self) -> tuple[OKey, dict[int, int]]:
+        """The class of the result and a designated labelling of the result
+        onto that class's representative, computed once."""
+        return okey(self.result), designated_labelings(self.result)[0]
+
     @property
     def removed(self) -> tuple[tuple[Simplex, int], ...]:
         """The facets of sigma * d(tau), each with its sign in d(D)."""
@@ -316,13 +327,28 @@ def edge_key(move: BistellarMove) -> SignedEdge | None:
     return SignedEdge(GammaEdgeKey(head_key, tail_key, enc_bwd), -1)
 
 
+@functools.cache
+def _rep_moves(key: OKey) -> tuple[OrientedComplex, dict[Simplex, BistellarMove]]:
+    """The representative of a class and the moves made on it so far."""
+    return materialize(key), {}
+
+
+def rep_move(key: OKey, sigma: Simplex) -> BistellarMove:
+    """The move at ``sigma`` (ascending) on ``materialize(key)``, built once
+    per process; the moves of one class share one host."""
+    host, made = _rep_moves(key)
+    mv = made.get(sigma)
+    if mv is None:
+        tau = move_tau(host, sigma)
+        if tau is None:
+            raise InvalidMove(f"no move at {sigma} on {key.encode()[:40]}...")
+        mv = made[sigma] = BistellarMove(host, sigma, tau, tau_checked=True)
+    return mv
+
+
 def materialize_edge(key: GammaEdgeKey) -> BistellarMove:
     """A concrete move realizing the edge in its canonical direction."""
-    host = materialize(key.tail)
-    tau = move_tau(host, key.orbit)
-    if tau is None:
-        raise InvalidMove(f"edge {key.encode()} carries no move")
-    return BistellarMove(host, key.orbit, tau, tau_checked=True)
+    return rep_move(key.tail, key.orbit)
 
 
 def move_from_endpoint(key: GammaEdgeKey, endpoint: str) -> BistellarMove:
@@ -335,7 +361,5 @@ def move_from_endpoint(key: GammaEdgeKey, endpoint: str) -> BistellarMove:
     mv = materialize_edge(key)
     if endpoint == "tail":
         return mv
-    rep = materialize(key.head)
-    lab = designated_labelings(mv.result)[0]
-    sig_new = tuple(sorted(lab[v] for v in mv.tau))
-    return BistellarMove(rep, sig_new, move_tau(rep, sig_new))
+    lab = mv.result_class[1]
+    return rep_move(key.head, tuple(sorted(lab[v] for v in mv.tau)))

@@ -24,10 +24,10 @@ import json
 import os
 from fractions import Fraction
 
-from .canonical import OKey, materialize, okey
+from .canonical import OKey, designated_labelings, materialize, okey
 from .errors import DimensionTooSmall, InvalidMove, MalformedInput, NotACycle, parsing
 from .gamma2 import Gamma2Chain, c_of_cycle, decreasing_moves
-from .moves import BistellarMove, induced_vertex_moves, is_inessential
+from .moves import BistellarMove, is_inessential, rep_move, u_set
 from .reduction import MoveSequence, reduce_to_boundary, replay
 from .simplicial import OrientedComplex, boundary_of_simplex, orient
 from .talgebra import LocalCochain, SimplicialChain, f_sharp
@@ -100,17 +100,13 @@ class XiCache:
 
     def eta(self, cert: MoveSequence) -> Gamma2Chain:
         """Sum of the induced vertex-move edges along a reduction certificate
-        of a 3-sphere class toward the 4-simplex boundary.  A loaded chain is
-        returned once its certificate replays; a failed replay raises each
-        time it is asked for."""
+        of a 3-sphere class toward the 4-simplex boundary, carried along the
+        certificate by ``_carry_eta``.  A loaded chain is returned once its
+        certificate replays; a failed replay raises each time it is asked
+        for."""
         hit = self._eta.get(cert)
         if hit is None:
-            hit = Gamma2Chain()
-            for mv in _cert_moves(cert):
-                for _, sub in induced_vertex_moves(mv):
-                    if sub is not None:
-                        hit.add_move(sub)
-            self._eta[cert] = hit
+            hit = self._eta[cert] = _carry_eta(cert)
         elif cert in self._unreplayed:
             replay(cert)
             self._unreplayed.discard(cert)
@@ -131,19 +127,47 @@ class XiCache:
             if rep != key:
                 hit = self.red2(rep, budget=budget, seed=seed).mirror()
             else:
-                hit = Gamma2Chain()
-                for mv in _cert_moves(self.certificate(key, budget=budget, seed=seed)):
-                    hit.add_move(mv)
+                hit, cert = Gamma2Chain(), self.certificate(key, budget=budget, seed=seed)
+                for state, move in zip(replay(cert)[1], cert.moves):
+                    hit.add_move(BistellarMove(state, *move))
                 if key.sign == 0:
                     hit = hit.scaled(Fraction(1, 2)).plus(hit.mirror(), Fraction(1, 2))
             self._red2[key] = hit
         return hit
 
 
-def _cert_moves(cert: MoveSequence) -> list[BistellarMove]:
-    """The moves of a certificate, each on the state it applies to."""
+def _carry_eta(cert: MoveSequence) -> Gamma2Chain:
+    """The edges of the induced vertex moves along a replayed certificate,
+    read off moves on class representatives (``moves.rep_move``).
+
+    Each vertex u keeps the class of its link and a labelling of the link
+    onto the class representative, taken from its own link when u is first
+    used.  A move changing lk(u) maps through the labelling to a move on the
+    representative, whose result labelling composes with it: a removal in
+    the link drops sigma's vertex, and a subdivision sends tau's vertex to
+    the representative's fresh one.  No concrete link is labelled again.
+    """
     _, states = replay(cert)
-    return [BistellarMove(states[i], sig, tau) for i, (sig, tau) in enumerate(cert.moves)]
+    out = Gamma2Chain()
+    links: dict[int, tuple[OKey, dict[int, int]]] = {}
+    for state, (sig, tau) in zip(states, cert.moves):
+        for u in u_set(BistellarMove(state, sig, tau)):
+            if u not in links:
+                lk = state.link((u,))
+                links[u] = okey(lk), designated_labelings(lk)[0]
+            key, lab = links[u]
+            s, t = (tuple(x for x in m if x != u) for m in (sig, tau))
+            mv = rep_move(key, tuple(sorted(lab[x] for x in s)))
+            if mv.edge is not None:
+                out.add(mv.edge.key, mv.edge.sign)
+            head, after = mv.result_class
+            lab = {x: after[y] for x, y in lab.items() if y in after}
+            if len(t) == 1:
+                lab[t[0]] = after[mv.tau[0]]
+            links[u] = head, lab
+        if len(sig) == 1:
+            links.pop(sig[0], None)
+    return out
 
 
 @functools.cache

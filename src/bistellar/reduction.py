@@ -6,11 +6,11 @@ complexity-decreasing move (``gamma2.decreasing_moves``).  Each link move
 (sigma', tau') lifts to the move (sigma' + v, tau') of the 3-sphere, whose
 induced move at v is the link move itself; the lift is valid iff tau' is not
 a face of the 3-sphere.  Once the link is the boundary of a tetrahedron, the
-move ((v), link vertices) removes v.  The vertices of lowest degree are tried
-in seeded order, each lift is the one of least energy (sum of squared vertex
-degrees) with seeded ties, and the elimination with the fewest moves, then
-the least end energy, is taken.  A vertex is blocked when no decreasing link
-move lifts or when its elimination needs more than ``budget`` moves.
+move ((v), link vertices) removes v.  The vertices are tried in seeded order
+of ascending degree, each lift is the one of least energy (sum of squared
+vertex degrees) with seeded ties, and the first unblocked vertex is
+eliminated.  A vertex is blocked when no decreasing link move lifts or when
+its elimination needs more than ``budget`` moves.
 
 2-spheres, 4-spheres and a 3-sphere whose vertices are all blocked use
 greedy descent on (vertex count, for 2-spheres the complexity, sum of
@@ -31,7 +31,7 @@ import json
 import random
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import chain, combinations, groupby, repeat
+from itertools import chain, combinations, repeat
 
 from .canonical import OKey, materialize, okey, ukey
 from .errors import BudgetExhausted
@@ -187,17 +187,12 @@ def _eliminate(state: OrientedComplex, v: int, rng: random.Random, cap: int) -> 
 
 
 def _eliminate_some_vertex(state: OrientedComplex, rng: random.Random, cap: int) -> list[BistellarMove] | None:
-    """The best elimination among the vertices of lowest degree that are not
-    blocked (fewest moves, then least end energy, then seeded order); None
-    when every vertex is blocked."""
+    """The elimination of the first vertex, in seeded order of ascending
+    degree, that is not blocked; None when every vertex is blocked."""
     order = list(state.vertices)
     rng.shuffle(order)
     order.sort(key=state.degrees.__getitem__)
-    for _, group in groupby(order, key=state.degrees.__getitem__):
-        paths = [p for p in (_eliminate(state, v, rng, cap) for v in group) if p is not None]
-        if paths:
-            return min(paths, key=lambda p: (len(p), _energy_from_degrees(3, p[-1].result_degrees())))
-    return None
+    return next(filter(None, (_eliminate(state, v, rng, cap) for v in order)), None)
 
 
 def reduce_to_boundary(L: OrientedComplex, budget: int = 4000, seed: int = 0) -> MoveSequence:

@@ -5,10 +5,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from bistellar.canonical import okey
+from bistellar.canonical import materialize, okey
 from bistellar.gamma2 import Gamma2Chain, sphere_complexity
 from bistellar.library import cp2_9
-from bistellar.moves import apply_move, enumerate_moves
+from bistellar.moves import BistellarMove, apply_move, enumerate_moves, induced_vertex_moves
+from bistellar.reduction import MoveSequence, replay
 from bistellar.simplicial import OrientedComplex, boundary_of_simplex, build_complex, orient
 
 
@@ -106,3 +107,49 @@ def random_loop_cycle(
             return chain if chain.terms else None
         seen[k] = len(edges)
     return None
+
+
+def eta_oracle(cert: MoveSequence) -> Gamma2Chain:
+    """The eta chain of a certificate by its definition: the Gamma_2 edges
+    of the induced vertex moves of every move, each on its replayed state."""
+    _, states = replay(cert)
+    out = Gamma2Chain()
+    for state, (sig, tau) in zip(states, cert.moves):
+        for _, sub in induced_vertex_moves(BistellarMove(state, sig, tau)):
+            out.add_move(sub)
+    return out
+
+
+def _step(state: OrientedComplex, moves: list, rng: random.Random, size: int, keep=lambda mv: True):
+    """Make a random move whose sigma has ``size`` vertices and passes ``keep``."""
+    pool = [mv for mv in enumerate_moves(state) if len(mv.sigma) == size and keep(mv)]
+    mv = pool[rng.randrange(len(pool))]
+    moves.append((mv.sigma, mv.tau))
+    return mv.result
+
+
+def walk_certificate(rng: random.Random, nverts: int = 10) -> MoveSequence:
+    """A 12-move certificate on a random 3-sphere with all four move kinds.
+
+    Three random flips, (2,3) or (3,2); a subdivision adds f; a second one
+    inside the star of f adds g, and g and then f are removed; the next
+    subdivision takes f's id for its new vertex, and one more subdivision
+    changes that vertex's link; then three more flips."""
+    start = materialize(okey(random_three_sphere(rng, nverts)))
+    flips = [2, 3] * 3
+    rng.shuffle(flips)
+    state, moves = start, []
+    for size in flips[:3]:
+        state = _step(state, moves, rng, size)
+    state = _step(state, moves, rng, 4)
+    f = moves[-1][1][0]
+    state = _step(state, moves, rng, 4, lambda mv: f in mv.sigma)
+    g = moves[-1][1][0]
+    for v in (g, f):
+        state = _step(state, moves, rng, 1, lambda mv: mv.sigma == (v,))
+    state = _step(state, moves, rng, 4)
+    assert moves[-1][1] == (f,)
+    state = _step(state, moves, rng, 4, lambda mv: f in mv.sigma)
+    for size in flips[3:]:
+        state = _step(state, moves, rng, size)
+    return MoveSequence(okey(start), tuple(moves), okey(state))

@@ -11,7 +11,7 @@ from bistellar.moves import apply_move, enumerate_moves, inverse_move, materiali
 from bistellar.pontryagin import XiCache, h_value, local_f, p1_dual_direct, p1_dual_local, p1_number, xi_chain
 from bistellar.reduction import MoveSequence, reduce_to_boundary
 from bistellar.simplicial import boundary_of_simplex, build_complex, orient
-from helpers import octahedron, perturbed_cp2, random_loop_cycle, random_walk_sphere
+from helpers import eta_oracle, octahedron, perturbed_cp2, random_loop_cycle, random_walk_sphere, walk_certificate
 
 
 def test_xi_tetrahedron_is_zero():
@@ -238,7 +238,7 @@ def test_memo_tables_never_change_an_answer():
     mods = [m for n, m in list(sys.modules.items()) if n == "bistellar" or n.startswith("bistellar.")]
     tables = {id(o): o for m in mods for o in vars(m).values() if hasattr(o, "cache_clear")}.values()
     assert {t.__name__ for t in tables} >= {
-        "_ucanon", "_ocanon", "_rep_signs", "complexity_of_key", "_materialize_cached", "_d3_key",
+        "_ucanon", "_ocanon", "_rep_signs", "complexity_of_key", "_rep_moves", "_d3_key",
         "_commute", "_edge_order", "_decode_okey",
     }
     assert all(t.cache_info().currsize for t in tables)
@@ -249,10 +249,30 @@ def test_memo_tables_never_change_an_answer():
     assert cold.to_json() == warm.to_json()
 
 
+def test_readme_names_every_memo_table():
+    import importlib
+    import pathlib
+    import pkgutil
+    import re
+
+    import bistellar
+
+    modules = [info.name for info in pkgutil.iter_modules(bistellar.__path__)]
+    found = set()
+    for name in modules:
+        mod = importlib.import_module(f"bistellar.{name}")
+        found |= {f"{name}.{attr}" for attr, obj in vars(mod).items()
+                  if hasattr(obj, "cache_info") and obj.__module__ == mod.__name__}
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    paragraph = next(p for p in readme.split("\n\n") if "functools.cache" in p)
+    named = {n for n in re.findall(r"`(\w+\.\w+)`", paragraph) if n.split(".")[0] in modules}
+    assert named == found
+
+
 def test_warm_p1_reads_eta_from_the_file(tmp_path, monkeypatch):
-    """Warm local p1 on a saved cache keys no induced vertex move and
-    replays each certificate once, and gives the cold chain; a file without
-    the eta section gives the same chain and gains the section when saved."""
+    """Warm local p1 on a saved cache builds no eta chain, replays each
+    certificate once and gives the cold chain; a file without the eta
+    section gives the same chain and gains the section when saved."""
     import json
 
     import bistellar.pontryagin as pontryagin
@@ -270,18 +290,18 @@ def test_warm_p1_reads_eta_from_the_file(tmp_path, monkeypatch):
     with open(old_format, "w") as fh:
         json.dump(data, fh)
 
-    induced, replays = [], []
-    real_induced, real_replay = pontryagin.induced_vertex_moves, pontryagin.replay
-    monkeypatch.setattr(pontryagin, "induced_vertex_moves", lambda mv: induced.append(mv) or real_induced(mv))
+    built, replays = [], []
+    real_build, real_replay = pontryagin._carry_eta, pontryagin.replay
+    monkeypatch.setattr(pontryagin, "_carry_eta", lambda seq: built.append(seq) or real_build(seq))
     monkeypatch.setattr(pontryagin, "replay", lambda seq: replays.append(seq) or real_replay(seq))
     warm = XiCache(path)
     assert p1_dual_local(K, cache=warm).terms == chain.terms
-    assert not induced
+    assert not built
     assert sorted(map(MoveSequence.dumps, replays)) == sorted(map(MoveSequence.dumps, warm.certs.values()))
 
     old = XiCache(old_format)
     assert p1_dual_local(K, cache=old).terms == chain.terms
-    assert induced
+    assert built
     old.save()
     with open(old_format) as fh, open(path) as want:
         assert json.load(fh) == json.load(want)
@@ -329,6 +349,35 @@ def test_p1_direct_is_invariant_under_pachner_moves():
     assert p1_dual_direct(K, cache=cache).total() == 3
 
 
+@pytest.mark.parametrize("seed, steps", [(1, 5), (4, 12)])
+def test_eta_of_every_cold_certificate_is_its_definition(seed, steps):
+    cache = XiCache()
+    p1_dual_local(perturbed_cp2(seed, steps), cache=cache)
+    assert len(cache.certs) >= 4
+    for cert in cache.certs.values():
+        assert cache.eta(cert) == eta_oracle(cert)
+
+
+def test_eta_of_plateau_certificates_is_its_definition(monkeypatch):
+    from bistellar import reduction
+
+    monkeypatch.setattr(reduction, "_eliminate_some_vertex", lambda state, rng, cap: None)
+    K = perturbed_cp2(0, steps=1)
+    cache = XiCache()
+    for v in K.vertices:
+        cert = cache.certificate(okey(K.link((v,))))
+        assert cache.eta(cert) == eta_oracle(cert)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_eta_along_random_walks_is_its_definition(seed):
+    """Walks with all four kinds of 3-sphere move, where a removed vertex's
+    id comes back as a new vertex whose link then changes."""
+    cert = walk_certificate(random.Random(seed))
+    assert len(cert.moves) == 12 and {len(s) for s, _ in cert.moves} == {1, 2, 3, 4}
+    assert XiCache().eta(cert) == eta_oracle(cert)
+
+
 def _cold_p1_digests() -> dict:
     import hashlib
     import json
@@ -356,5 +405,5 @@ def test_cold_p1_certificate_bytes_pinned():
     """The certificates of the saved cache, and the whole file with its eta
     chains, keep their exact bytes for the default seed."""
     got = _cold_p1_digests()
-    assert got["certificates"] == "d83bd709720c27763d22aea89ff598712fd7e07ea7c1b03cb0a657e52da39040"
-    assert got["file"] == "569dba3a472190c763c433c1e4b6fc876189496ca50ccfd9c54603d22334f8fc"
+    assert got["certificates"] == "a1b591c6ca1369ab04025f328eea261c1ff2e11f71430b22b36025dfe6bcde93"
+    assert got["file"] == "b5378c83c798591b15f7b38dc1d2436d7eb283faabfc3b14be3a69259f2a1bee"

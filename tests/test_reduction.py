@@ -82,10 +82,10 @@ PINNED_CERTIFICATES = {
         '{"sigma": [4, 10], "tau": [6, 7, 9]}, '
         '{"sigma": [10], "tau": [6, 7, 8, 9]}, '
         '{"sigma": [3, 8], "tau": [4, 5, 7]}, '
+        '{"sigma": [6, 8], "tau": [5, 7, 9]}, '
+        '{"sigma": [8], "tau": [4, 5, 7, 9]}, '
         '{"sigma": [3, 7], "tau": [4, 5, 6]}, '
-        '{"sigma": [3], "tau": [4, 5, 6, 9]}, '
-        '{"sigma": [5, 9], "tau": [4, 6, 8]}, '
-        '{"sigma": [9], "tau": [4, 6, 7, 8]}], "start_key": "+;0,2,7,9|0,2,7,10|'
+        '{"sigma": [3], "tau": [4, 5, 6, 9]}], "start_key": "+;0,2,7,9|0,2,7,10|'
         '0,2,9,10|0,7,9,10|1,6,8,9|1,6,8,10|1,6,9,10|1,8,9,10|2,7,8,9|2,7,8,10|'
         '2,8,9,10|3,4,5,8|3,4,5,9|3,4,6,7|3,4,6,10|3,4,7,8|3,4,9,10|3,5,6,7|'
         '3,5,6,9|3,5,7,8|3,6,9,10|4,5,8,9|4,6,7,10|4,7,8,9|4,7,9,10|5,6,7,10|'
@@ -94,18 +94,18 @@ PINNED_CERTIFICATES = {
     1: (
         '{"end_key": "0;0,1,2,3|0,1,2,4|0,1,3,4|0,2,3,4|1,2,3,4", '
         '"moves": ['
-        '{"sigma": [1], "tau": [6, 8, 9, 10]}, '
         '{"sigma": [0], "tau": [2, 7, 9, 10]}, '
         '{"sigma": [2], "tau": [7, 8, 9, 10]}, '
+        '{"sigma": [1], "tau": [6, 8, 9, 10]}, '
         '{"sigma": [4, 5], "tau": [3, 8, 9]}, '
         '{"sigma": [4, 6], "tau": [3, 7, 10]}, '
         '{"sigma": [4, 10], "tau": [3, 7, 9]}, '
         '{"sigma": [4], "tau": [3, 7, 8, 9]}, '
-        '{"sigma": [7, 9], "tau": [3, 8, 10]}, '
-        '{"sigma": [9, 10], "tau": [3, 6, 8]}, '
-        '{"sigma": [9], "tau": [3, 5, 6, 8]}, '
-        '{"sigma": [3, 5], "tau": [6, 7, 8]}, '
-        '{"sigma": [5], "tau": [6, 7, 8, 10]}], "start_key": "+;0,2,7,9|0,2,7,10|'
+        '{"sigma": [3, 8], "tau": [5, 7, 9]}, '
+        '{"sigma": [6, 8], "tau": [5, 9, 10]}, '
+        '{"sigma": [8], "tau": [5, 7, 9, 10]}, '
+        '{"sigma": [6, 7], "tau": [3, 5, 10]}, '
+        '{"sigma": [6], "tau": [3, 5, 9, 10]}], "start_key": "+;0,2,7,9|0,2,7,10|'
         '0,2,9,10|0,7,9,10|1,6,8,9|1,6,8,10|1,6,9,10|1,8,9,10|2,7,8,9|2,7,8,10|'
         '2,8,9,10|3,4,5,8|3,4,5,9|3,4,6,7|3,4,6,10|3,4,7,8|3,4,9,10|3,5,6,7|'
         '3,5,6,9|3,5,7,8|3,6,9,10|4,5,8,9|4,6,7,10|4,7,8,9|4,7,9,10|5,6,7,10|'

@@ -32,7 +32,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from typing import Collection, NamedTuple
 
-from .canonical import OKey, designated_labelings, marked_encoding, materialize, okey, oriented_canon
+from .canonical import OKey, designated_labelings, marked_encoding, materialize, okey
 from .errors import InvalidMove, SphereCheckFailed
 from .simplicial import Complex, OrientedComplex, Simplex, faces, orient, perm_parity
 
@@ -301,11 +301,7 @@ def _endpoint_rank(key: OKey) -> int:
 def is_inessential(move: BistellarMove) -> bool:
     """True iff some orientation-preserving isomorphism host -> result maps
     sigma to tau."""
-    result = move.result
-    a, b = oriented_canon(move.host), oriented_canon(result)
-    if a.okey != b.okey:
-        return False
-    return marked_encoding(move.host, move.sigma) == marked_encoding(result, move.tau)
+    return move.edge is None
 
 
 def edge_key(move: BistellarMove) -> SignedEdge | None:

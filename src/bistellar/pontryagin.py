@@ -5,7 +5,9 @@ reduction sequences:
 
 * ``xi_chain``: for every oriented 2-sphere class a rational 1-chain in the
   move graph with boundary {L} - {boundary of the tetrahedron}, defined by
-  averaging over all complexity-decreasing moves;
+  averaging over all complexity-decreasing moves (``_descent``, whose
+  other branch follows one such move per class and gives the direct
+  procedure its one descent path per 2-sphere class);
 * ``h_value``: the cocycle representative h({beta}) = <c, {beta} + xi_tail
   - xi_head>;
 * ``local_f``: the universal local formula on oriented 3-sphere classes,
@@ -13,7 +15,7 @@ reduction sequences:
   moves, and the xi-corrections of the vertex links;
 * ``p1_dual_local`` / ``p1_dual_direct``: the Poincare-dual cycle of the
   first Pontryagin class, by the local formula or by the per-simplex
-  procedure that skips the xi recursion;
+  procedure, which uses descent paths in place of xi;
 * ``sw_duals`` lives in :mod:`bistellar.sw` as the mod-2 companion.
 """
 
@@ -25,7 +27,7 @@ import os
 from fractions import Fraction
 
 from .canonical import OKey, designated_labelings, materialize, okey
-from .errors import DimensionTooSmall, InvalidMove, MalformedInput, NotACycle, parsing
+from .errors import DimensionTooSmall, InvalidMove, MalformedInput, NotACycle, SphereCheckFailed, parsing
 from .gamma2 import Gamma2Chain, c_of_cycle, decreasing_moves
 from .moves import BistellarMove, is_inessential, rep_move, u_set
 from .reduction import MoveSequence, reduce_to_boundary, replay
@@ -42,7 +44,8 @@ class XiCache:
     one representative per unoriented class is ever computed.  The file
     keeps eta under the class of its certificate; a loaded eta is keyed by
     the certificate read with it and is used only after that certificate
-    has replayed to its recorded end key.
+    has replayed to its recorded end key.  ``paths`` holds the descent
+    paths of the direct procedure in memory only; they are not saved.
     """
 
     def __init__(self, path: str | None = None):
@@ -51,7 +54,7 @@ class XiCache:
         self.certs: dict[OKey, MoveSequence] = {}
         self._eta: dict[MoveSequence, Gamma2Chain] = {}
         self._unreplayed: set[MoveSequence] = set()  # certificates of loaded eta chains
-        self._red2: dict[OKey, Gamma2Chain] = {}
+        self.paths: dict[OKey, Gamma2Chain] = {}
         if path and os.path.exists(path):
             self.load(path)
 
@@ -112,29 +115,6 @@ class XiCache:
             self._unreplayed.discard(cert)
         return hit
 
-    def red2(self, key: OKey, budget: int = 4000, seed: int = 0) -> Gamma2Chain:
-        """The reduction chain of a 2-sphere class that the direct procedure
-        uses: the edges of a reduction certificate.
-
-        One certificate serves a mirror pair: it reduces the pair's first
-        class in ``OKey.encode`` order, and the other class takes the mirror
-        of its chain.  An achiral class takes the mean of the chain and its
-        mirror, so both sides of its codimension-3 simplices agree.
-        """
-        hit = self._red2.get(key)
-        if hit is None:
-            rep = min(key, key.mirror(), key=OKey.encode)
-            if rep != key:
-                hit = self.red2(rep, budget=budget, seed=seed).mirror()
-            else:
-                hit, cert = Gamma2Chain(), self.certificate(key, budget=budget, seed=seed)
-                for state, move in zip(replay(cert)[1], cert.moves):
-                    hit.add_move(BistellarMove(state, *move))
-                if key.sign == 0:
-                    hit = hit.scaled(Fraction(1, 2)).plus(hit.mirror(), Fraction(1, 2))
-            self._red2[key] = hit
-        return hit
-
 
 def _carry_eta(cert: MoveSequence) -> Gamma2Chain:
     """The edges of the induced vertex moves along a replayed certificate,
@@ -184,33 +164,47 @@ def xi_chain(L: OrientedComplex | OKey, cache: XiCache | None = None) -> Gamma2C
     """
     cache = cache if cache is not None else XiCache()
     key = L if isinstance(L, OKey) else okey(L)
-    return _xi(key, cache)
+    return _descent(key, cache.chains, average=True)
 
 
-def _xi(key: OKey, cache: XiCache) -> Gamma2Chain:
-    hit = cache.chains.get(key)
+def _descent(key: OKey, table: dict[OKey, Gamma2Chain], average: bool) -> Gamma2Chain:
+    """A chain with boundary {L} - {tetrahedron} for the 2-sphere class
+    ``key``, built by descending complexity and memoized in ``table``.
+
+    ``average=True`` gives xi: the mean over every complexity-decreasing
+    move of the representative.  ``average=False`` gives the descent path
+    of the direct procedure: it follows the representative's first
+    decreasing move in ``enumerate_moves`` order, and an achiral class
+    takes the mean of its path and the path's mirror, so both sides of a
+    codimension-3 simplex agree.  Complexity strictly decreases at every
+    step, so neither needs a budget.  A mirrored class gets the mirror of
+    its representative's chain.
+    """
+    _need_dim(key.dim(), 2, "a descent to the tetrahedron")
+    hit = table.get(key)
     if hit is not None:
         return hit
-    rep_key = min(key, key.mirror(), key=lambda k: k.encode())
+    rep_key, d3 = min(key, key.mirror(), key=OKey.encode), _d3_key()
     if rep_key != key:
-        out = _xi(rep_key, cache).mirror()
-    elif key == _d3_key():
+        out = _descent(rep_key, table, average).mirror()
+    elif key == d3:
         out = Gamma2Chain()
     else:
-        L = materialize(key)
-        moves = decreasing_moves(L)
-        assert moves, "a 2-sphere above the tetrahedron always has a decreasing move"
+        moves = decreasing_moves(materialize(key))
+        if not moves:
+            raise SphereCheckFailed(f"no complexity-decreasing move on {key.encode()[:40]}...: not a 2-sphere")
+        if not average:
+            moves = moves[:1]
         r = Fraction(1, len(moves))
         out = Gamma2Chain()
         for mv in moves:
-            out = out.plus(_xi(okey(mv.result), cache), r).add_move(mv, -r)
-    bnd = out.boundary()
-    want: dict[OKey, Fraction] = {}
-    if key != _d3_key():
-        want = {key: Fraction(1), _d3_key(): Fraction(-1)}
-    if bnd != want:
-        raise NotACycle(f"xi boundary invariant failed for {key.encode()[:40]}...")
-    cache.chains[key] = out
+            out = out.plus(_descent(okey(mv.result), table, average), r).add_move(mv, -r)
+        if not average and key.sign == 0:
+            out = out.scaled(Fraction(1, 2)).plus(out.mirror(), Fraction(1, 2))
+    want = {} if key == d3 else {key: Fraction(1), d3: Fraction(-1)}
+    if out.boundary() != want:
+        raise NotACycle(f"descent boundary invariant failed for {key.encode()[:40]}...")
+    table[key] = out
     return out
 
 
@@ -220,8 +214,8 @@ def h_value(move: BistellarMove, cache: XiCache | None = None) -> Fraction:
     if is_inessential(move):
         raise InvalidMove("h is defined on essential moves")
     arg = Gamma2Chain().add_move(move)
-    arg = arg.plus(_xi(okey(move.host), cache), 1)
-    arg = arg.plus(_xi(okey(move.result), cache), -1)
+    arg = arg.plus(_descent(okey(move.host), cache.chains, average=True), 1)
+    arg = arg.plus(_descent(okey(move.result), cache.chains, average=True), -1)
     if not arg.is_cycle():
         raise NotACycle("h argument chain is not a cycle")
     return c_of_cycle(arg)
@@ -242,6 +236,7 @@ def local_f(
     the resulting cycle is evaluated against the catalogue.  The value is
     independent of the sequence found (tested, not assumed).
     """
+    _need_dim(L.dim, 3, "the local formula")
     cache = cache if cache is not None else XiCache()
     key = okey(L)
     if certificate is None:
@@ -252,10 +247,16 @@ def local_f(
     zeta = cache.eta(certificate).scaled(-1)
     rep = materialize(key)
     for v in rep.vertices:
-        zeta = zeta.plus(_xi(okey(rep.link((v,))), cache), -1)
+        zeta = zeta.plus(_descent(okey(rep.link((v,))), cache.chains, average=True), -1)
     if not zeta.is_cycle():
         raise NotACycle("local formula cycle check failed: orientation bookkeeping bug")
     return c_of_cycle(zeta)
+
+
+def _need_dim(dim: int, want: int, what: str) -> None:
+    """DimensionTooSmall below ``want``, InvalidMove above it."""
+    if dim != want:
+        raise (DimensionTooSmall if dim < want else InvalidMove)(f"{what} needs dimension {want}, not {dim}")
 
 
 def _need_dim4(K: OrientedComplex) -> None:
@@ -291,9 +292,7 @@ def p1_dual_local(
 def p1_number(K: OrientedComplex, budget: int = 4000, seed: int = 0, cache: XiCache | None = None) -> Fraction:
     """Evaluation of the dual class against the fundamental class of a
     connected oriented 4-manifold: the coefficient sum of the dual 0-cycle."""
-    _need_dim4(K)
-    if K.dim != 4:
-        raise InvalidMove("the Pontryagin number needs a 4-manifold")
+    _need_dim(K.dim, 4, "the Pontryagin number")
     return p1_dual_local(K, budget=budget, seed=seed, cache=cache).total()
 
 
@@ -303,13 +302,15 @@ def p1_dual_direct(
     seed: int = 0,
     cache: XiCache | None = None,
 ) -> SimplicialChain:
-    """The per-simplex procedure: no xi recursion.
+    """The per-simplex procedure: descent paths in place of xi.
 
     For each codimension-4 simplex sigma (taken with ascending orientation)
     the cycle zeta_sigma combines the induced vertex moves of a reduction
-    of link(sigma) with the reduction chains (``XiCache.red2``) of the
-    links of the codimension-3 cofaces sigma + w, each oriented as the link
-    of w in link(sigma).
+    of link(sigma) with the descent paths (``_descent`` with
+    ``average=False``, kept in ``XiCache.paths``) of the links of the
+    codimension-3 cofaces sigma + w, each oriented as the link of w in
+    link(sigma).  ``budget`` and ``seed`` reach only the 3-sphere
+    reductions; the paths need neither.
     """
     _need_dim4(K)
     cache = cache if cache is not None else XiCache()
@@ -320,7 +321,7 @@ def p1_dual_direct(
         zeta = cache.eta(cache.certificate(okey(lk3), budget=budget, seed=seed)).scaled(-1)
         for w in lk3.vertices:
             # link(sig + w), oriented as the link of w in link(sig)
-            zeta = zeta.plus(cache.red2(okey(lk3.link((w,))), budget=budget, seed=seed), 1)
+            zeta = zeta.plus(_descent(okey(lk3.link((w,))), cache.paths, average=False), -1)
         if not zeta.is_cycle():
             raise NotACycle("zeta_sigma is not a cycle: incidence orientation bug")
         chain.add(sig, c_of_cycle(zeta))

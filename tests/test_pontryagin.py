@@ -4,13 +4,14 @@ from fractions import Fraction
 import pytest
 
 from bistellar.canonical import okey, relabel
-from bistellar.errors import BudgetExhausted, DimensionTooSmall, InvalidMove
+from bistellar.enumeration import spheres_by_expansion
+from bistellar.errors import BudgetExhausted, DimensionTooSmall, InvalidMove, SphereCheckFailed
 from bistellar.gamma2 import Gamma2Chain
-from bistellar.library import cp2_9
+from bistellar.library import cp2_9, cross_polytope_boundary
 from bistellar.moves import apply_move, enumerate_moves, inverse_move, materialize_edge
 from bistellar.pontryagin import XiCache, h_value, local_f, p1_dual_direct, p1_dual_local, p1_number, xi_chain
 from bistellar.reduction import MoveSequence, reduce_to_boundary
-from bistellar.simplicial import boundary_of_simplex, build_complex, orient
+from bistellar.simplicial import Complex, boundary_of_simplex, build_complex, orient
 from helpers import eta_oracle, octahedron, perturbed_cp2, random_loop_cycle, random_walk_sphere, walk_certificate
 
 
@@ -43,6 +44,24 @@ def test_xi_mirror_equivariance():
     for _ in range(5):
         L = random_walk_sphere(rng, steps=rng.randrange(1, 5))
         assert xi_chain(-L, cache) == xi_chain(L, cache).mirror()
+
+
+def test_descent_mirror_laws_on_every_small_sphere():
+    """On every 2-sphere class with at most 9 vertices: the descent path of
+    -L is the mirror of the path of L, an achiral class's path and xi are
+    their own mirrors, and both chains have boundary {L} - {tetrahedron}."""
+    from bistellar.pontryagin import _d3_key, _descent
+
+    cache = XiCache()
+    keys = [okey(orient(Complex(k, _validated=True))) for ks in spheres_by_expansion(9).values() for k in ks]
+    assert len(keys) == 73 and sum(k.sign == 0 for k in keys) == 46
+    for key in keys:
+        path, xi = _descent(key, cache.paths, average=False), xi_chain(key, cache)
+        assert _descent(key.mirror(), cache.paths, average=False) == path.mirror()
+        if key.sign == 0:
+            assert path.mirror() == path and xi.mirror() == xi
+        want = {} if key == _d3_key() else {key: 1, _d3_key(): -1}
+        assert path.boundary() == xi.boundary() == want
 
 
 def test_h_antisymmetry():
@@ -206,6 +225,34 @@ def test_p1_needs_dimension_four(fn, n):
         fn(orient(boundary_of_simplex(n)), cache=XiCache())
 
 
+def _torus_7() -> Complex:
+    return build_complex([(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)] + [(i, (i + 2) % 7, (i + 3) % 7) for i in range(7)])
+
+
+def _h_of_first_move(K, cache):
+    return h_value(enumerate_moves(K)[0], cache)
+
+
+@pytest.mark.parametrize(
+    "fn, K, err",
+    [
+        (xi_chain, boundary_of_simplex(2), DimensionTooSmall),
+        (xi_chain, boundary_of_simplex(4), InvalidMove),
+        (xi_chain, cross_polytope_boundary(4), InvalidMove),
+        (xi_chain, _torus_7(), SphereCheckFailed),
+        (local_f, boundary_of_simplex(3), DimensionTooSmall),
+        (local_f, cross_polytope_boundary(3), DimensionTooSmall),
+        (local_f, boundary_of_simplex(5), InvalidMove),
+        (local_f, cross_polytope_boundary(5), InvalidMove),
+        (_h_of_first_move, boundary_of_simplex(4), InvalidMove),
+    ],
+    ids=["xi-d2", "xi-d4", "xi-cross4", "xi-torus", "local-d3", "local-octahedron", "local-d5", "local-cross5", "h-d4"],
+)
+def test_wrong_dimension_is_a_typed_error(fn, K, err):
+    with pytest.raises(err):
+        fn(orient(K), cache=XiCache())
+
+
 def test_p1_budget_zero_is_exhausted():
     with pytest.raises(BudgetExhausted):
         p1_dual_local(perturbed_cp2(0, steps=1), budget=0, cache=XiCache())
@@ -308,22 +355,19 @@ def test_warm_p1_reads_eta_from_the_file(tmp_path, monkeypatch):
 
 
 def test_p1_direct_replays_each_certificate_once(monkeypatch):
-    """The 2-sphere certificate chains are built once per certificate, not
-    once per codimension-3 coface."""
+    """On CP^2 the direct procedure reduces and replays its one 3-sphere link
+    class once; its 2-sphere chains are descent paths, which no reduction
+    or replay builds."""
     import bistellar.pontryagin as pontryagin
 
-    calls = []
-    real = pontryagin.replay
-
-    def spy(seq):
-        calls.append(seq)
-        return real(seq)
-
-    monkeypatch.setattr(pontryagin, "replay", spy)
+    replays, reduced = [], []
+    real_replay, real_reduce = pontryagin.replay, pontryagin.reduce_to_boundary
+    monkeypatch.setattr(pontryagin, "replay", lambda seq: replays.append(seq) or real_replay(seq))
+    monkeypatch.setattr(pontryagin, "reduce_to_boundary", lambda K, **kw: reduced.append(K.dim) or real_reduce(K, **kw))
     chain = p1_dual_direct(orient(cp2_9()), cache=XiCache())
     assert chain.terms == {(v,): Fraction(1, 3) for v in range(9)}
-    # one 3-sphere certificate and one 2-sphere certificate per mirror pair
-    assert len(calls) == len(set(calls)) == 3
+    assert len(replays) == 1
+    assert reduced == [3]
 
 
 @pytest.mark.parametrize("seed, steps", [(0, 1), (1, 5), (5, 12)])
@@ -378,18 +422,19 @@ def test_eta_along_random_walks_is_its_definition(seed):
     assert XiCache().eta(cert) == eta_oracle(cert)
 
 
-def _cold_p1_digests() -> dict:
+def _digest(data) -> str:
     import hashlib
     import json
 
-    def digest(data) -> str:
-        return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
 
+
+def _cold_p1_digests() -> dict:
     cache = XiCache()
     chain = p1_dual_local(perturbed_cp2(0, steps=1), cache=cache)
     saved = cache.to_json()
-    return {"xi": digest(saved["xi"]), "certificates": digest(saved["certificates"]),
-            "file": digest(saved), "chain": digest(chain.to_json())}
+    return {"xi": _digest(saved["xi"]), "certificates": _digest(saved["certificates"]),
+            "file": _digest(saved), "chain": _digest(chain.to_json())}
 
 
 def test_cold_p1_chain_and_xi_bytes_pinned():
@@ -407,3 +452,14 @@ def test_cold_p1_certificate_bytes_pinned():
     got = _cold_p1_digests()
     assert got["certificates"] == "a1b591c6ca1369ab04025f328eea261c1ff2e11f71430b22b36025dfe6bcde93"
     assert got["file"] == "b5378c83c798591b15f7b38dc1d2436d7eb283faabfc3b14be3a69259f2a1bee"
+
+
+def test_direct_p1_chain_and_certificate_bytes_pinned():
+    """Direct p1 on an asymmetric input keeps the exact bytes of its chain
+    and of the certificates it saves, which are 3-sphere certificates only;
+    a change to the descent-path rule shows up here as a re-pin."""
+    cache = XiCache()
+    chain = p1_dual_direct(perturbed_cp2(1, steps=5), cache=cache)
+    assert {k.dim() for k in cache.certs} == {3}
+    assert _digest(chain.to_json()) == "8cbab16c710134d24ad5f963364afe9c94cebfaf2d3968c789c4d4d2ac13295c"
+    assert _digest(cache.to_json()["certificates"]) == "808979dcd4c38d50d10ca5a697331beb8e0046a4feed2f15e94be55ac92378f4"

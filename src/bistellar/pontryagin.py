@@ -11,11 +11,14 @@ reduction sequences:
 * ``h_value``: the cocycle representative h({beta}) = <c, {beta} + xi_tail
   - xi_head>;
 * ``local_f``: the universal local formula on oriented 3-sphere classes,
-  via a reduction sequence from the 4-simplex boundary, its induced vertex
-  moves, and the xi-corrections of the vertex links;
+  c(zeta(L)) for the cycle zeta(L) made of the induced vertex moves of a
+  reduction sequence from the 4-simplex boundary and the xi-corrections of
+  the vertex links;
 * ``p1_dual_local`` / ``p1_dual_direct``: the Poincare-dual cycle of the
-  first Pontryagin class, by the local formula or by the per-simplex
-  procedure, which uses descent paths in place of xi;
+  first Pontryagin class, f_sharp of a local cochain filled once per mirror
+  pair of link classes: local_f, or for the per-simplex procedure the same
+  zeta with descent paths in place of xi (``_zeta_value`` and ``_p1_dual``
+  serve both);
 * ``sw_duals`` lives in :mod:`bistellar.sw` as the mod-2 companion.
 """
 
@@ -64,12 +67,17 @@ class XiCache:
 
     def merge(self, data: dict) -> None:
         """Add the entries of ``data`` (the JSON form ``save`` writes) that
-        this cache lacks."""
+        this cache lacks; each certificate must start from the class it is
+        filed under and end at the boundary of a simplex."""
         for enc, chain in data.get("xi", {}).items():
             self.chains.setdefault(OKey.decode(enc), Gamma2Chain.from_json(chain))
         certs = {enc: MoveSequence.from_json(cert) for enc, cert in data.get("certificates", {}).items()}
         for enc, cert in certs.items():
-            self.certs.setdefault(OKey.decode(enc), cert)
+            if cert.start != OKey.decode(enc):
+                raise MalformedInput(f"certificate filed under {enc[:40]}... starts from another class")
+            if cert.end != okey(orient(boundary_of_simplex(cert.start.dim() + 1))):
+                raise MalformedInput(f"certificate of {enc[:40]}... does not end at the simplex boundary")
+            self.certs.setdefault(cert.start, cert)
         for enc, chain in data.get("eta", {}).items():
             if enc not in certs:
                 raise MalformedInput(f"eta entry {enc[:40]}... has no certificate for its class")
@@ -237,19 +245,28 @@ def local_f(
     independent of the sequence found (tested, not assumed).
     """
     _need_dim(L.dim, 3, "the local formula")
-    cache = cache if cache is not None else XiCache()
-    key = okey(L)
+    return _zeta_value(okey(L), cache if cache is not None else XiCache(), True, budget, seed, certificate)
+
+
+def _zeta_value(
+    key: OKey, cache: XiCache, average: bool, budget: int, seed: int, certificate: MoveSequence | None = None
+) -> Fraction:
+    """c(zeta(L)) for the oriented 3-sphere class ``key``: minus the eta
+    chain of a reduction certificate of L (the sequence toward L is the
+    reverse of the reduction), minus a chain with boundary
+    {lk v} - {tetrahedron} for each vertex v of the class representative,
+    xi (``average=True``) or the descent path (``average=False``)."""
     if certificate is None:
         certificate = cache.certificate(key, budget=budget, seed=seed)
     elif certificate.start != key:
         raise InvalidMove("certificate start does not match the sphere class")
-    # the sequence toward L is the reverse of the reduction, so eta negates
+    table = cache.chains if average else cache.paths
     zeta = cache.eta(certificate).scaled(-1)
     rep = materialize(key)
     for v in rep.vertices:
-        zeta = zeta.plus(_descent(okey(rep.link((v,))), cache.chains, average=True), -1)
+        zeta = zeta.plus(_descent(okey(rep.link((v,))), table, average), -1)
     if not zeta.is_cycle():
-        raise NotACycle("local formula cycle check failed: orientation bookkeeping bug")
+        raise NotACycle("zeta cycle check failed: orientation bookkeeping bug")
     return c_of_cycle(zeta)
 
 
@@ -259,34 +276,13 @@ def _need_dim(dim: int, want: int, what: str) -> None:
         raise (DimensionTooSmall if dim < want else InvalidMove)(f"{what} needs dimension {want}, not {dim}")
 
 
-def _need_dim4(K: OrientedComplex) -> None:
-    if K.dim < 4:
-        raise DimensionTooSmall(f"the first Pontryagin class needs dimension >= 4, not {K.dim}")
-
-
 def p1_dual_local(
-    K: OrientedComplex,
-    budget: int = 4000,
-    seed: int = 0,
-    cache: XiCache | None = None,
+    K: OrientedComplex, budget: int = 4000, seed: int = 0, cache: XiCache | None = None
 ) -> SimplicialChain:
     """The Poincare dual of the first rational Pontryagin class, by the
     universal local formula: f_sharp of the local cochain f = local_f, the
-    degree dim-4 chain carrying f(link sigma) on each simplex sigma.  As
-    f(-L) = -f(L), local_f runs once per mirror pair, on its first class in
-    ``OKey.encode`` order (the +1 class when both occur).
-    """
-    _need_dim4(K)
-    cache = cache if cache is not None else XiCache()
-    keys = {okey(K.link(sig)) for sig in K.complex.faces_of_dim(K.dim - 4)}
-    todo = [k for k in sorted(keys, key=OKey.encode) if k.sign == 1 or (k.sign and k.mirror() not in keys)]
-    f = LocalCochain(4)
-    for k in todo:
-        f.set(k, local_f(materialize(k), budget=budget, seed=seed, cache=cache))
-    chain = f_sharp(f, K)
-    if not chain.is_cycle():
-        raise NotACycle("the local-formula chain is not a cycle")
-    return chain
+    degree dim-4 chain carrying f(link sigma) on each simplex sigma."""
+    return _p1_dual(K, cache, True, budget, seed)
 
 
 def p1_number(K: OrientedComplex, budget: int = 4000, seed: int = 0, cache: XiCache | None = None) -> Fraction:
@@ -297,34 +293,37 @@ def p1_number(K: OrientedComplex, budget: int = 4000, seed: int = 0, cache: XiCa
 
 
 def p1_dual_direct(
-    K: OrientedComplex,
-    budget: int = 4000,
-    seed: int = 0,
-    cache: XiCache | None = None,
+    K: OrientedComplex, budget: int = 4000, seed: int = 0, cache: XiCache | None = None
 ) -> SimplicialChain:
-    """The per-simplex procedure: descent paths in place of xi.
+    """The per-simplex procedure: f_sharp of the local cochain built like
+    local_f with descent paths (``_descent`` with ``average=False``, kept in
+    ``XiCache.paths``) in place of xi.
 
-    For each codimension-4 simplex sigma (taken with ascending orientation)
-    the cycle zeta_sigma combines the induced vertex moves of a reduction
-    of link(sigma) with the descent paths (``_descent`` with
-    ``average=False``, kept in ``XiCache.paths``) of the links of the
-    codimension-3 cofaces sigma + w, each oriented as the link of w in
-    link(sigma).  ``budget`` and ``seed`` reach only the 3-sphere
-    reductions; the paths need neither.
+    Writing g(M) = c(path(M) - xi(M)) for a 2-sphere class M, the direct
+    value on a 3-sphere class L is local_f(L) - sum over vertices v of
+    g(lk v).  Path and xi are mirror-equivariant and c is odd under
+    mirroring, so the value is a function of the class, odd under
+    orientation reversal and zero on achiral classes, as f_sharp needs.
+    ``budget`` and ``seed`` reach only the 3-sphere reductions; the paths
+    need neither.
     """
-    _need_dim4(K)
+    return _p1_dual(K, cache, False, budget, seed)
+
+
+def _p1_dual(K: OrientedComplex, cache: XiCache | None, average: bool, budget: int, seed: int) -> SimplicialChain:
+    """f_sharp of the cochain ``_zeta_value(., average)`` on the link classes
+    of the codimension-4 simplices of K.  As f(-L) = -f(L), it is evaluated
+    once per mirror pair, on its first class in ``OKey.encode`` order (the
+    +1 class when both occur), and never on an achiral class."""
+    if K.dim < 4:
+        raise DimensionTooSmall(f"the first Pontryagin class needs dimension >= 4, not {K.dim}")
     cache = cache if cache is not None else XiCache()
-    m = K.dim
-    chain = SimplicialChain(K, m - 4)
-    for sig in K.complex.faces_of_dim(m - 4):
-        lk3 = K.link(sig)
-        zeta = cache.eta(cache.certificate(okey(lk3), budget=budget, seed=seed)).scaled(-1)
-        for w in lk3.vertices:
-            # link(sig + w), oriented as the link of w in link(sig)
-            zeta = zeta.plus(_descent(okey(lk3.link((w,))), cache.paths, average=False), -1)
-        if not zeta.is_cycle():
-            raise NotACycle("zeta_sigma is not a cycle: incidence orientation bug")
-        chain.add(sig, c_of_cycle(zeta))
+    keys = {okey(K.link(sig)) for sig in K.complex.faces_of_dim(K.dim - 4)}
+    todo = [k for k in sorted(keys, key=OKey.encode) if k.sign == 1 or (k.sign and k.mirror() not in keys)]
+    f = LocalCochain(4)
+    for k in todo:
+        f.set(k, _zeta_value(k, cache, average, budget, seed))
+    chain = f_sharp(f, K)
     if not chain.is_cycle():
-        raise NotACycle("the direct-procedure chain is not a cycle")
+        raise NotACycle("the p1 chain is not a cycle")
     return chain

@@ -175,8 +175,19 @@ D4 = "0;0,1,2,3|0,1,2,4|0,1,3,4|0,2,3,4|1,2,3,4"
 D4_CERT = {"start_key": D4, "end_key": D4, "moves": []}
 
 
-def _p1_with_cache(d, data: dict) -> list[str]:
-    return ["--xi-cache", _write(d / "xi.json", json.dumps(data)), "p1", "local", str(d / "boundary_delta_5.facets")]
+def _p1_with_cache(d, data: dict, facets: str = "boundary_delta_5") -> list[str]:
+    return ["--xi-cache", _write(d / "xi.json", json.dumps(data)), "p1", "local", str(d / f"{facets}.facets")]
+
+
+def _cp2_with_certificate(d, cert_of) -> list[str]:
+    """p1 of CP^2 with a cache holding ``cert_of(key)`` under the class key of its vertex links."""
+    from bistellar import okey, orient
+    from bistellar.library import cp2_9
+
+    K = orient(cp2_9())
+    write_facet_file(str(d / "cp2.facets"), K.complex)
+    key = okey(K.link((0,))).encode()
+    return _p1_with_cache(d, {"certificates": {key: cert_of(key)}}, "cp2")
 
 
 @pytest.mark.parametrize(
@@ -190,8 +201,13 @@ def _p1_with_cache(d, data: dict) -> list[str]:
         lambda d: ["check", _write(d / "facets.json", '{"facets": 5}')],
         lambda d: _p1_with_cache(d, {"eta": {D4: []}}),
         lambda d: _p1_with_cache(d, {"certificates": {D4: D4_CERT}, "eta": {D4: [["nonsense", "1", "1"]]}}),
+        lambda d: _cp2_with_certificate(d, lambda key: D4_CERT),
+        lambda d: _cp2_with_certificate(d, lambda key: {"start_key": key, "end_key": key, "moves": []}),
     ],
-    ids=["facet-text", "facet-json", "xi-cache", "chain", "json-vertex", "json-facets", "eta-without-certificate", "eta-chain"],
+    ids=[
+        "facet-text", "facet-json", "xi-cache", "chain", "json-vertex", "json-facets", "eta-without-certificate",
+        "eta-chain", "certificate-start", "certificate-end",
+    ],
 )
 def test_malformed_input_is_a_typed_error(capsys, data_dir, argv_of):
     code = main(argv_of(data_dir))

@@ -269,6 +269,34 @@ def test_p1_computes_each_mirror_pair_on_its_first_class():
     cache = XiCache()
     p1_dual_local(K, cache=cache)
     assert set(cache.certs) == {k for k in keys if k.sign == 1} | lone
+    direct = XiCache()
+    p1_dual_direct(K, cache=direct)
+    assert set(direct.certs) == set(cache.certs)
+
+
+def test_direct_cochain_laws_on_link_classes():
+    """The direct cochain, checked on each class and its mirror apart from
+    f_sharp: odd under orientation reversal, zero on achiral classes, and
+    equal to local_f(L) - sum over vertices v of c(path(lk v) - xi(lk v))."""
+    from bistellar.canonical import materialize
+    from bistellar.gamma2 import c_of_cycle
+    from bistellar.pontryagin import _descent, _zeta_value
+
+    K = perturbed_cp2(1, steps=5)
+    keys = {okey(K.link((v,))) for v in K.vertices} | {okey(orient(cross_polytope_boundary(4)))}
+    assert len(keys) == 10 and sum(k.sign == 0 for k in keys) == 2
+    cache = XiCache()
+    g = {}
+    both = [m for k in sorted(keys, key=lambda k: k.encode()) for m in (k, k.mirror())]
+    for key in both:
+        direct = _zeta_value(key, cache, False, 4000, 0)
+        assert _zeta_value(key.mirror(), cache, False, 4000, 0) == -direct
+        if key.sign == 0:
+            assert direct == 0
+        rep = materialize(key)
+        for m in {okey(rep.link((v,))) for v in rep.vertices} - set(g):
+            g[m] = c_of_cycle(_descent(m, cache.paths, average=False).plus(xi_chain(m, cache), -1))
+        assert direct == local_f(rep, cache=cache) - sum(g[okey(rep.link((v,)))] for v in rep.vertices)
 
 
 def test_memo_tables_never_change_an_answer():
@@ -462,4 +490,4 @@ def test_direct_p1_chain_and_certificate_bytes_pinned():
     chain = p1_dual_direct(perturbed_cp2(1, steps=5), cache=cache)
     assert {k.dim() for k in cache.certs} == {3}
     assert _digest(chain.to_json()) == "8cbab16c710134d24ad5f963364afe9c94cebfaf2d3968c789c4d4d2ac13295c"
-    assert _digest(cache.to_json()["certificates"]) == "808979dcd4c38d50d10ca5a697331beb8e0046a4feed2f15e94be55ac92378f4"
+    assert _digest(cache.to_json()["certificates"]) == "a3d6650d6c639edfe963b0ce2093ff9370466123584847a11e144b7f65b410d1"

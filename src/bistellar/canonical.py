@@ -3,7 +3,8 @@
 The canonical labeling is computed by iterative color refinement on the
 facet hypergraph plus backtracking over individualization choices, taking the
 lexicographically least facet-set image.  All optimal labelings are collected
-so marked simplices and orientations can be canonicalized as well.
+so marked simplices and orientations can be canonicalized as well; any two
+differ by an automorphism, so they also give the orbits of Aut(K).
 
 Keys:
 
@@ -79,46 +80,30 @@ class CanonicalForm:
 # ---------------------------------------------------------------------------
 
 
-def _refine(vertices, facets, star, colors):
-    """Refine vertex colors by facet signatures until stable.
+def _refine(facets, star, colors, count):
+    """Refine a dense coloring of the positions 0..n-1 with ``count`` colors
+    until stable; return it and its color count.
 
-    The signature of v is its color plus the sorted multiset of the color
-    tuples of its facets with v left out; new colors are the dense ranks of
-    the signatures.  ``star[v]`` lists the indices in ``facets`` of the
-    facets containing v.  A discrete dense coloring is a fixed point, so it
-    is returned at once.
+    ``star[p]`` indexes the facets (position tuples) containing p.  The
+    signature of p is its color plus the sorted tuple of its facets' sorted
+    color tuples, and the new colors rank the signatures.  The textbook
+    signature drops one copy of p's color c from each tuple; on a pure
+    complex those tuples have one length and all contain c, and dropping
+    one c from them is injective and keeps their order, so the ranks are
+    the same (on any complex the signature is invariant, so keys stay
+    canonical).  The signature starts with the old color, so a round that
+    adds no color changes nothing.
     """
-    n = len(vertices)
-    while len(set(colors.values())) < n:
-        facet_colors = [tuple(sorted([colors[w] for w in f])) for f in facets]
-        sig = {}
-        for v in vertices:
-            c = colors[v]
-            inc = []
-            for j in star[v]:
-                cs = facet_colors[j]
-                i = cs.index(c)
-                inc.append(cs[:i] + cs[i + 1 :])
-            inc.sort()
-            sig[v] = (c, tuple(inc))
-        ranking = {s: i for i, s in enumerate(sorted(set(sig.values())))}
-        new = {v: ranking[sig[v]] for v in vertices}
-        if new == colors:
-            return colors
-        colors = new
-    return colors
-
-
-def _first_nonsingleton_cell(vertices, colors):
-    """Vertices of the least color shared by two or more, ascending; None
-    when the coloring is discrete."""
-    byc: dict[int, list[int]] = {}
-    for v in vertices:
-        byc.setdefault(colors[v], []).append(v)
-    for c in sorted(byc):
-        if len(byc[c]) > 1:
-            return byc[c]
-    return None
+    n = len(colors)
+    while count < n:
+        facet_colors = [tuple(sorted(map(colors.__getitem__, f))) for f in facets]
+        sig = [(c, tuple(sorted(map(facet_colors.__getitem__, s)))) for c, s in zip(colors, star)]
+        distinct = set(sig)
+        if len(distinct) == count:
+            break
+        ranking = {s: i for i, s in enumerate(sorted(distinct))}
+        colors, count = [ranking[s] for s in sig], len(ranking)
+    return colors, count
 
 
 class _UCanon:
@@ -136,47 +121,46 @@ def unoriented_canon(K: Complex) -> _UCanon:
 
 @functools.cache
 def _ucanon(facet_set: frozenset) -> _UCanon:
-    """``unoriented_canon`` memoized on the facet set."""
+    """``unoriented_canon`` memoized on the facet set.  The search runs on
+    the positions of the sorted vertices and keeps each leaf as its color
+    list; only the optimal leaves become labeling dicts, in leaf order."""
     deg = Counter(chain.from_iterable(facet_set))
     vertices = sorted(deg)
-    facets = sorted(facet_set)
-    best: list[FacetTuple] = []
-    best_labelings: list[dict[int, int]] = []
-
-    def leaf(colors) -> None:
-        lab = {v: colors[v] for v in vertices}
-        image = tuple(sorted([tuple(sorted([lab[v] for v in f])) for f in facets]))
-        if not best or image < best[0]:
-            best[:] = [image]
-            best_labelings[:] = [lab]
-        elif image == best[0]:
-            best_labelings.append(lab)
-
-    def search(colors) -> None:
-        colors = _refine(vertices, facets, star, colors)
-        target = _first_nonsingleton_cell(vertices, colors)
-        if target is None:
-            leaf(colors)
-            return
-        for v in target:
-            # individualize: give v a fresh color strictly below the rest of
-            # its cell, keeping the coloring dense
-            c = colors[v]
-            child = {w: x if x < c else x + 1 for w, x in colors.items()}
-            child[v] = c
-            search(child)
-
     if not vertices:
         # the empty complex {()} canonicalizes trivially
-        return _UCanon(tuple(facets), [{}])
+        return _UCanon(tuple(facet_set), [{}])
+    pos = {v: p for p, v in enumerate(vertices)}
+    facets = sorted([tuple(map(pos.__getitem__, f)) for f in facet_set])
+    n = len(vertices)
+    star: list[list[int]] = [[] for _ in vertices]
+    for j, f in enumerate(facets):
+        for p in f:
+            star[p].append(j)
+    best: list[FacetTuple] = []
+    leaves: list[list[int]] = []
+
+    def search(colors, count) -> None:
+        colors, count = _refine(facets, star, colors, count)
+        if count == n:
+            image = tuple(sorted([tuple(sorted(map(colors.__getitem__, f))) for f in facets]))
+            if not best or image < best[0]:
+                best[:], leaves[:] = [image], []
+            if image == best[0]:
+                leaves.append(colors)
+            return
+        # individualize each vertex of the least color shared by two or more:
+        # give it a fresh color strictly below the rest of its cell, keeping
+        # the coloring dense
+        cell = min(c for c, k in Counter(colors).items() if k > 1)
+        for p in [p for p, c in enumerate(colors) if c == cell]:
+            child = [x if x < cell else x + 1 for x in colors]
+            child[p] = cell
+            search(child, count + 1)
+
     # seed colors with vertex degrees to shrink the search tree
     ranking = {d: i for i, d in enumerate(sorted(set(deg.values())))}
-    star: dict[int, list[int]] = {v: [] for v in vertices}
-    for j, f in enumerate(facets):
-        for v in f:
-            star[v].append(j)
-    search({v: ranking[deg[v]] for v in vertices})
-    return _UCanon(best[0], best_labelings)
+    search([ranking[deg[v]] for v in vertices], len(ranking))
+    return _UCanon(best[0], [dict(zip(vertices, colors)) for colors in leaves])
 
 
 class _OCanon:

@@ -140,7 +140,7 @@ def cmd_enumerate(args) -> int:
     from .enumeration import oriented_sphere_classes, spheres_by_expansion
 
     per = spheres_by_expansion(args.max_vertices)
-    oriented = oriented_sphere_classes(args.max_vertices)
+    oriented = oriented_sphere_classes(per)
     report = {
         "unoriented_counts": {str(n): len(ks) for n, ks in per.items()},
         "oriented_counts": {str(n): oriented[n] for n in oriented},

@@ -3,7 +3,12 @@
 Two independent routes back each other:
 
 * bistellar expansion from the tetrahedron boundary with canonical
-  deduplication (the production path);
+  deduplication (the production path).  A state applies one move per orbit
+  of its automorphism group, named by the least canonical image of sigma
+  over the state's optimal labelings (any two differ by an automorphism),
+  and no vertex removal: flips connect all n-vertex triangulations of the
+  2-sphere (Wagner 1936), so flips from a facet subdivision of an
+  (n-1)-vertex class reach every n-vertex class;
 * a brute-force facet-set enumerator over labeled triangle sets (the test
   oracle; every isomorphism class on n vertices has a labeling containing
   the seed triangle (0,1,2), so seeding there loses nothing).
@@ -13,50 +18,50 @@ from __future__ import annotations
 
 from collections import deque
 
-from .canonical import FacetTuple, okey, ukey
+from .canonical import FacetTuple, okey, ukey, unoriented_canon
 from .moves import apply_move, enumerate_moves
 from .simplicial import Complex, boundary_of_simplex, orient
 
 
 def spheres_by_expansion(max_vertices: int) -> dict[int, list[FacetTuple]]:
     """Unoriented 2-sphere classes with at most ``max_vertices`` vertices,
-    found by breadth-first bistellar expansion from the tetrahedron."""
+    found by breadth-first expansion from the tetrahedron with one flip or
+    facet subdivision per automorphism orbit (see the module docstring)."""
     if max_vertices < 4:
         return {}  # no 2-sphere has fewer than 4 vertices
     start = orient(boundary_of_simplex(3))
-    seen: dict[FacetTuple, int] = {}
+    seen: dict[FacetTuple, int] = {ukey(start.complex): 4}
     frontier = deque([start])
-    seen[ukey(start.complex)] = 4
     while frontier:
         state = frontier.popleft()
-        for mv in enumerate_moves(state):
-            if len(mv.sigma) == 3 and len(state.vertices) >= max_vertices:
-                continue
+        labs = unoriented_canon(state.complex).labelings
+        grow = len(state.vertices) < max_vertices
+        orbits = {
+            min(tuple(sorted(lab[v] for v in mv.sigma)) for lab in labs): mv
+            for mv in enumerate_moves(state)
+            if len(mv.sigma) == 2 or (grow and len(mv.sigma) == 3)
+        }
+        for mv in orbits.values():
             nxt = apply_move(mv)
-            if len(nxt.vertices) > max_vertices:
-                continue
             k = ukey(nxt.complex)
             if k not in seen:
                 seen[k] = len(nxt.vertices)
                 frontier.append(nxt)
     out: dict[int, list[FacetTuple]] = {n: [] for n in range(4, max_vertices + 1)}
-    for k, n in seen.items():
+    for k, n in sorted(seen.items()):
         out[n].append(k)
-    for n in out:
-        out[n].sort()
     return out
 
 
-def oriented_sphere_classes(max_vertices: int) -> dict[int, int]:
+def oriented_sphere_classes(classes: int | dict[int, list[FacetTuple]]) -> dict[int, int]:
     """Counts of oriented classes per vertex count (mirror pairs counted
-    twice unless self-mirror)."""
+    twice unless self-mirror) of ``spheres_by_expansion(classes)``, or of
+    the expansion ``classes`` already made."""
+    if isinstance(classes, int):
+        classes = spheres_by_expansion(classes)
     counts: dict[int, int] = {}
-    for n, keys in spheres_by_expansion(max_vertices).items():
-        total = 0
-        for k in keys:
-            K = Complex(k, _validated=True)
-            total += 1 if okey(orient(K)).sign == 0 else 2
-        counts[n] = total
+    for n, keys in classes.items():
+        counts[n] = sum(1 if okey(orient(Complex(k, _validated=True))).sign == 0 else 2 for k in keys)
     return counts
 
 

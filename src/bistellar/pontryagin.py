@@ -44,11 +44,12 @@ class XiCache:
 
     Keys are oriented canonical class keys.  The xi-chain of a mirrored
     class is the mirror image of the stored representative's chain, so only
-    one representative per unoriented class is ever computed.  The file
-    keeps eta under the class of its certificate; a loaded eta is keyed by
-    the certificate read with it and is used only after that certificate
-    has replayed to its recorded end key.  ``paths`` holds the descent
-    paths of the direct procedure in memory only; they are not saved.
+    one representative per unoriented class is ever computed; a loaded one
+    is checked by ``_descent`` on its first use.  The file keeps eta under
+    the class of its certificate; a loaded eta is keyed by the certificate
+    read with it and is used only after that certificate has replayed to
+    its recorded end key.  ``paths`` holds the descent paths of the direct
+    procedure in memory only; they are not saved.
     """
 
     def __init__(self, path: str | None = None):
@@ -57,6 +58,7 @@ class XiCache:
         self.certs: dict[OKey, MoveSequence] = {}
         self._eta: dict[MoveSequence, Gamma2Chain] = {}
         self._unreplayed: set[MoveSequence] = set()  # certificates of loaded eta chains
+        self._unchecked: set[OKey] = set()  # classes of loaded xi chains
         self.paths: dict[OKey, Gamma2Chain] = {}
         if path and os.path.exists(path):
             self.load(path)
@@ -70,7 +72,10 @@ class XiCache:
         this cache lacks; each certificate must start from the class it is
         filed under and end at the boundary of a simplex."""
         for enc, chain in data.get("xi", {}).items():
-            self.chains.setdefault(OKey.decode(enc), Gamma2Chain.from_json(chain))
+            key = OKey.decode(enc)
+            if key not in self.chains:
+                self.chains[key] = Gamma2Chain.from_json(chain)
+                self._unchecked.add(key)
         certs = {enc: MoveSequence.from_json(cert) for enc, cert in data.get("certificates", {}).items()}
         for enc, cert in certs.items():
             if cert.start != OKey.decode(enc):
@@ -172,12 +177,12 @@ def xi_chain(L: OrientedComplex | OKey, cache: XiCache | None = None) -> Gamma2C
     """
     cache = cache if cache is not None else XiCache()
     key = L if isinstance(L, OKey) else okey(L)
-    return _descent(key, cache.chains, average=True)
+    return _descent(key, cache, average=True)
 
 
-def _descent(key: OKey, table: dict[OKey, Gamma2Chain], average: bool) -> Gamma2Chain:
+def _descent(key: OKey, cache: XiCache, average: bool) -> Gamma2Chain:
     """A chain with boundary {L} - {tetrahedron} for the 2-sphere class
-    ``key``, built by descending complexity and memoized in ``table``.
+    ``key``, built by descending complexity and memoized in the cache.
 
     ``average=True`` gives xi: the mean over every complexity-decreasing
     move of the representative.  ``average=False`` gives the descent path
@@ -186,15 +191,22 @@ def _descent(key: OKey, table: dict[OKey, Gamma2Chain], average: bool) -> Gamma2
     takes the mean of its path and the path's mirror, so both sides of a
     codimension-3 simplex agree.  Complexity strictly decreases at every
     step, so neither needs a budget.  A mirrored class gets the mirror of
-    its representative's chain.
+    its representative's chain.  A loaded xi-chain with another boundary
+    is ``MalformedInput``.
     """
     _need_dim(key.dim(), 2, "a descent to the tetrahedron")
+    table, d3 = cache.chains if average else cache.paths, _d3_key()
+    want = {} if key == d3 else {key: 1, d3: -1}
     hit = table.get(key)
+    if hit is not None and average and key in cache._unchecked:
+        if hit.boundary() != want:
+            raise MalformedInput(f"xi entry {key.encode()[:40]}... does not bound its class")
+        cache._unchecked.discard(key)
     if hit is not None:
         return hit
-    rep_key, d3 = min(key, key.mirror(), key=OKey.encode), _d3_key()
+    rep_key = min(key, key.mirror(), key=OKey.encode)
     if rep_key != key:
-        out = _descent(rep_key, table, average).mirror()
+        out = _descent(rep_key, cache, average).mirror()
     elif key == d3:
         out = Gamma2Chain()
     else:
@@ -206,10 +218,9 @@ def _descent(key: OKey, table: dict[OKey, Gamma2Chain], average: bool) -> Gamma2
         r = Fraction(1, len(moves))
         out = Gamma2Chain()
         for mv in moves:
-            out = out.plus(_descent(okey(mv.result), table, average), r).add_move(mv, -r)
+            out = out.plus(_descent(okey(mv.result), cache, average), r).add_move(mv, -r)
         if not average and key.sign == 0:
             out = out.scaled(Fraction(1, 2)).plus(out.mirror(), Fraction(1, 2))
-    want = {} if key == d3 else {key: Fraction(1), d3: Fraction(-1)}
     if out.boundary() != want:
         raise NotACycle(f"descent boundary invariant failed for {key.encode()[:40]}...")
     table[key] = out
@@ -222,8 +233,8 @@ def h_value(move: BistellarMove, cache: XiCache | None = None) -> Fraction:
     if is_inessential(move):
         raise InvalidMove("h is defined on essential moves")
     arg = Gamma2Chain().add_move(move)
-    arg = arg.plus(_descent(okey(move.host), cache.chains, average=True), 1)
-    arg = arg.plus(_descent(okey(move.result), cache.chains, average=True), -1)
+    arg = arg.plus(_descent(okey(move.host), cache, average=True), 1)
+    arg = arg.plus(_descent(okey(move.result), cache, average=True), -1)
     if not arg.is_cycle():
         raise NotACycle("h argument chain is not a cycle")
     return c_of_cycle(arg)
@@ -260,11 +271,10 @@ def _zeta_value(
         certificate = cache.certificate(key, budget=budget, seed=seed)
     elif certificate.start != key:
         raise InvalidMove("certificate start does not match the sphere class")
-    table = cache.chains if average else cache.paths
     zeta = cache.eta(certificate).scaled(-1)
     rep = materialize(key)
     for v in rep.vertices:
-        zeta = zeta.plus(_descent(okey(rep.link((v,))), table, average), -1)
+        zeta = zeta.plus(_descent(okey(rep.link((v,))), cache, average), -1)
     if not zeta.is_cycle():
         raise NotACycle("zeta cycle check failed: orientation bookkeeping bug")
     return c_of_cycle(zeta)

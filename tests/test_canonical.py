@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import permutations
 
@@ -105,3 +107,17 @@ def test_no_sphere_below_four_vertices():
         assert spheres_by_expansion(n) == {}
         assert oriented_sphere_classes(n) == {}
     assert spheres_by_expansion(4) == {4: [ukey(boundary_of_simplex(3))]}
+
+
+def test_expansion_pinned_and_one_child_per_orbit():
+    """The classes with <= 9 vertices, byte for byte.  Applying one move per
+    automorphism orbit and no vertex removal keeps the canonical-form misses
+    of a cold expansion well below the 1,084 made by applying every move."""
+    from bistellar.canonical import _ucanon
+
+    _ucanon.cache_clear()
+    out = spheres_by_expansion(9)
+    misses = _ucanon.cache_info().misses
+    text = json.dumps({str(n): [list(map(list, k)) for k in ks] for n, ks in out.items()}, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == "9f8b71d14bd137c440e60559ac00eaf2cb525f5635cf9c9792efe6c2aaf2f106"
+    assert misses < 1084

@@ -10,8 +10,11 @@ is what ``move_from_endpoint`` transports moves with.
 
 import random
 
+import pytest
+
 from bistellar.canonical import relabel, unoriented_canon
 from bistellar.enumeration import spheres_by_expansion
+from bistellar.library import catalog
 from bistellar.simplicial import Complex
 from helpers import perturbed_cp2
 
@@ -85,3 +88,23 @@ def test_perturbed_cp2_links_match_reference():
     K = perturbed_cp2(seed=4).complex
     for v in K.vertices:
         _assert_matches_reference(K.link((v,)))
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "boundary_delta_2", "boundary_delta_5", "boundary_delta_6", "cross_3", "cross_4", "octahedron",
+        "icosahedron", "rp2_6",
+    ],
+)
+def test_symmetric_complexes_match_reference(name):
+    """Long labeling lists: 5,040 for the boundary of the 6-simplex, 384 for
+    the 4-dimensional cross-polytope, 120 for the icosahedron."""
+    _assert_matches_reference(catalog()[name].complex)
+
+
+@pytest.mark.parametrize("seed, steps", [(1, 5), (5, 12)])
+def test_perturbed_cp2_vertex_and_edge_links_match_reference(seed, steps):
+    K = perturbed_cp2(seed, steps).complex
+    for sigma in [*K.faces_of_dim(0), *K.faces_of_dim(1)]:
+        _assert_matches_reference(K.link(sigma))

@@ -88,6 +88,19 @@ def test_enumerate_counts(capsys, data_dir):
     }
 
 
+def test_enumerate_expands_once(capsys, monkeypatch):
+    import bistellar.enumeration as enumeration
+
+    calls = []
+    expand = enumeration.spheres_by_expansion
+    monkeypatch.setattr(enumeration, "spheres_by_expansion", lambda n: calls.append(n) or expand(n))
+    code, out = _run(capsys, ["enumerate-spheres", "--max-vertices", "7"])
+    assert code == 0 and calls == [7]
+    rep = json.loads(out)
+    assert rep["unoriented_counts"] == {"4": 1, "5": 1, "6": 2, "7": 5}
+    assert rep["oriented_counts"] == {"4": 1, "5": 1, "6": 2, "7": 6}
+
+
 @pytest.mark.parametrize("n", ["3", "0", "-2"])
 def test_enumerate_below_four_vertices_is_empty(capsys, n):
     code = main(["enumerate-spheres", "--max-vertices", n])
@@ -190,6 +203,22 @@ def _cp2_with_certificate(d, cert_of) -> list[str]:
     return _p1_with_cache(d, {"certificates": {key: cert_of(key)}}, "cp2")
 
 
+def _perturbed_with_swapped_xi(d) -> list[str]:
+    """Local p1 of a perturbed CP^2 with a saved cache whose first two xi
+    entries are swapped, so each is filed under the other's class."""
+    from bistellar import XiCache, p1_dual_local
+    from helpers import perturbed_cp2
+
+    K, cache = perturbed_cp2(1, 5), XiCache()
+    p1_dual_local(K, cache=cache)
+    data = cache.to_json()
+    (a, ca), (b, cb) = list(data["xi"].items())[:2]
+    data["xi"][a], data["xi"][b] = cb, ca
+    facets = sorted(K.facets)
+    doc = {"facets": [list(f) for f in facets], "orientation": [K.facet_signs[f] for f in facets]}
+    return ["--xi-cache", _write(d / "xi.json", json.dumps(data)), "p1", "local", _write(d / "k.json", json.dumps(doc))]
+
+
 @pytest.mark.parametrize(
     "argv_of",
     [
@@ -203,10 +232,11 @@ def _cp2_with_certificate(d, cert_of) -> list[str]:
         lambda d: _p1_with_cache(d, {"certificates": {D4: D4_CERT}, "eta": {D4: [["nonsense", "1", "1"]]}}),
         lambda d: _cp2_with_certificate(d, lambda key: D4_CERT),
         lambda d: _cp2_with_certificate(d, lambda key: {"start_key": key, "end_key": key, "moves": []}),
+        _perturbed_with_swapped_xi,
     ],
     ids=[
         "facet-text", "facet-json", "xi-cache", "chain", "json-vertex", "json-facets", "eta-without-certificate",
-        "eta-chain", "certificate-start", "certificate-end",
+        "eta-chain", "certificate-start", "certificate-end", "xi-swapped",
     ],
 )
 def test_malformed_input_is_a_typed_error(capsys, data_dir, argv_of):

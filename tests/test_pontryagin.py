@@ -56,8 +56,8 @@ def test_descent_mirror_laws_on_every_small_sphere():
     keys = [okey(orient(Complex(k, _validated=True))) for ks in spheres_by_expansion(9).values() for k in ks]
     assert len(keys) == 73 and sum(k.sign == 0 for k in keys) == 46
     for key in keys:
-        path, xi = _descent(key, cache.paths, average=False), xi_chain(key, cache)
-        assert _descent(key.mirror(), cache.paths, average=False) == path.mirror()
+        path, xi = _descent(key, cache, average=False), xi_chain(key, cache)
+        assert _descent(key.mirror(), cache, average=False) == path.mirror()
         if key.sign == 0:
             assert path.mirror() == path and xi.mirror() == xi
         want = {} if key == _d3_key() else {key: 1, _d3_key(): -1}
@@ -295,7 +295,7 @@ def test_direct_cochain_laws_on_link_classes():
             assert direct == 0
         rep = materialize(key)
         for m in {okey(rep.link((v,))) for v in rep.vertices} - set(g):
-            g[m] = c_of_cycle(_descent(m, cache.paths, average=False).plus(xi_chain(m, cache), -1))
+            g[m] = c_of_cycle(_descent(m, cache, average=False).plus(xi_chain(m, cache), -1))
         assert direct == local_f(rep, cache=cache) - sum(g[okey(rep.link((v,)))] for v in rep.vertices)
 
 

@@ -12,7 +12,7 @@ Keys:
 * the oriented key ``OKey(facets, sign)`` adds ``sign`` in ``{+1, -1, 0}``,
   where ``0`` means the complex admits an orientation-reversing automorphism
   (so the oriented class equals its mirror).  ``okey(-K)`` is ``okey(K)``
-  with the sign negated.
+  with the sign negated.  It needs a strongly connected complex.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
-from .simplicial import Complex, OrientedComplex, Simplex, orient, perm_parity
+from .errors import NotPseudomanifold
+from .simplicial import Complex, OrientedComplex, Simplex, boundary_of_simplex, orient, perm_parity
 
 # ---------------------------------------------------------------------------
 # keys
@@ -106,12 +107,9 @@ def _refine(facets, star, colors, count):
     return colors, count
 
 
-class _UCanon:
-    __slots__ = ("facets", "labelings")
-
-    def __init__(self, facets: FacetTuple, labelings: list[dict[int, int]]):
-        self.facets = facets
-        self.labelings = labelings
+class _UCanon(NamedTuple):
+    facets: FacetTuple
+    labelings: list[dict[int, int]]
 
 
 def unoriented_canon(K: Complex) -> _UCanon:
@@ -163,39 +161,38 @@ def _ucanon(facet_set: frozenset) -> _UCanon:
     return _UCanon(best[0], [dict(zip(vertices, colors)) for colors in leaves])
 
 
-class _OCanon:
-    __slots__ = ("okey", "labelings_preserving", "labelings_reversing")
-
-    def __init__(self, okey: OKey, pres, rev):
-        self.okey = okey
-        self.labelings_preserving = pres
-        self.labelings_reversing = rev
-
-
 @functools.cache
 def _rep_signs(facets: FacetTuple) -> dict[Simplex, int]:
-    """Coherent facet signs of the canonical representative (seed +1)."""
-    return orient(Complex(facets, _validated=True)).facet_signs
+    """Coherent facet signs of the canonical representative (seed +1), which
+    must be strongly connected: then the sign of one facet fixes them all."""
+    K = Complex(facets, _validated=True)
+    signs = orient(K).facet_signs
+    if not K.is_strongly_connected:
+        raise NotPseudomanifold("an oriented class key needs a strongly connected complex")
+    return signs
 
 
-def oriented_canon(OC: OrientedComplex) -> _OCanon:
-    return _ocanon(OC.complex.facets, tuple(sorted(OC.facet_signs.items())))
+def oriented_canon(OC: OrientedComplex) -> tuple[OKey, list[dict[int, int]]]:
+    """The oriented key of OC and its designated labelings (in the order of
+    ``unoriented_canon``), those onto the representative the key names."""
+    f = min(OC.facets)
+    return _ocanon(OC.complex.facets, f, OC.facet_signs[f])
 
 
 @functools.cache
-def _ocanon(facet_set: frozenset, signs: tuple[tuple[Simplex, int], ...]) -> _OCanon:
-    """``oriented_canon`` memoized on the facet set and the sorted signs."""
+def _ocanon(facet_set: frozenset, facet: Simplex, facet_sign: int) -> tuple[OKey, list[dict[int, int]]]:
+    """``oriented_canon`` memoized on the facet set and one facet's sign.
+    On a strongly connected closed pseudomanifold a labeling keeps the sign
+    of every facet or flips them all, so one facet's image classifies it."""
     u = _ucanon(facet_set)
     rep = _rep_signs(u.facets)
     pres: list[dict[int, int]] = []
     rev: list[dict[int, int]] = []
     for lab in u.labelings:
-        # +1 where lab carries the signs onto the representative's, -1 onto its mirror's
-        eps = {s * perm_parity(img := [lab[v] for v in f]) * rep[tuple(sorted(img))] for f, s in signs}
-        if len(eps) == 1:  # else mixed per-component transport; cannot happen for connected input
-            (pres if eps.pop() == 1 else rev).append(lab)
+        img = [lab[v] for v in facet]
+        (pres if facet_sign * perm_parity(img) * rep[tuple(sorted(img))] == 1 else rev).append(lab)
     sign = 0 if pres and rev else (1 if pres else -1)
-    return _OCanon(OKey(u.facets, sign), pres, rev)
+    return OKey(u.facets, sign), pres if sign >= 0 else rev
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +201,7 @@ def _ocanon(facet_set: frozenset, signs: tuple[tuple[Simplex, int], ...]) -> _OC
 
 
 def okey(OC: OrientedComplex) -> OKey:
-    return oriented_canon(OC).okey
+    return oriented_canon(OC)[0]
 
 
 def ukey(K: Complex) -> FacetTuple:
@@ -214,13 +211,11 @@ def ukey(K: Complex) -> FacetTuple:
 def canonical_form(K) -> CanonicalForm:
     """Spec-facing wrapper returning labeling plus byte keys."""
     if isinstance(K, OrientedComplex):
-        oc = oriented_canon(K)
-        lab = (oc.labelings_preserving or oc.labelings_reversing)[0]
-        ufacets = oc.okey.facets
+        key, labs = oriented_canon(K)
         return CanonicalForm(
-            labeling=dict(lab),
-            key=repr(ufacets).encode(),
-            oriented_key=oc.okey.encode().encode(),
+            labeling=dict(labs[0]),
+            key=repr(key.facets).encode(),
+            oriented_key=key.encode().encode(),
         )
     u = unoriented_canon(K)
     return CanonicalForm(labeling=dict(u.labelings[0]), key=repr(u.facets).encode(), oriented_key=None)
@@ -229,10 +224,7 @@ def canonical_form(K) -> CanonicalForm:
 def designated_labelings(OC: OrientedComplex) -> list[dict[int, int]]:
     """Labelings onto the canonical rep carrying OC's orientation to the one
     designated by its oriented key (+rep for sign >= 0, -rep for sign == -1)."""
-    oc = oriented_canon(OC)
-    if oc.okey.sign >= 0:
-        return oc.labelings_preserving
-    return oc.labelings_reversing
+    return oriented_canon(OC)[1]
 
 
 def marked_encoding(OC: OrientedComplex, sigma: Simplex) -> tuple:
@@ -248,17 +240,20 @@ def materialize(key: OKey) -> OrientedComplex:
     return OrientedComplex(Complex(key.facets, _validated=True), dict(signs), check=False)
 
 
+@functools.cache
+def simplex_boundary_key(dim: int) -> OKey:
+    """The oriented class of the boundary of the (dim + 1)-simplex."""
+    return okey(orient(boundary_of_simplex(dim + 1)))
+
+
 def oriented_isomorphism(A: OrientedComplex, B: OrientedComplex) -> dict[int, int] | None:
-    """Some orientation-preserving isomorphism A -> B, or None."""
-    ca, cb = oriented_canon(A), oriented_canon(B)
-    if ca.okey.facets != cb.okey.facets:
+    """Some orientation-preserving isomorphism A -> B, or None.  One exists
+    iff the oriented keys are equal; then the first designated labelings compose."""
+    (ka, la), (kb, lb) = oriented_canon(A), oriented_canon(B)
+    if ka != kb:
         return None
-    for pa, pb in ((ca.labelings_preserving, cb.labelings_preserving),
-                   (ca.labelings_reversing, cb.labelings_reversing)):
-        if pa and pb:
-            inv = {c: v for v, c in pb[0].items()}
-            return {v: inv[c] for v, c in pa[0].items()}
-    return None
+    inv = {c: v for v, c in lb[0].items()}
+    return {v: inv[c] for v, c in la[0].items()}
 
 
 def relabel(K: Complex, mapping: dict[int, int]) -> Complex:

@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .canonical import OKey
+from .canonical import OKey, designated_labelings, okey
 from .errors import (
     ClosureFailure,
     DecompositionStuck,
@@ -56,9 +56,9 @@ from .errors import (
 from .moves import (
     BistellarMove,
     GammaEdgeKey,
+    carry,
     complexity_of_key,
     complexity_thirds,
-    edge_key,
     enumerate_moves,
     materialize_edge,
     move_from_endpoint,
@@ -117,7 +117,7 @@ class Gamma2Chain(Chain):
     terms: dict[GammaEdgeKey, Fraction]
 
     def add_move(self, move: BistellarMove, coeff=1) -> "Gamma2Chain":
-        se = edge_key(move)
+        se = move.edge
         if se is not None:
             self.add(se.key, se.sign * Fraction(coeff))
         return self
@@ -135,11 +135,13 @@ class Gamma2Chain(Chain):
         return all(v.denominator == 1 for v in self.terms.values())
 
     def mirror(self) -> "Gamma2Chain":
-        """Image under orientation reversal of all spheres."""
+        """Image under orientation reversal of all spheres: each edge's move on
+        the negated tail representative, carried onto the mirror class's."""
         out = Gamma2Chain()
         for k, c in self.terms.items():
             mv = materialize_edge(k)
-            out.add_move(BistellarMove(-mv.host, mv.sigma, mv.tau), c)
+            lab = designated_labelings(-mv.host)[0]
+            out.add_move(carry(k.tail.mirror(), lab, mv.sigma, mv.tau)[0], c)
         return out
 
     @staticmethod
@@ -229,8 +231,14 @@ def _walk(state: OrientedComplex, plan) -> list[BistellarMove] | None:
 
 
 def _chain(walk: list[BistellarMove]) -> Gamma2Chain:
-    """The sum of the Gamma_2 edges of a walk's moves."""
-    return functools.reduce(Gamma2Chain.add_move, walk, Gamma2Chain())
+    """The sum of the Gamma_2 edges of a walk's moves, carried along the walk
+    from one labelling of its first host (``moves.carry``)."""
+    out, host = Gamma2Chain(), walk[0].host
+    key, lab = okey(host), designated_labelings(host)[0]
+    for mv in walk:
+        rm, (key, lab) = carry(key, lab, mv.sigma, mv.tau)
+        out.add_move(rm)
+    return out
 
 
 def _outside(L: OrientedComplex, v: int, patch) -> int:

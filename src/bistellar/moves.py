@@ -342,6 +342,21 @@ def rep_move(key: OKey, sigma: Simplex) -> BistellarMove:
     return mv
 
 
+def carry(key: OKey, lab: dict[int, int], sigma: Simplex, tau: Simplex) -> tuple[BistellarMove, tuple[OKey, dict]]:
+    """The move (sigma, tau) on a complex of class ``key`` with designated
+    labelling ``lab``, read off the representative: the ``rep_move`` it maps
+    to (whose cached ``edge`` is its edge), and the class of its result with
+    the result's labelling, ``lab`` composed with the representative's.  A
+    removal drops sigma's vertex; a subdivision sends tau's vertex to the
+    representative's fresh one.  No state of a sequence is labelled again."""
+    mv = rep_move(key, tuple(sorted(lab[x] for x in sigma)))
+    head, after = mv.result_class
+    out = {x: after[y] for x, y in lab.items() if y in after}
+    if len(tau) == 1:
+        out[tau[0]] = after[mv.tau[0]]
+    return mv, (head, out)
+
+
 def materialize_edge(key: GammaEdgeKey) -> BistellarMove:
     """A concrete move realizing the edge in its canonical direction."""
     return rep_move(key.tail, key.orbit)
@@ -352,10 +367,7 @@ def move_from_endpoint(key: GammaEdgeKey, endpoint: str) -> BistellarMove:
     representative of the chosen endpoint.
 
     ``endpoint='tail'`` gives the canonical-direction move; ``'head'`` gives
-    its inverse transported onto the head representative.
+    its inverse carried onto the head representative.
     """
     mv = materialize_edge(key)
-    if endpoint == "tail":
-        return mv
-    lab = mv.result_class[1]
-    return rep_move(key.head, tuple(sorted(lab[v] for v in mv.tau)))
+    return mv if endpoint == "tail" else carry(*mv.result_class, mv.tau, mv.sigma)[0]

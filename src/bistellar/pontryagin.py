@@ -24,17 +24,16 @@ reduction sequences:
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 from fractions import Fraction
 
-from .canonical import OKey, designated_labelings, materialize, okey
+from .canonical import OKey, designated_labelings, materialize, okey, simplex_boundary_key
 from .errors import DimensionTooSmall, InvalidMove, MalformedInput, NotACycle, SphereCheckFailed, parsing
 from .gamma2 import Gamma2Chain, c_of_cycle, decreasing_moves
-from .moves import BistellarMove, is_inessential, rep_move, u_set
+from .moves import BistellarMove, carry, is_inessential, u_set
 from .reduction import MoveSequence, reduce_to_boundary, replay
-from .simplicial import OrientedComplex, boundary_of_simplex, orient
+from .simplicial import OrientedComplex
 from .talgebra import LocalCochain, SimplicialChain, f_sharp
 
 
@@ -80,7 +79,7 @@ class XiCache:
         for enc, cert in certs.items():
             if cert.start != OKey.decode(enc):
                 raise MalformedInput(f"certificate filed under {enc[:40]}... starts from another class")
-            if cert.end != okey(orient(boundary_of_simplex(cert.start.dim() + 1))):
+            if cert.end != simplex_boundary_key(cert.start.dim()):
                 raise MalformedInput(f"certificate of {enc[:40]}... does not end at the simplex boundary")
             self.certs.setdefault(cert.start, cert)
         for enc, chain in data.get("eta", {}).items():
@@ -130,15 +129,13 @@ class XiCache:
 
 
 def _carry_eta(cert: MoveSequence) -> Gamma2Chain:
-    """The edges of the induced vertex moves along a replayed certificate,
-    read off moves on class representatives (``moves.rep_move``).
+    """The edges of the induced vertex moves along a replayed certificate.
 
     Each vertex u keeps the class of its link and a labelling of the link
     onto the class representative, taken from its own link when u is first
-    used.  A move changing lk(u) maps through the labelling to a move on the
-    representative, whose result labelling composes with it: a removal in
-    the link drops sigma's vertex, and a subdivision sends tau's vertex to
-    the representative's fresh one.  No concrete link is labelled again.
+    used and then carried through each move changing lk(u) by
+    ``moves.carry``, which reads the move's edge off the representative.
+    No concrete link is labelled again.
     """
     _, states = replay(cert)
     out = Gamma2Chain()
@@ -148,24 +145,12 @@ def _carry_eta(cert: MoveSequence) -> Gamma2Chain:
             if u not in links:
                 lk = state.link((u,))
                 links[u] = okey(lk), designated_labelings(lk)[0]
-            key, lab = links[u]
             s, t = (tuple(x for x in m if x != u) for m in (sig, tau))
-            mv = rep_move(key, tuple(sorted(lab[x] for x in s)))
-            if mv.edge is not None:
-                out.add(mv.edge.key, mv.edge.sign)
-            head, after = mv.result_class
-            lab = {x: after[y] for x, y in lab.items() if y in after}
-            if len(t) == 1:
-                lab[t[0]] = after[mv.tau[0]]
-            links[u] = head, lab
+            mv, links[u] = carry(*links[u], s, t)
+            out.add_move(mv)
         if len(sig) == 1:
             links.pop(sig[0], None)
     return out
-
-
-@functools.cache
-def _d3_key() -> OKey:
-    return okey(orient(boundary_of_simplex(3)))
 
 
 def xi_chain(L: OrientedComplex | OKey, cache: XiCache | None = None) -> Gamma2Chain:
@@ -195,7 +180,7 @@ def _descent(key: OKey, cache: XiCache, average: bool) -> Gamma2Chain:
     is ``MalformedInput``.
     """
     _need_dim(key.dim(), 2, "a descent to the tetrahedron")
-    table, d3 = cache.chains if average else cache.paths, _d3_key()
+    table, d3 = cache.chains if average else cache.paths, simplex_boundary_key(2)
     want = {} if key == d3 else {key: 1, d3: -1}
     hit = table.get(key)
     if hit is not None and average and key in cache._unchecked:

@@ -3,6 +3,8 @@ import json
 import random
 from itertools import permutations
 
+import pytest
+
 from bistellar.canonical import (
     canonical_form,
     marked_encoding,
@@ -14,7 +16,8 @@ from bistellar.canonical import (
     ukey,
 )
 from bistellar.enumeration import oriented_sphere_classes, spheres_by_expansion
-from bistellar.simplicial import Complex, boundary_of_simplex, build_complex, orient
+from bistellar.errors import NotPseudomanifold
+from bistellar.simplicial import Complex, OrientedComplex, boundary_of_simplex, build_complex, orient
 from helpers import octahedron
 
 
@@ -121,3 +124,21 @@ def test_expansion_pinned_and_one_child_per_orbit():
     text = json.dumps({str(n): [list(map(list, k)) for k in ks] for n, ks in out.items()}, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == "9f8b71d14bd137c440e60559ac00eaf2cb525f5635cf9c9792efe6c2aaf2f106"
     assert misses < 1084
+
+
+def test_disconnected_oriented_input_is_rejected():
+    """(+A) + (-A) for a chiral 2-sphere A has no labeling carrying its
+    orientation onto one representative, and one facet's sign does not fix
+    the orientation of (+A) + (+A) either: an oriented key needs a strongly
+    connected complex, and both are NotPseudomanifold, not a bare error."""
+    A = next(L for ks in spheres_by_expansion(8).values() for k in ks
+             if okey(L := orient(Complex(k, _validated=True))).sign != 0)
+    shift = max(A.vertices) + 1
+    for second in (-1, 1):
+        signs = dict(A.facet_signs)
+        signs.update({tuple(v + shift for v in f): second * s for f, s in A.facet_signs.items()})
+        union = OrientedComplex(Complex(signs, _validated=True), signs)
+        for fn in (okey, canonical_form):
+            with pytest.raises(NotPseudomanifold):
+                fn(union)
+    assert okey(A).sign == -okey(-A).sign != 0

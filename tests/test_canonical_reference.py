@@ -6,16 +6,22 @@ discrete coloring still takes one confirming round.  The library's
 ``unoriented_canon`` must return the same canonical facets and the same
 optimal labelings in the same order, because ``designated_labelings(...)[0]``
 is what ``move_from_endpoint`` transports moves with.
+
+``_reference_designated`` transports the orientation of an oriented complex
+through each reference labeling facet by facet; the library classifies a
+labeling on one facet only, and must give the same key and the same
+designated labelings in the same order, in both orientations.
 """
 
 import random
 
 import pytest
 
-from bistellar.canonical import relabel, unoriented_canon
+from bistellar.canonical import OKey, oriented_canon, relabel, unoriented_canon
 from bistellar.enumeration import spheres_by_expansion
 from bistellar.library import catalog
-from bistellar.simplicial import Complex
+from bistellar.errors import NonOrientable
+from bistellar.simplicial import Complex, OrientedComplex, boundary_of_simplex, orient, perm_parity
 from helpers import perturbed_cp2
 
 
@@ -67,11 +73,37 @@ def _reference_canon(K: Complex):
     return best[0], best_labelings
 
 
+def _reference_designated(OC: OrientedComplex, facets, labelings):
+    """The oriented key and designated labelings by transporting every facet
+    sign: each labeling must keep all signs of the representative or flip
+    them all."""
+    rep = orient(Complex(facets, _validated=True)).facet_signs
+    pres, rev = [], []
+    for lab in labelings:
+        eps = set()
+        for f, s in OC.facet_signs.items():
+            image = [lab[v] for v in f]
+            eps.add(s * perm_parity(image) * rep[tuple(sorted(image))])
+        assert len(eps) == 1
+        (pres if eps == {1} else rev).append(lab)
+    sign = 0 if pres and rev else (1 if pres else -1)
+    return OKey(facets, sign), pres if sign >= 0 else rev
+
+
 def _assert_matches_reference(K: Complex):
     facets, labelings = _reference_canon(K)
     got = unoriented_canon(K)
     assert got.facets == facets
     assert [list(lab.items()) for lab in got.labelings] == [list(lab.items()) for lab in labelings]
+    try:
+        OC = orient(K)
+    except NonOrientable:
+        return
+    for M in (OC, -OC):
+        key, designated = _reference_designated(M, facets, labelings)
+        got_key, got_designated = oriented_canon(M)
+        assert got_key == key
+        assert [list(lab.items()) for lab in got_designated] == [list(lab.items()) for lab in designated]
 
 
 def test_relabeled_two_spheres_match_reference():
@@ -101,6 +133,13 @@ def test_symmetric_complexes_match_reference(name):
     """Long labeling lists: 5,040 for the boundary of the 6-simplex, 384 for
     the 4-dimensional cross-polytope, 120 for the icosahedron."""
     _assert_matches_reference(catalog()[name].complex)
+
+
+def test_zero_sphere_matches_reference():
+    """S^0 is one ridge (the empty face) in two facets; the swap of its two
+    points reverses the orientation, so its key is achiral."""
+    _assert_matches_reference(boundary_of_simplex(1))
+    assert oriented_canon(orient(boundary_of_simplex(1)))[0] == OKey(((0,), (1,)), 0)
 
 
 @pytest.mark.parametrize("seed, steps", [(1, 5), (5, 12)])

@@ -18,7 +18,7 @@ from bistellar.gamma2 import (
     move_complexity,
     sphere_complexity,
 )
-from bistellar.moves import BistellarMove, apply_move, enumerate_moves, move_tau
+from bistellar.moves import BistellarMove, apply_move, edge_key, enumerate_moves, move_tau
 from bistellar.simplicial import boundary_of_simplex, orient
 from helpers import icosahedron, octahedron, random_loop_cycle, random_walk_sphere
 
@@ -299,6 +299,33 @@ def test_decomposition_pieces_repeat_on_memoized_commutations():
         assert _commute.cache_info().hits > hits
         assert snapshot(second) == before == snapshot(first)
         assert _pieces(second) == PINNED_PIECES[(seed, order_seed)]
+
+
+def test_walk_chains_are_their_edge_keys(monkeypatch):
+    """Every elementary cycle the decompositions of the pinned cycles build
+    (rejected candidates included) keys its walk by carrying one labelling
+    from the walk's start; the chain equals the sum of ``edge_key`` over the
+    walk's moves, each labelled on its own."""
+    import bistellar.gamma2 as gamma2
+
+    real, checked = gamma2._chain, []
+
+    def spy(walk):
+        got, want = real(walk), Gamma2Chain()
+        for mv in walk:
+            se = edge_key(mv)
+            if se is not None:
+                want.add(se.key, se.sign)
+        checked.append(got == want)
+        return got
+
+    monkeypatch.setattr(gamma2, "_chain", spy)
+    _commute.cache_clear()
+    kinds = set()
+    for seed in (14, 20, 59):
+        kinds |= {g.kind for _, g in decompose_cycle(_loop_cycle(seed))}
+    assert len(checked) > 20 and all(checked)
+    assert {"spec-a", "spec-b", "comm-b", "comm-f", "comm-i"} <= kinds
 
 
 def _measure(chain: Gamma2Chain):

@@ -3,16 +3,35 @@ from fractions import Fraction
 
 import pytest
 
-from bistellar.canonical import okey, relabel
+from bistellar.canonical import materialize, okey, relabel
 from bistellar.enumeration import spheres_by_expansion
 from bistellar.errors import BudgetExhausted, DimensionTooSmall, InvalidMove, SphereCheckFailed
 from bistellar.gamma2 import Gamma2Chain
 from bistellar.library import cp2_9, cross_polytope_boundary
-from bistellar.moves import apply_move, enumerate_moves, inverse_move, materialize_edge
+from bistellar.moves import BistellarMove, apply_move, edge_key, enumerate_moves, inverse_move, materialize_edge
 from bistellar.pontryagin import XiCache, h_value, local_f, p1_dual_direct, p1_dual_local, p1_number, xi_chain
 from bistellar.reduction import MoveSequence, reduce_to_boundary
 from bistellar.simplicial import Complex, boundary_of_simplex, build_complex, orient
 from helpers import eta_oracle, octahedron, perturbed_cp2, random_loop_cycle, random_walk_sphere, walk_certificate
+
+
+def _mirror_by_relabelling(chain: Gamma2Chain) -> Gamma2Chain:
+    """The mirror of a chain by the negate-and-relabel rule: each edge's
+    move made on the negated tail representative and keyed by ``edge_key``."""
+    out = Gamma2Chain()
+    for k, c in chain.terms.items():
+        mv = materialize_edge(k)
+        se = edge_key(BistellarMove(-mv.host, mv.sigma, mv.tau))
+        out.add(se.key, se.sign * c)
+    return out
+
+
+def _assert_mirrors_by_relabelling(chains) -> None:
+    """``Gamma2Chain.mirror`` agrees with the negate-and-relabel rule on
+    every chain, among whose edges there are chiral and achiral tails."""
+    assert {k.tail.sign == 0 for ch in chains for k in ch.terms} == {True, False}
+    for ch in chains:
+        assert ch.mirror() == _mirror_by_relabelling(ch)
 
 
 def test_xi_tetrahedron_is_zero():
@@ -50,7 +69,8 @@ def test_descent_mirror_laws_on_every_small_sphere():
     """On every 2-sphere class with at most 9 vertices: the descent path of
     -L is the mirror of the path of L, an achiral class's path and xi are
     their own mirrors, and both chains have boundary {L} - {tetrahedron}."""
-    from bistellar.pontryagin import _d3_key, _descent
+    from bistellar.canonical import simplex_boundary_key
+    from bistellar.pontryagin import _descent
 
     cache = XiCache()
     keys = [okey(orient(Complex(k, _validated=True))) for ks in spheres_by_expansion(9).values() for k in ks]
@@ -60,8 +80,10 @@ def test_descent_mirror_laws_on_every_small_sphere():
         assert _descent(key.mirror(), cache, average=False) == path.mirror()
         if key.sign == 0:
             assert path.mirror() == path and xi.mirror() == xi
-        want = {} if key == _d3_key() else {key: 1, _d3_key(): -1}
+        d3 = simplex_boundary_key(2)
+        want = {} if key == d3 else {key: 1, d3: -1}
         assert path.boundary() == xi.boundary() == want
+    _assert_mirrors_by_relabelling([*cache.chains.values(), *cache.paths.values()])
 
 
 def test_h_antisymmetry():
@@ -313,7 +335,7 @@ def test_memo_tables_never_change_an_answer():
     mods = [m for n, m in list(sys.modules.items()) if n == "bistellar" or n.startswith("bistellar.")]
     tables = {id(o): o for m in mods for o in vars(m).values() if hasattr(o, "cache_clear")}.values()
     assert {t.__name__ for t in tables} >= {
-        "_ucanon", "_ocanon", "_rep_signs", "complexity_of_key", "_rep_moves", "_d3_key",
+        "_ucanon", "_ocanon", "_rep_signs", "complexity_of_key", "_rep_moves", "simplex_boundary_key",
         "_commute", "_edge_order", "_decode_okey",
     }
     assert all(t.cache_info().currsize for t in tables)
@@ -448,6 +470,26 @@ def test_eta_along_random_walks_is_its_definition(seed):
     cert = walk_certificate(random.Random(seed))
     assert len(cert.moves) == 12 and {len(s) for s, _ in cert.moves} == {1, 2, 3, 4}
     assert XiCache().eta(cert) == eta_oracle(cert)
+
+
+def test_cold_local_p1_keys_edges_on_representatives_only(monkeypatch):
+    """Cold local p1 keys every move-graph edge on a move hosted on its class
+    representative, orientation included: eta, xi, the walks of the
+    decomposition and the mirrors all read their edges off ``rep_move``.
+    Its xi chains then mirror as the negate-and-relabel rule does."""
+    from bistellar import moves
+    from bistellar.gamma2 import _commute
+
+    hosts, real = [], moves.edge_key
+    monkeypatch.setattr(moves, "edge_key", lambda mv: hosts.append(mv.host) or real(mv))
+    moves._rep_moves.cache_clear()
+    _commute.cache_clear()
+    cache = XiCache()
+    assert p1_dual_local(perturbed_cp2(1, steps=5), cache=cache).total() == 3
+    monkeypatch.undo()
+    assert len(hosts) > 100
+    assert all(h == materialize(okey(h)) for h in hosts)
+    _assert_mirrors_by_relabelling(cache.chains.values())
 
 
 def _digest(data) -> str:

@@ -24,9 +24,9 @@ measure, and only gamma's edges can move it: the test fails if gamma has an
 edge above the top complexity, and otherwise passes iff the sum over
 gamma's edges e at the top of |w_e - s*g_e| - |w_e| is negative (w and g
 being the coefficients in the work chain and in gamma).  The peeling loop
-compares strata as integers, six times the complexity, read with each
-edge's sort key from one table per edge (``_edge_order``); commutation
-cycles are memoized per (host, sigma1, sigma2) (``_commute``).
+keeps the integer work chain in strata keyed by six times the complexity,
+read with each edge's sort key from one table per edge (``_edge_order``);
+commutation cycles are memoized per (host, sigma1, sigma2) (``_commute``).
 
 Moves read what they need from the objects that own it: a vertex degree
 from the cached ``Complex.degrees``, the support of a move (the triangles
@@ -59,7 +59,6 @@ from .moves import (
     carry,
     complexity_of_key,
     complexity_thirds,
-    enumerate_moves,
     materialize_edge,
     move_from_endpoint,
     move_tau,
@@ -97,9 +96,20 @@ def _edge_order(key: GammaEdgeKey) -> tuple[int, str]:
 
 
 def decreasing_moves(L: OrientedComplex) -> list[BistellarMove]:
-    """All moves strictly decreasing the sphere complexity, scored by their result degrees."""
-    a = complexity_thirds(L.degrees.values())
-    return [mv for mv in enumerate_moves(L) if complexity_thirds(mv.result_degrees().values()) < a]
+    """All moves strictly decreasing the sphere complexity, in
+    ``enumerate_moves`` order.  A flip lowers only the degrees of its edge's
+    ends, so with minimal degree m they are the removals of degree-3 vertices
+    (m <= 3), the flips of edges with an end of degree m (m = 4, 5) or none."""
+    degs = L.degrees
+    m = min(degs.values())
+    if m <= 3:
+        cands = [(v,) for v in sorted(degs) if degs[v] == 3]
+    elif m <= 5:
+        low = [v for v, d in degs.items() if d == m]
+        cands = sorted({tuple(sorted((v, w))) for v in low for f in L.facets_containing((v,)) for w in f if w != v})
+    else:
+        cands = []
+    return [BistellarMove(L, s, t, tau_checked=True) for s in cands if (t := move_tau(L, s)) is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +129,7 @@ class Gamma2Chain(Chain):
     def add_move(self, move: BistellarMove, coeff=1) -> "Gamma2Chain":
         se = move.edge
         if se is not None:
-            self.add(se.key, se.sign * Fraction(coeff))
+            self.add(se.key, se.sign * coeff)
         return self
 
     def boundary(self) -> dict[OKey, Fraction]:
@@ -616,28 +626,35 @@ def _candidates_paired(key: GammaEdgeKey, partners: list[GammaEdgeKey]):
                     yield [first, _commute(S, m3.sigma, mp.sigma)]
 
 
-def _accept(work: Gamma2Chain, top: int, key: GammaEdgeKey, chain: Gamma2Chain) -> Fraction | None:
+def _accept(work: dict, top: int, key: GammaEdgeKey, chain: Gamma2Chain) -> int | None:
     """The scale s that kills ``key`` in ``work - s*chain``, if that lowers
     the (max complexity, weight there) measure of ``work``; else None.
 
-    ``top`` is six times the top complexity of ``work``.  Only the edges of
-    ``chain`` move the measure: one above ``top`` raises the maximum (s is
-    nonzero), and otherwise the weight at ``top`` changes by the sum below,
-    a weight of 0 meaning the maximum drops.
+    ``work`` holds at least the edges at ``top``, six times the top
+    complexity of the work chain.  Only the edges of ``chain`` move the
+    measure: one above ``top`` raises the maximum (s is nonzero), and
+    otherwise the weight at ``top`` changes by the sum below.
     """
     ce = chain.coeff(key)
     if abs(ce) != 1:
         return None
-    s = work.coeff(key) / ce
-    delta = Fraction(0)
+    s = work.get(key, 0) * ce
+    delta = 0
     for e, g in chain.terms.items():
         c = _edge_order(e)[0]
         if c > top:
             return None
         if c == top:
-            w = work.coeff(e)
+            w = work.get(e, 0)
             delta += abs(w - s * g) - abs(w)
     return s if delta < 0 else None
+
+
+def _top_stratum(strata: dict[int, dict]) -> tuple[int, list[GammaEdgeKey]]:
+    """Six times the top complexity of a stratified work chain and its
+    edges there, in ``_edge_order``."""
+    top = max(strata)
+    return top, sorted(strata[top], key=_edge_order)
 
 
 def decompose_cycle(zeta: Gamma2Chain, order_seed: int | None = None) -> list[tuple[int, ElementaryCycle]]:
@@ -656,12 +673,13 @@ def decompose_cycle(zeta: Gamma2Chain, order_seed: int | None = None) -> list[tu
     if not zeta.is_integral():
         raise NotACycle("decompose_cycle requires integer coefficients")
     rng = random.Random(order_seed) if order_seed is not None else None
-    work = Gamma2Chain(dict(zeta.terms))
+    # the work chain, split by six times the complexity of its edges
+    strata: dict[int, dict[GammaEdgeKey, int]] = {}
+    for k, v in zeta.terms.items():
+        strata.setdefault(_edge_order(k)[0], {})[k] = int(v)
     out: list[tuple[int, ElementaryCycle]] = []
-    while work:
-        ranked = [(_edge_order(k), k) for k in work.terms]
-        top = max(o[0] for o, _ in ranked)
-        top_edges = [k for _, k in sorted(x for x in ranked if x[0][0] == top)]
+    while strata:
+        top, top_edges = _top_stratum(strata)
         if rng is not None:
             rng.shuffle(top_edges)
         key = top_edges[0]
@@ -677,20 +695,26 @@ def decompose_cycle(zeta: Gamma2Chain, order_seed: int | None = None) -> list[tu
             chain = pieces[0].chain
             for g in pieces[1:]:
                 chain = chain.plus(g.chain)
-            scale = _accept(work, top, key, chain)
+            scale = _accept(strata[top], top, key, chain)
             if scale is not None:
                 break
         else:
+            residual = Gamma2Chain({k: v for st in strata.values() for k, v in st.items()})
             raise DecompositionStuck(
-                f"no catalogued cycle applies to edge at complexity {Fraction(top, 6)}", residual=work
+                f"no catalogued cycle applies to edge at complexity {Fraction(top, 6)}", residual=residual
             )
         for g in pieces:
-            work = work.plus(g.chain, -scale)
+            for k, v in g.chain.terms.items():
+                st = strata.setdefault(_edge_order(k)[0], {})
+                st[k] = st.get(k, 0) - scale * v
+                if not st[k]:
+                    del st[k]
             out.append((int(scale), g))
+        strata = {c: st for c, st in strata.items() if st}
     # exact verification
     total = Gamma2Chain()
     for n, g in out:
-        total = total.plus(g.chain, n)
+        total.iadd(g.chain, n)
     if total != zeta:
         raise DecompositionStuck("decomposition does not reproduce the cycle", residual=zeta)
     return out

@@ -129,13 +129,10 @@ def move_tau(K: OrientedComplex, sigma: Simplex, used=(), star=None) -> Simplex 
     For a facet sigma, tau is the fresh vertex: the smallest id in neither
     K nor ``used``.  Otherwise link(sigma) must be the boundary of a simplex
     tau that is not a face of K.  ``star`` maps every face of K to the
-    facets containing it, so one pass over K serves all faces.
+    facets containing it, so one pass over K serves all faces; without it
+    the facets come from ``facets_containing``.
     """
-    if star is None:
-        ss = set(sigma)
-        stars = [f for f in K.facets if ss <= set(f)]
-    else:
-        stars = star[sigma]
+    stars = K.facets_containing(sigma) if star is None else star[sigma]
     m = K.dim + 2 - len(sigma)  # the number of tau vertices
     if not stars:
         return None
@@ -148,7 +145,7 @@ def move_tau(K: OrientedComplex, sigma: Simplex, used=(), star=None) -> Simplex 
     if len(tau) != m:
         return None
     tau = tuple(sorted(tau))
-    if (tau in star) if star is not None else any(set(tau) <= set(f) for f in K.facets):
+    if (tau in star) if star is not None else K.facets_containing(tau):
         return None  # tau is a face of K, not an empty simplex
     return tau
 

@@ -203,7 +203,7 @@ def _descent(key: OKey, cache: XiCache, average: bool) -> Gamma2Chain:
         r = Fraction(1, len(moves))
         out = Gamma2Chain()
         for mv in moves:
-            out = out.plus(_descent(okey(mv.result), cache, average), r).add_move(mv, -r)
+            out.iadd(_descent(okey(mv.result), cache, average), r).add_move(mv, -r)
         if not average and key.sign == 0:
             out = out.scaled(Fraction(1, 2)).plus(out.mirror(), Fraction(1, 2))
     if out.boundary() != want:
@@ -217,9 +217,8 @@ def h_value(move: BistellarMove, cache: XiCache | None = None) -> Fraction:
     cache = cache if cache is not None else XiCache()
     if is_inessential(move):
         raise InvalidMove("h is defined on essential moves")
-    arg = Gamma2Chain().add_move(move)
-    arg = arg.plus(_descent(okey(move.host), cache, average=True), 1)
-    arg = arg.plus(_descent(okey(move.result), cache, average=True), -1)
+    arg = Gamma2Chain().add_move(move).iadd(_descent(okey(move.host), cache, average=True))
+    arg.iadd(_descent(okey(move.result), cache, average=True), -1)
     if not arg.is_cycle():
         raise NotACycle("h argument chain is not a cycle")
     return c_of_cycle(arg)
@@ -259,7 +258,7 @@ def _zeta_value(
     zeta = cache.eta(certificate).scaled(-1)
     rep = materialize(key)
     for v in rep.vertices:
-        zeta = zeta.plus(_descent(okey(rep.link((v,))), cache, average), -1)
+        zeta.iadd(_descent(okey(rep.link((v,))), cache, average), -1)
     if not zeta.is_cycle():
         raise NotACycle("zeta cycle check failed: orientation bookkeeping bug")
     return c_of_cycle(zeta)

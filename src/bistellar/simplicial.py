@@ -135,13 +135,32 @@ class Complex:
 
     # -- derived complexes -------------------------------------------------
 
+    @cached_property
+    def _vertex_facets(self) -> dict[int, list[Simplex]]:
+        out: dict[int, list[Simplex]] = {}
+        for f in self.facets:
+            for v in f:
+                out.setdefault(v, []).append(f)
+        return out
+
+    def facets_containing(self, sigma: Simplex) -> list[Simplex]:
+        """The facets containing ``sigma``, read off a cached vertex-to-facets
+        index; every facet for ``()``, none for a non-face."""
+        out = self._vertex_facets.get(sigma[0], ()) if sigma else self.facets
+        for v in sigma[1:]:
+            out = [f for f in out if v in f]
+        return list(out)
+
+    def _star(self, sig: Simplex) -> list[Simplex]:
+        stars = self.facets_containing(sig)
+        if not stars:
+            raise SimplexNotInComplex(f"{sig} is not a face")
+        return stars
+
     def link(self, sigma: Iterable[int]) -> "Complex":
         sig = simplex(sigma)
-        if sig not in self.faces:
-            raise SimplexNotInComplex(f"{sig} is not a face")
-        ss = set(sig)
         # no maximality filter: facets are pairwise incomparable, so are f - sigma
-        return Complex({tuple(v for v in f if v not in ss) for f in self.facets if ss <= set(f)}, _validated=True)
+        return Complex({tuple(v for v in f if v not in sig) for f in self._star(sig)}, _validated=True)
 
     @cached_property
     def degrees(self) -> Counter:
@@ -291,6 +310,9 @@ class OrientedComplex:
         of = tuple(ordered_facet)
         return self.facet_signs[tuple(sorted(of))] * perm_parity(of)
 
+    def facets_containing(self, sigma: Simplex) -> list[Simplex]:
+        return self.complex.facets_containing(sigma)
+
     def link(self, sigma: Iterable[int]) -> "OrientedComplex":
         """Link with the induced orientation.
 
@@ -298,14 +320,10 @@ class OrientedComplex:
         sigma's vertices first, then lam's, each ascending.
         """
         sig = simplex(sigma)
-        if sig not in self.faces:
-            raise SimplexNotInComplex(f"{sig} is not a face")
-        ss = set(sig)
         signs: dict[Simplex, int] = {}
-        for f, s in self.facet_signs.items():
-            if ss <= set(f):
-                lam = tuple(v for v in f if v not in ss)
-                signs[lam] = s * perm_parity(sig + lam)
+        for f in self.complex._star(sig):
+            lam = tuple(v for v in f if v not in sig)
+            signs[lam] = self.facet_signs[f] * perm_parity(sig + lam)
         return OrientedComplex(Complex(signs, _validated=True), signs, check=False)
 
     def link_cycle(self, v: int) -> list[int]:

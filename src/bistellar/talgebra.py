@@ -42,8 +42,8 @@ def _norm_key_coeff(key: OKey, coeff: Fraction) -> tuple[OKey, Fraction] | None:
 class Chain:
     """A finitely supported exact rational combination of hashable keys.
 
-    ``terms`` maps each key to its nonzero coefficient; ``add`` is the one
-    place that accumulates a coefficient and drops the key at zero.
+    ``terms`` maps each key to its nonzero int or Fraction coefficient;
+    ``add`` is the one place that accumulates one and drops the key at zero.
     Subclasses fix what a key is and carry their shape (grade, ambient
     complex, degree) as extra attributes, which ``plus`` and ``scaled`` copy.
     """
@@ -62,7 +62,9 @@ class Chain:
         return out
 
     def add(self, key, coeff):
-        c = self.terms.get(key, _ZERO) + Fraction(coeff)
+        if not isinstance(coeff, (int, Fraction)):
+            coeff = Fraction(coeff)
+        c = self.terms.get(key, 0) + coeff
         if c:
             self.terms[key] = c
         else:
@@ -72,16 +74,16 @@ class Chain:
     def coeff(self, key) -> Fraction:
         return self.terms.get(key, _ZERO)
 
-    def plus(self, other: "Chain", scale=1):
-        out = self._like(dict(self.terms))
-        s = Fraction(scale)
+    def iadd(self, other: "Chain", scale=1):
         for k, v in other.terms.items():
-            out.add(k, v * s)
-        return out
+            self.add(k, v * scale)
+        return self
+
+    def plus(self, other: "Chain", scale=1):
+        return self._like(dict(self.terms)).iadd(other, scale)
 
     def scaled(self, scale):
-        s = Fraction(scale)
-        return self._like({k: w for k, v in self.terms.items() if (w := v * s)})
+        return self._like({k: w for k, v in self.terms.items() if (w := v * scale)})
 
     def total(self) -> Fraction:
         return sum(self.terms.values(), _ZERO)

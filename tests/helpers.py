@@ -10,7 +10,7 @@ from bistellar.gamma2 import Gamma2Chain, sphere_complexity
 from bistellar.library import cp2_9
 from bistellar.moves import BistellarMove, apply_move, enumerate_moves, induced_vertex_moves
 from bistellar.reduction import MoveSequence, replay
-from bistellar.simplicial import OrientedComplex, boundary_of_simplex, build_complex, orient
+from bistellar.simplicial import Complex, OrientedComplex, boundary_of_simplex, build_complex, orient
 
 
 def octahedron() -> OrientedComplex:
@@ -32,6 +32,11 @@ def icosahedron() -> OrientedComplex:
             ]
         )
     )
+
+
+def torus_7() -> Complex:
+    """The 7-vertex torus, every vertex of degree 6."""
+    return build_complex([(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)] + [(i, (i + 2) % 7, (i + 3) % 7) for i in range(7)])
 
 
 def perturbed_cp2(seed: int, steps: int = 5) -> OrientedComplex:

@@ -341,3 +341,40 @@ def test_stuck_decomposition_reports_residual(capsys, tmp_path, monkeypatch):
     rep = json.loads(out)
     assert rep["error"] == "DecompositionStuck"
     assert rep["residual"] == chain.to_json()
+
+
+def test_stuck_peeling_reports_its_work_chain(capsys, tmp_path, monkeypatch):
+    """The peeling loop itself stuck after its first step: the residual is
+    the whole work chain, three strata of it, as a ``Gamma2Chain`` equal to
+    the Fraction chain arithmetic, and the CLI prints its JSON form."""
+    import random
+
+    import bistellar.gamma2 as gamma2
+    from bistellar.errors import DecompositionStuck
+    from helpers import random_loop_cycle
+
+    rng, chain = random.Random(20), None
+    while chain is None:
+        chain = random_loop_cycle(rng)
+    n, g = gamma2.decompose_cycle(chain)[0]
+    want = chain.plus(g.chain, -n)
+    assert len({gamma2.edge_complexity(k) for k in want.terms}) == 3
+    calls = []
+
+    def first_only(real):
+        def candidates(*args):
+            calls.append(args)
+            return real(*args) if len(calls) == 1 else iter(())
+
+        return candidates
+
+    monkeypatch.setattr(gamma2, "_candidates_single", first_only(gamma2._candidates_single))
+    monkeypatch.setattr(gamma2, "_candidates_paired", first_only(gamma2._candidates_paired))
+    with pytest.raises(DecompositionStuck) as info:
+        gamma2.decompose_cycle(chain)
+    got = info.value.residual
+    assert type(got) is gamma2.Gamma2Chain and got == want and got.to_json() == want.to_json()
+    calls.clear()
+    code, out = _run(capsys, ["gamma2", "decompose", _write(tmp_path / "chain.json", json.dumps(chain.to_json()))])
+    assert code == 1
+    assert json.loads(out)["residual"] == want.to_json()

@@ -9,6 +9,7 @@ from bistellar.gamma2 import (
     _accept,
     _commute,
     _classify_pair,
+    _edge_order,
     c_of_cycle,
     c_value,
     classify_elementary,
@@ -301,6 +302,31 @@ def test_decomposition_pieces_repeat_on_memoized_commutations():
         assert _pieces(second) == PINNED_PIECES[(seed, order_seed)]
 
 
+def test_top_stratum_is_the_ranked_top(monkeypatch):
+    """At every step of the pinned decompositions, with and without an order
+    seed, the work chain is kept in strata keyed by six times the
+    complexity, and the top stratum lists the edges that ranking the whole
+    work chain by ``_edge_order`` puts at the top, in that order."""
+    import bistellar.gamma2 as gamma2
+
+    real, steps = gamma2._top_stratum, []
+
+    def spy(strata):
+        assert all(st and {_edge_order(k)[0] for k in st} == {c} for c, st in strata.items())
+        ranked = [(_edge_order(k), k) for st in strata.values() for k in st]
+        top = max(o[0] for o, _ in ranked)
+        want = top, [k for _, k in sorted(x for x in ranked if x[0][0] == top)]
+        got = real(strata)
+        steps.append(got == want)
+        return got
+
+    monkeypatch.setattr(gamma2, "_top_stratum", spy)
+    for seed, order_seed in sorted(PINNED_PIECES, key=str):
+        parts = decompose_cycle(_loop_cycle(seed), order_seed=order_seed)
+        assert _pieces(parts) == PINNED_PIECES[(seed, order_seed)]
+    assert len(steps) == 60 and all(steps)
+
+
 def test_walk_chains_are_their_edge_keys(monkeypatch):
     """Every elementary cycle the decompositions of the pinned cycles build
     (rejected candidates included) keys its walk by carrying one labelling
@@ -356,7 +382,7 @@ def test_accept_matches_whole_chain_measure():
                     for s in (1, -1, 2, -2):
                         w = work.plus(Gamma2Chain({key: s * ce - work.coeff(key)}))
                         top = int(6 * _measure(w)[0])
-                        got = _accept(w, top, key, g.chain)
+                        got = _accept(w.terms, top, key, g.chain)
                         want = _measure(w.plus(g.chain, -s)) < _measure(w)
                         assert (got is not None) == want
                         assert got is None or got == s

@@ -1,12 +1,16 @@
 import random
+from collections import Counter
+from itertools import chain
 
 import pytest
 
-from bistellar.canonical import okey, ukey, oriented_isomorphism
-from bistellar.errors import InvalidMove
+from bistellar.canonical import okey, oriented_isomorphism, relabel_oriented, ukey
+from bistellar.enumeration import spheres_by_expansion
+from bistellar.errors import InvalidMove, SphereCheckFailed
 from bistellar.moves import (
     BistellarMove,
     apply_move,
+    complexity_thirds,
     edge_key,
     enumerate_moves,
     induced_vertex_moves,
@@ -15,9 +19,9 @@ from bistellar.moves import (
     sphere_from_move,
     u_set,
 )
-from bistellar.simplicial import OrientedComplex, boundary_of_simplex, build_complex, orient
+from bistellar.simplicial import Complex, OrientedComplex, boundary_of_simplex, build_complex, orient
 from bistellar.spheres import is_combinatorial_sphere
-from helpers import octahedron, random_walk_sphere
+from helpers import icosahedron, octahedron, random_walk_sphere, torus_7
 
 
 def test_enumerate_on_tetrahedron_boundary():
@@ -339,23 +343,45 @@ def test_removed_and_added_are_the_facet_diff(n):
 
 
 def test_decreasing_moves_build_no_result(monkeypatch):
-    """``decreasing_moves`` scores moves from their result degrees, applies
-    none, and keeps exactly the moves whose result has lower complexity."""
+    """``decreasing_moves`` reads its candidates off the degree table, yet
+    returns the moves of the complexity filter over ``enumerate_moves``, in
+    that order: on every 2-sphere class up to 10 vertices in both
+    orientations and relabelled at random (minimal degree 3 or 4), the
+    icosahedron and RP^2 (5), and the 7-vertex torus (6: no move, so xi
+    fails).  It neither enumerates nor applies a move."""
+    import bistellar.gamma2 as gamma2_mod
     import bistellar.moves as moves_mod
-    from bistellar.gamma2 import decreasing_moves, sphere_complexity
+    from bistellar.gamma2 import decreasing_moves
+    from bistellar.library import catalog
+    from bistellar.pontryagin import XiCache, xi_chain
+
+    real_enum, real_apply = moves_mod.enumerate_moves, moves_mod.apply_move
+
+    def reference(L):
+        a = complexity_thirds(L.degrees.values())
+        return [mv for mv in real_enum(L) if complexity_thirds(mv.result_degrees().values()) < a]
 
     calls = []
-    real = moves_mod.apply_move
-    monkeypatch.setattr(moves_mod, "apply_move", lambda mv: calls.append(mv) or real(mv))
+    monkeypatch.setattr(moves_mod, "apply_move", lambda mv: calls.append(mv) or real_apply(mv))
+    monkeypatch.setattr(moves_mod, "enumerate_moves", lambda K: calls.append(K) or real_enum(K))
+    monkeypatch.setattr(gamma2_mod, "enumerate_moves", moves_mod.enumerate_moves, raising=False)
     rng = random.Random(7)
-    kept = 0
-    for _ in range(10):
-        L = random_walk_sphere(rng, steps=rng.randrange(1, 9))
+    cases = []
+    for facets in chain.from_iterable(spheres_by_expansion(10).values()):
+        L = orient(Complex(facets, _validated=True))
+        image = rng.sample(range(3 * len(L.vertices)), len(L.vertices))
+        cases += [L, -L, relabel_oriented(L, dict(zip(L.vertices, image)))]
+    assert len(cases) == 918
+    cases += [icosahedron(), catalog()["rp2_6"].complex, octahedron(), torus_7()]
+    kept = Counter()
+    for L in cases:
         calls.clear()
         got = decreasing_moves(L)
         assert calls == []
-        a = sphere_complexity(L)
-        want = [mv for mv in enumerate_moves(L) if sphere_complexity(mv.result) < a]
+        want = reference(L)
         assert [(m.sigma, m.tau) for m in got] == [(m.sigma, m.tau) for m in want]
-        kept += len(want)
-    assert kept
+        kept[min(L.degrees.values())] += len(want)
+    assert [min(K.degrees.values()) for K in cases[-3:]] == [5, 4, 6]
+    assert kept[3] and kept[4] and kept[5] and not kept[6]
+    with pytest.raises(SphereCheckFailed):
+        xi_chain(orient(torus_7()), cache=XiCache())

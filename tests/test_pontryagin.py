@@ -12,7 +12,15 @@ from bistellar.moves import BistellarMove, apply_move, edge_key, enumerate_moves
 from bistellar.pontryagin import XiCache, h_value, local_f, p1_dual_direct, p1_dual_local, p1_number, xi_chain
 from bistellar.reduction import MoveSequence, reduce_to_boundary
 from bistellar.simplicial import Complex, boundary_of_simplex, build_complex, orient
-from helpers import eta_oracle, octahedron, perturbed_cp2, random_loop_cycle, random_walk_sphere, walk_certificate
+from helpers import (
+    eta_oracle,
+    octahedron,
+    perturbed_cp2,
+    random_loop_cycle,
+    random_walk_sphere,
+    torus_7,
+    walk_certificate,
+)
 
 
 def _mirror_by_relabelling(chain: Gamma2Chain) -> Gamma2Chain:
@@ -247,10 +255,6 @@ def test_p1_needs_dimension_four(fn, n):
         fn(orient(boundary_of_simplex(n)), cache=XiCache())
 
 
-def _torus_7() -> Complex:
-    return build_complex([(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)] + [(i, (i + 2) % 7, (i + 3) % 7) for i in range(7)])
-
-
 def _h_of_first_move(K, cache):
     return h_value(enumerate_moves(K)[0], cache)
 
@@ -261,7 +265,7 @@ def _h_of_first_move(K, cache):
         (xi_chain, boundary_of_simplex(2), DimensionTooSmall),
         (xi_chain, boundary_of_simplex(4), InvalidMove),
         (xi_chain, cross_polytope_boundary(4), InvalidMove),
-        (xi_chain, _torus_7(), SphereCheckFailed),
+        (xi_chain, torus_7(), SphereCheckFailed),
         (local_f, boundary_of_simplex(3), DimensionTooSmall),
         (local_f, cross_polytope_boundary(3), DimensionTooSmall),
         (local_f, boundary_of_simplex(5), InvalidMove),

@@ -12,6 +12,7 @@ from bistellar.errors import (
 )
 from bistellar.canonical import ukey
 from bistellar.simplicial import (
+    Complex,
     barycentric_subdivision,
     boundary_of_simplex,
     build_complex,
@@ -20,6 +21,7 @@ from bistellar.simplicial import (
     is_orientable,
     join,
     orient,
+    perm_parity,
 )
 from helpers import octahedron, random_walk_sphere
 
@@ -204,3 +206,58 @@ def test_star_is_join_of_simplex_and_link():
         simplex_complex = build_complex([sig])
         jn, _, _ = join(simplex_complex, K.link(sig))
         assert ukey(star) == ukey(jn)
+
+
+def _scan(K, sigma):
+    """The facets containing sigma, by a scan of every facet."""
+    return sorted(f for f in K.facets if set(sigma) <= set(f))
+
+
+def _check_against_scans(K):
+    """facets_containing, both links and move_tau on every face of K, each
+    on a fresh copy, agree with whole-facet scans; the copy never builds its
+    face set."""
+    from bistellar.moves import move_tau
+
+    faces = sorted(K.faces)
+    star = {s: _scan(K, s) for s in faces if s}
+    fresh = Complex(K.facets, _validated=True)
+    try:
+        oriented = orient(fresh)
+    except (NotPseudomanifold, NonOrientable):
+        oriented = None
+    for s in faces:
+        assert sorted(fresh.facets_containing(s)) == _scan(K, s)
+        assert fresh.link(s) == Complex({tuple(v for v in f if v not in s) for f in _scan(K, s)}, _validated=True)
+        if s:
+            assert move_tau(fresh, s) == move_tau(K, s, star=star)
+        if oriented is not None:
+            signs = {}
+            for f in _scan(K, s):
+                lam = tuple(v for v in f if v not in s)
+                signs[lam] = oriented.facet_signs[f] * perm_parity(s + lam)
+            assert oriented.link(s).facet_signs == signs
+            if s:
+                assert move_tau(oriented, s) == move_tau(oriented, s, star=star)
+    assert fresh.link(()) == K
+    assert "faces" not in fresh.__dict__
+
+
+def test_facet_index_matches_whole_facet_scans():
+    from bistellar.library import catalog, cp2_9
+    from helpers import perturbed_cp2
+
+    for entry in catalog().values():
+        _check_against_scans(entry.complex)
+    _check_against_scans(cp2_9())
+    K = perturbed_cp2(1, 5)
+    for s in K.complex.faces_of_dim(0) + K.complex.faces_of_dim(1):
+        _check_against_scans(K.link(s).complex)
+    _check_against_scans(build_complex([[0, 1, 2], [0, 3]]))
+    K = build_complex([[0, 1, 2], [0, 3]])
+    for non_face in [(9,), (1, 3), (0, 1, 3)]:
+        assert K.facets_containing(non_face) == []
+        with pytest.raises(SimplexNotInComplex):
+            K.link(non_face)
+    with pytest.raises(SimplexNotInComplex):
+        orient(boundary_of_simplex(3)).link((0, 9))

@@ -213,3 +213,25 @@ def test_alpha_cycle_on_cp2():
     a = alpha_cycle(K)
     total = sum(abs(v) for v in a.terms.values())
     assert total == 9  # nine links, all in one chiral class
+
+
+def test_integer_chains_equal_their_fraction_twins():
+    """Integer coefficients are accumulated as integers; an int-valued chain
+    equals its Fraction twin and serializes the same, and ``plus`` leaves
+    its operands alone.  A float or string coefficient is still converted
+    exactly through Fraction."""
+    from bistellar.gamma2 import Gamma2Chain, commutation_cycle
+    from helpers import icosahedron
+
+    ints = commutation_cycle(icosahedron(), (0, 1, 2), (0, 5, 6)).chain
+    assert ints.terms and all(type(v) is int for v in ints.terms.values())
+    twin = Gamma2Chain({k: Fraction(v) for k, v in ints.terms.items()})
+    assert ints == twin and ints.to_json() == twin.to_json()
+    doubled = ints.plus(twin)
+    assert doubled == ints.scaled(2) == twin.scaled(Fraction(2)) and ints == twin
+    assert all(type(v) is int for v in ints.scaled(2).terms.values())
+    assert not ints.plus(twin, -1)
+    key = next(iter(ints.terms))
+    for coeff, want in ((0.1, Fraction(0.1)), ("2/6", Fraction(1, 3)), ("3", Fraction(3))):
+        got = Gamma2Chain().add(key, coeff).coeff(key)
+        assert type(got) is Fraction and got == want

@@ -20,26 +20,30 @@ algorithm peels the chain stratum by stratum, strictly decreasing the
 (max complexity, total weight there) measure, so it terminates and its
 output is re-verified by exact chain arithmetic.  A candidate gamma,
 scaled by the s that kills the target edge, is accepted iff it lowers that
-measure, and only gamma's edges can move it: the test fails if gamma has an
-edge above the top complexity, and otherwise passes iff the sum over
-gamma's edges e at the top of |w_e - s*g_e| - |w_e| is negative (w and g
-being the coefficients in the work chain and in gamma).  The peeling loop
+measure, read off gamma's edges alone (``_accept``).  The peeling loop
 keeps the integer work chain in strata keyed by six times the complexity,
 read with each edge's sort key from one table per edge (``_edge_order``);
 commutation cycles are memoized per (host, sigma1, sigma2) (``_commute``).
+A target edge with both endpoints lower (odd strata) tries commutations
+with untouched degree-3 removals and decreasing flips, spec-a and the
+pentagons; otherwise it is paired with each edge sharing its head (the
+endpoint of higher complexity): commutation, spec-b, pentagon, then routes
+through a decreasing move.  Each pair is tried in one order only, as the
+swapped pair walks the same loop backwards (chain -g, value -v).
 
 Moves read what they need from the objects that own it: a vertex degree
 from the cached ``Complex.degrees``, the support of a move (the triangles
 of sigma * d(tau)) from ``BistellarMove.removed``, and a move's endpoint
-from ``BistellarMove.result``.  One walker, ``_walk``, applies the moves of
-every elementary cycle; a commutation cycle is classified on a state of its
-own walk.  ``_outside`` is the one sector-count rule.
+from ``BistellarMove.result``; face tests use ``facets_containing`` or the
+facet signs.  One walker, ``_walk``, applies the moves of every elementary
+cycle; a commutation cycle is classified on a state of its own walk.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -258,51 +262,22 @@ def _outside(L: OrientedComplex, v: int, patch) -> int:
 
 def _sector_counts(L: OrientedComplex, w: int, tris1: set, tris2: set) -> tuple[int, int]:
     """Triangle counts (p, q) in the two angular sectors at w between the
-    wedges of two supports; q follows support 1 in the positive direction."""
+    wedges of two supports; q follows support 1 in the positive direction.
+    From the start of wedge 1, the marks around w read 1+ 0^q 2+ 0^p."""
     cycle = L.link_cycle(w)
-    d = len(cycle)
-    labels = []
-    for i in range(d):
-        tri = tuple(sorted((w, cycle[i], cycle[(i + 1) % d])))
+    marks = ""
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        tri = tuple(sorted((w, a, b)))
         if tri in tris1 and tri in tris2:
             raise UnrecognizedConfiguration("supports overlap in a triangle")
-        if tri in tris1:
-            labels.append(1)
-        elif tri in tris2:
-            labels.append(2)
-        else:
-            labels.append(0)
-    if 1 not in labels or 2 not in labels:
+        marks += "1" if tri in tris1 else "2" if tri in tris2 else "0"
+    if "1" not in marks or "2" not in marks:
         raise UnrecognizedConfiguration("support wedges do not both meet the link")
-
-    def arc_end(mark: int) -> int:
-        # index just past the last edge of the (cyclically contiguous) run
-        idxs = [i for i, m in enumerate(labels) if m == mark]
-        if len(idxs) == d:
-            raise UnrecognizedConfiguration("wedge covers the whole link")
-        # find the start of the run: an index with the previous label different
-        starts = [i for i in idxs if labels[(i - 1) % d] != mark]
-        if len(starts) != 1:
-            raise UnrecognizedConfiguration("wedge is not contiguous")
-        start = starts[0]
-        return (start + len(idxs)) % d
-
-    end1, end2 = arc_end(1), arc_end(2)
-    # walk from the end of wedge 1 to the start of wedge 2, counting 0-edges
-    q = 0
-    i = end1
-    while labels[i] == 0:
-        q += 1
-        i = (i + 1) % d
-    if labels[i] != 2:
-        raise UnrecognizedConfiguration("supports interleave around the vertex")
-    p = 0
-    i = end2
-    while labels[i] == 0:
-        p += 1
-        i = (i + 1) % d
-    if labels[i] != 1:
-        raise UnrecognizedConfiguration("supports interleave around the vertex")
+    i = next(i for i, m in enumerate(marks) if m == "1" and marks[i - 1] != "1")
+    wedges = re.fullmatch(r"1+(0*)2+(0*)", marks[i:] + marks[:i])
+    if wedges is None:
+        raise UnrecognizedConfiguration("support wedges are not two arcs in turn around the vertex")
+    q, p = map(len, wedges.groups())
     return p, q
 
 
@@ -334,7 +309,7 @@ def _classify_pair(L: OrientedComplex, m1: tuple, m2: tuple):
         return kind, (p, q), sign
     if len(inter) == 2:
         M = tuple(sorted(inter))
-        if M not in L.complex:
+        if not L.facets_containing(M):
             raise UnrecognizedConfiguration("two shared vertices without a shared edge")
         for s, t, _ in (m1, m2):
             if len(s) == 2 and (M == s or M == tuple(sorted(t))):
@@ -385,7 +360,7 @@ def commutation_cycle(L: OrientedComplex, sigma1, sigma2) -> ElementaryCycle:
     if tau1 is None or tau2 is None:
         raise NotApplicable(f"no move at {sigma1 if tau1 is None else sigma2}")
     union = tuple(sorted(set(sigma1) | set(sigma2)))
-    if union in L.complex:
+    if L.facets_containing(union):
         raise NotApplicable("a simplex contains both sigma1 and sigma2")
     walk = _walk(L, [(sigma1, tau1), (sigma2, tau2), (tau1, sigma1), (tau2, sigma2)])
     if walk is None:
@@ -431,7 +406,7 @@ def special_cycle_a(move: BistellarMove) -> ElementaryCycle | None:
         if X.degree(b) == 4
     ]
     for a, b in cands:
-        nbrs_a = {v for f in X.facets if a in f for v in f} - {a}
+        nbrs_a = {v for f in X.facets_containing((a,)) for v in f} - {a}
         if not set(sig) <= nbrs_a:
             continue
         (T,) = nbrs_a - set(sig)
@@ -452,7 +427,7 @@ def special_cycle_a(move: BistellarMove) -> ElementaryCycle | None:
             tuple(sorted(t))
             for t in ((Lap, b, T), (b, a, T), (a, Rv, T), (Lap, b, Rv), (b, a, Rv))
         ]
-        if any(t not in X.complex for t in patch):
+        if any(t not in X.facet_signs for t in patch):
             continue
         params = tuple(_outside(X, v, patch) for v in (Lap, T, Rv))
         s_or = X.sign_of((b, a, T))
@@ -468,16 +443,11 @@ def special_cycle_b(R: OrientedComplex, e: int, D: int, C: int) -> ElementaryCyc
     cycle = R.link_cycle(e)
     if D not in cycle or C not in cycle:
         return None
-    i = cycle.index(D)
-    d = len(cycle)
-    if cycle[(i + 1) % d] == C:
-        A = cycle[(i - 1) % d]
-        B = cycle[(i + 2) % d]
-    elif cycle[(i - 1) % d] == C:
-        A = cycle[(i + 1) % d]
-        B = cycle[(i - 2) % d]
-    else:
+    i, d = cycle.index(D), len(cycle)
+    if C not in (cycle[i - 1], cycle[(i + 1) % d]):
         return None  # not adjacent corners
+    A = cycle[(i + 1) % d] if C == cycle[i - 1] else cycle[i - 1]
+    B = cycle[i - 2]  # the corner opposite D, as d = 4
     # states: R --flip {e,D}->{A,C}--> TM --remove e--> TL; then forward
     got = _walk(R, [((e, D), (A, C)), ((e,), (A, B, C))])
     if got is None:
@@ -538,7 +508,7 @@ def special_cycle_c(L: OrientedComplex, sigma1: Simplex, sigma2: Simplex) -> Ele
     if not chain.is_cycle():
         return None
     fan = [tuple(sorted(t)) for t in ((A, B, Cv), (A, Cv, Dv), (A, Dv, E))]
-    if any(t not in L.complex for t in fan):
+    if any(t not in L.facet_signs for t in fan):
         return None
     params = tuple(_outside(L, v, fan) for v in (A, E, Dv, Cv, B))
     s_or = L.sign_of((A, B, Cv))
@@ -562,11 +532,6 @@ def _commute(L: OrientedComplex, sigma1, sigma2) -> ElementaryCycle | None:
         return commutation_cycle(L, sigma1, sigma2)
     except (NotApplicable, ClosureFailure, UnrecognizedConfiguration):
         return None
-
-
-def _top(key: GammaEdgeKey) -> str:
-    """The endpoint of higher complexity, the head on ties."""
-    return "head" if complexity_of_key(key.head) >= complexity_of_key(key.tail) else "tail"
 
 
 def _candidates_single(key: GammaEdgeKey):
@@ -595,14 +560,13 @@ def _candidates_single(key: GammaEdgeKey):
 
 def _candidates_paired(key: GammaEdgeKey, partners: list[GammaEdgeKey]):
     """Elementary cycles pairing the target edge with each partner sharing
-    its top endpoint; then, for each partner, the two commutations of the
-    route through a third, complexity-decreasing move from that sphere."""
-    mt = move_from_endpoint(key, _top(key))
+    its head; then, for each partner, the two commutations of the route
+    through a third, complexity-decreasing move from that sphere."""
+    mt = move_from_endpoint(key, "head")
     S = mt.host
     for kp in partners:
-        mp = move_from_endpoint(kp, _top(kp))
+        mp = move_from_endpoint(kp, "head")
         yield [_commute(S, mt.sigma, mp.sigma)]
-        yield [_commute(S, mp.sigma, mt.sigma)]
         # pair of removals is covered by commutation; flips at a common
         # degree-4 vertex need the special 5-edge cycle
         if len(mt.sigma) == 2 and len(mp.sigma) == 2:
@@ -613,12 +577,10 @@ def _candidates_paired(key: GammaEdgeKey, partners: list[GammaEdgeKey]):
                     (P,) = set(mt.sigma) - {e}
                     (Q,) = set(mp.sigma) - {e}
                     yield [special_cycle_b(S, e, P, Q)]
-                    yield [special_cycle_b(S, e, Q, P)]
                 yield [special_cycle_c(S, mt.sigma, mp.sigma)]
-                yield [special_cycle_c(S, mp.sigma, mt.sigma)]
     inter = [m for m in decreasing_moves(S) if m.sigma != mt.sigma]
     for kp in partners:
-        mp = move_from_endpoint(kp, _top(kp))
+        mp = move_from_endpoint(kp, "head")
         for m3 in inter:
             if m3.sigma != mp.sigma:
                 first = _commute(S, mt.sigma, m3.sigma)
@@ -686,8 +648,7 @@ def decompose_cycle(zeta: Gamma2Chain, order_seed: int | None = None) -> list[tu
         if top % 2:
             candidates = _candidates_single(key)
         else:
-            anchor = getattr(key, _top(key))
-            partners = [k for k in top_edges if k != key and getattr(k, _top(k)) == anchor]
+            partners = [k for k in top_edges if k != key and k.head == key.head]
             candidates = _candidates_paired(key, partners)
         for pieces in candidates:
             if None in pieces:

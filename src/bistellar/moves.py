@@ -286,7 +286,7 @@ def sphere_complexity(L: OrientedComplex | OKey) -> Fraction:
 @functools.cache
 def complexity_of_key(key: OKey) -> int:
     """Three times the complexity of a 2-sphere class (``complexity_thirds``)."""
-    return int(3 * sphere_complexity(key))
+    return complexity_thirds(Counter(chain.from_iterable(key.facets)).values())
 
 
 def _endpoint_rank(key: OKey) -> int:

@@ -6,6 +6,7 @@ import pytest
 from bistellar.cli import main
 from bistellar.library import RP2_6_FACETS, write_facet_file
 from bistellar.simplicial import build_complex
+from helpers import torus_7
 
 
 @pytest.fixture()
@@ -36,6 +37,15 @@ def test_check_rp2(capsys, data_dir):
     assert code == 0
     rep = json.loads(out)
     assert rep["sphere"] == "no"
+
+
+def test_check_torus(capsys, data_dir):
+    write_facet_file(str(data_dir / "torus.facets"), torus_7())
+    code, out = _run(capsys, ["check", str(data_dir / "torus.facets")])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["sphere"] == "no" and rep["manifold"] == "yes"
+    assert rep["euler_characteristic"] == 0
 
 
 def test_reduce_emits_certificate(capsys, data_dir):

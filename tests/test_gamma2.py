@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from bistellar.errors import ClosureFailure, InvalidParams, NotApplicable, UnrecognizedConfiguration
+from bistellar.canonical import okey
+from bistellar.errors import BistellarError, ClosureFailure, InvalidParams, NotApplicable, UnrecognizedConfiguration
 from bistellar.gamma2 import (
     Gamma2Chain,
     _accept,
     _commute,
     _classify_pair,
     _edge_order,
+    _sector_counts,
     c_of_cycle,
     c_value,
     classify_elementary,
@@ -17,11 +19,13 @@ from bistellar.gamma2 import (
     decompose_cycle,
     edge_complexity,
     move_complexity,
+    special_cycle_b,
+    special_cycle_c,
     sphere_complexity,
 )
 from bistellar.moves import BistellarMove, apply_move, edge_key, enumerate_moves, move_tau
 from bistellar.simplicial import boundary_of_simplex, orient
-from helpers import icosahedron, octahedron, random_loop_cycle, random_walk_sphere
+from helpers import icosahedron, octahedron, perturbed_cp2, random_loop_cycle, random_walk_sphere
 
 
 def test_sphere_complexity_examples():
@@ -63,9 +67,19 @@ def test_commutation_disjoint_supports():
 
 def test_commutation_rejects_shared_simplex():
     ico = icosahedron()
-    # two edges of one triangle: a simplex contains both
-    with pytest.raises(NotApplicable):
-        commutation_cycle(ico, (0, 1), (0, 2))
+    # two edges of one triangle, or a triangle and its edge: a simplex contains both
+    for s1, s2 in (((0, 1), (0, 2)), ((0, 1, 2), (0, 1))):
+        with pytest.raises(NotApplicable, match="a simplex contains both"):
+            commutation_cycle(ico, s1, s2)
+
+
+def test_classify_rejects_supports_sharing_two_vertices_but_no_edge():
+    """The flips of (2, 4) and (3, 5) on the octahedron both insert the
+    non-edge (0, 1): their supports share 0 and 1 only."""
+    octa = octahedron()
+    pairs = [(s, (0, 1), BistellarMove(octa, s, (0, 1)).removed) for s in ((2, 4), (3, 5))]
+    with pytest.raises(UnrecognizedConfiguration, match="without a shared edge"):
+        _classify_pair(octa, *pairs)
 
 
 def test_commutation_far_apart_flips():
@@ -388,3 +402,86 @@ def test_accept_matches_whole_chain_measure():
                         assert got is None or got == s
                         seen[want] += 1
     assert seen[True] and seen[False]
+
+
+def _outcome(f, *args):
+    """A cycle builder's result, or the type of the library error it raised."""
+    try:
+        return f(*args)
+    except BistellarError as e:
+        return type(e)
+
+
+def test_swapped_pairs_walk_the_same_cycle_backwards():
+    """Swapping the two sigmas of a commutation or pentagon cycle, or the two
+    corners of spec-b, gives the same applicability and the reversed loop:
+    chain -g and value -v.  ``_accept`` therefore decides on the swapped
+    cycle as on the first, which is why the decomposition tries one order."""
+    K = perturbed_cp2(1, 5)
+    links = {}
+    for e in K.complex.faces_of_dim(1):
+        L = K.link(e)
+        links.setdefault(okey(L), L)
+    built = {"comm": 0, "spec-b": 0, "spec-c": 0}
+
+    def check(kind, g, h):
+        if g is None or isinstance(g, type):
+            assert h == g
+            return
+        assert h.chain == g.chain.scaled(-1) and h.value == -g.value
+        built[kind] += 1
+
+    for L in (octahedron(), icosahedron(), *links.values()):
+        sigmas = sorted({m.sigma for m in enumerate_moves(L)})
+        for i, s1 in enumerate(sigmas):
+            for s2 in sigmas[i + 1 :]:
+                check("comm", _outcome(commutation_cycle, L, s1, s2), _outcome(commutation_cycle, L, s2, s1))
+                if len(s1) == len(s2) == 2 and len(set(s1) & set(s2)) == 1:
+                    check("spec-c", special_cycle_c(L, s1, s2), special_cycle_c(L, s2, s1))
+        for e in sorted(L.vertices):
+            if L.degree(e) == 4:
+                cyc = L.link_cycle(e)
+                for D, C in zip(cyc, cyc[1:] + cyc[:1]):
+                    check("spec-b", special_cycle_b(L, e, D, C), special_cycle_b(L, e, C, D))
+    assert all(built.values()), built
+
+
+def test_pentagon_cycle_on_icosahedron():
+    """The pentagon of the fan diagonals (0, 1), (0, 2); its chain also
+    decomposes into spec-b and commutation pieces, so its value checks the
+    spec-c table entry against the rest of the catalogue."""
+    g = special_cycle_c(icosahedron(), (0, 1), (0, 2))
+    assert (g.kind, g.params, g.value) == ("spec-c", (2, 4, 3, 3, 4), Fraction(-17, 210))
+    kinds = {p.kind for _, p in decompose_cycle(g.chain)}
+    assert "spec-b" in kinds and all(k == "spec-b" or k.startswith("comm-") for k in kinds)
+    assert c_of_cycle(g.chain) == g.value
+
+
+# the triangles around vertex 0 of the icosahedron, whose link cycle is
+# 1, 2, 7, 6, 5 in the positive direction
+_FAN0 = [(0, 1, 2), (0, 2, 7), (0, 6, 7), (0, 5, 6), (0, 1, 5)]
+
+
+def test_sector_counts_read_the_sectors_between_wedges():
+    ico = icosahedron()
+    assert ico.link_cycle(0) == [1, 2, 7, 6, 5]
+    assert _sector_counts(ico, 0, {(0, 1, 2)}, {(0, 6, 7)}) == (2, 1)
+    assert _sector_counts(ico, 0, {(0, 6, 7)}, {(0, 1, 2)}) == (1, 2)
+    assert _sector_counts(ico, 0, {(0, 1, 5), (0, 1, 2)}, {(0, 2, 7)}) == (2, 0)
+
+
+@pytest.mark.parametrize(
+    "marks1, marks2",
+    [
+        ((0,), (0, 2)),  # overlapping supports
+        ((0,), ()),  # a missing wedge
+        ((0, 2), (3,)),  # wedge 1 in two pieces
+        ((1,), (0, 2)),  # wedge 2 in two pieces
+        ((0, 2), (1, 3)),  # interleaved wedges
+    ],
+    ids=["overlap", "missing", "split-1", "split-2", "interleaved"],
+)
+def test_sector_counts_reject_other_patterns(marks1, marks2):
+    tris1, tris2 = {_FAN0[i] for i in marks1}, {_FAN0[i] for i in marks2} | {(3, 4, 9)}
+    with pytest.raises(UnrecognizedConfiguration):
+        _sector_counts(icosahedron(), 0, tris1, tris2)

@@ -193,6 +193,22 @@ def test_p1_dual_on_5_sphere_is_trivial_cycle():
     assert not chain.terms  # zero chain bounds trivially
 
 
+def test_p1_dual_on_a_perturbed_5_sphere_is_a_nonzero_cycle():
+    """Eight seeded Pachner moves take the boundary of the 6-simplex to a
+    12-vertex 5-sphere whose local and direct p1 chains are nonzero 1-chains,
+    so the cycle check computes a real boundary (local: 5 terms, direct: 7)."""
+    rng = random.Random(8)
+    K = orient(boundary_of_simplex(6))
+    for _ in range(8):
+        moves = sorted(enumerate_moves(K), key=lambda m: (m.sigma, m.tau))
+        K = apply_move(moves[rng.randrange(len(moves))])
+    assert len(K.vertices) == 12
+    cache = XiCache()
+    for chain in (p1_dual_local(K, cache=cache), p1_dual_direct(K, cache=cache)):
+        assert chain.degree == 1 and chain.terms
+        assert not chain.boundary().terms
+
+
 def test_p1_cp2_calibration():
     K = orient(cp2_9())
     cache = XiCache()

@@ -1,0 +1,43 @@
+"""The negative and unknown verdicts of sphere and manifold recognition."""
+
+import pytest
+
+from bistellar.library import RP2_6_FACETS, cp2_9
+from bistellar.simplicial import Complex, boundary_of_simplex, build_complex
+from bistellar.spheres import is_combinatorial_manifold, is_combinatorial_sphere
+from helpers import torus_7
+
+
+def _disjoint(K: Complex, shift: int) -> Complex:
+    """K and a copy of K on vertices moved up by ``shift``."""
+    return build_complex(list(K.facets) + [tuple(v + shift for v in f) for f in K.facets])
+
+
+@pytest.mark.parametrize(
+    "K, reason",
+    [
+        (build_complex([(0,), (1,), (2,)]), "not two points"),
+        (build_complex([(0, 1), (1, 2)]), "not a single cycle"),
+        (torus_7(), "Euler characteristic 0 != 2"),
+        (build_complex(RP2_6_FACETS), "Euler characteristic 1 != 2"),
+        (cp2_9(), "Euler characteristic 3 != 2"),
+        (_disjoint(boundary_of_simplex(3), 4), "not a closed connected pseudomanifold"),
+        (_disjoint(boundary_of_simplex(4), 5), "not a closed connected pseudomanifold"),
+        (build_complex([(0, 1, 2), (2, 3)]), "not a closed connected pseudomanifold"),
+        (build_complex([(0, 1, 2, 3), (3, 4)]), "not a closed connected pseudomanifold"),
+    ],
+    ids=["three-points", "path", "torus", "rp2", "cp2", "two-tetrahedra", "two-4-simplices", "nonpure-2", "nonpure-3"],
+)
+def test_not_a_sphere(K, reason):
+    v = is_combinatorial_sphere(K)
+    assert v.verdict is False and v.reason == reason
+
+
+def test_manifold_verdicts_no_and_unknown():
+    nonpure = is_combinatorial_manifold(build_complex([(0, 1, 2), (2, 3)]))
+    assert nonpure.verdict is False and nonpure.reason == "not pure"
+    # every vertex link of CP^2 is an 8-vertex 3-sphere, which no search
+    # with budget 0 reduces: Unknown, never No
+    starved = is_combinatorial_manifold(cp2_9(), budget=0)
+    assert starved.verdict is None and starved.reason == "some link verdicts unknown within budget"
+    assert is_combinatorial_manifold(cp2_9()).verdict is True

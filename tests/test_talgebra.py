@@ -5,8 +5,9 @@ import pytest
 
 from bistellar.canonical import okey
 from bistellar.errors import DimensionTooSmall
+from bistellar.enumeration import spheres_by_expansion
 from bistellar.moves import apply_move, enumerate_moves, sphere_from_move
-from bistellar.simplicial import boundary_of_simplex, orient
+from bistellar.simplicial import boundary_of_simplex, build_complex, orient
 from bistellar.talgebra import (
     LocalCochain,
     alpha_cycle,
@@ -89,6 +90,25 @@ def test_join_associative_and_supercommutative():
         assert lhs == rhs
         sign = (-1) ** (b.grade * c.grade)
         assert join_product_t(b, c) == join_product_t(c, b).scaled(sign)
+
+
+def test_join_of_chiral_classes():
+    """The first two chiral 2-sphere classes (7 and 8 vertices): their join
+    product is nonzero, anticommutes and satisfies Leibniz.  Products of the
+    achiral 0- and 1-spheres above are stored as zero and never join."""
+    chiral = []
+    for facet_lists in spheres_by_expansion(8).values():
+        for facets in facet_lists:
+            x = sphere_chain(orient(build_complex(facets)))
+            if x.terms:
+                chiral.append(x)
+    x, y = chiral[:2]
+    xy = join_product_t(x, y)
+    assert xy.terms and x != y
+    assert xy == join_product_t(y, x).scaled(-1)
+    lhs = boundary_t(xy)
+    rhs = join_product_t(boundary_t(x), y).plus(join_product_t(x, boundary_t(y)).scaled((-1) ** x.grade))
+    assert lhs == rhs
 
 
 def test_empty_cochain_evaluates_zero():

@@ -507,9 +507,8 @@ def special_cycle_c(L: OrientedComplex, sigma1: Simplex, sigma2: Simplex) -> Ele
     chain = _chain(walk)
     if not chain.is_cycle():
         return None
+    # the two taus checked above make (A, Cv, Dv), (A, Dv, E) and (A, Cv, B) facets
     fan = [tuple(sorted(t)) for t in ((A, B, Cv), (A, Cv, Dv), (A, Dv, E))]
-    if any(t not in L.facet_signs for t in fan):
-        return None
     params = tuple(_outside(L, v, fan) for v in (A, E, Dv, Cv, B))
     s_or = L.sign_of((A, B, Cv))
     return ElementaryCycle("spec-c", params, chain, s_or)

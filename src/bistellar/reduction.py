@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import json
 import random
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
-from itertools import chain, combinations, repeat
 
 from .canonical import OKey, materialize, okey, ukey
-from .errors import BudgetExhausted
+from .errors import BudgetExhausted, MalformedInput
 from .gamma2 import decreasing_moves
 from .moves import BistellarMove, apply_move, complexity_thirds, enumerate_moves, move_tau
 from .simplicial import OrientedComplex, Simplex
@@ -73,14 +72,15 @@ class MoveSequence:
 
 def replay(seq: MoveSequence) -> tuple[OrientedComplex, list[OrientedComplex]]:
     """Apply the certificate from its start representative; returns the final
-    complex and all intermediate states (start included)."""
+    complex and all intermediate states (start included).  A certificate that
+    stops short of its recorded end key is ``MalformedInput``."""
     state = materialize(seq.start)
     states = [state]
     for sig, tau in seq.moves:
         state = apply_move(BistellarMove(state, sig, tau))
         states.append(state)
     if okey(state) != seq.end:
-        raise BudgetExhausted("certificate replay did not reach the recorded end key")
+        raise MalformedInput("certificate replay did not reach the recorded end key")
     return state, states
 
 
@@ -91,51 +91,17 @@ def _energy_from_degrees(dim: int, degs: dict[int, int]) -> tuple[int, int, int]
     return (len(degs), complexity_thirds(vals) if dim == 2 else 0, sum(d * d for d in vals))
 
 
-def _iso_invariant(K: OrientedComplex) -> tuple:
-    """Sorted vertex degrees and sorted edge degrees (facets per edge):
-    equal for isomorphic complexes and far cheaper than a canonical form."""
-    edeg = Counter(chain.from_iterable(map(combinations, K.facets, repeat(2))))
-    return tuple(sorted(K.degrees.values())), tuple(sorted(edeg.values()))
-
-
-class _Visited:
-    """Isomorphism classes seen by a plateau search.
-
-    States are bucketed by ``_iso_invariant``; the canonical key of a state
-    is computed only once another state shares its bucket.  Isomorphic
-    states always share a bucket, so ``add`` decides exactly as comparing
-    canonical keys of all states would.
-    """
-
-    def __init__(self, state: OrientedComplex):
-        self._buckets: dict[tuple, list] = {_iso_invariant(state): [[state.complex, None]]}
-
-    def add(self, state: OrientedComplex) -> bool:
-        """Record the class of ``state``; False if it was already seen."""
-        bucket = self._buckets.setdefault(_iso_invariant(state), [])
-        if not bucket:
-            bucket.append([state.complex, None])
-            return True
-        k = ukey(state.complex)
-        for entry in bucket:
-            if entry[1] is None:
-                entry[1] = ukey(entry[0])
-            if entry[1] == k:
-                return False
-        bucket.append([state.complex, k])
-        return True
-
-
 def _find_descent(state: OrientedComplex, rng: random.Random, cap: int):
     """Search the vertex-count plateau of ``state`` for a path ending in a
     vertex-reducing move (for 2-spheres, a complexity-reducing move).
 
-    Breadth-first over canonical classes in seeded order; returns the move
-    path or None when the plateau is exhausted or the cap is hit.
+    Breadth-first over canonical classes in seeded order, each queued once
+    by its ``ukey``; returns the move path or None when the plateau is
+    exhausted or the cap is hit.
     """
     cur = _energy_from_degrees(state.dim, state.degrees)
     frontier = deque([(state, [])])
-    visited = _Visited(state)
+    visited = {ukey(state.complex)}
     expanded = 0
     while frontier:
         st, path = frontier.popleft()
@@ -153,7 +119,9 @@ def _find_descent(state: OrientedComplex, rng: random.Random, cap: int):
         # low-energy neighbors first makes short descents likely
         level.sort(key=lambda x: x[0])
         for _, mv in level:
-            if visited.add(mv.result):
+            k = ukey(mv.result.complex)
+            if k not in visited:
+                visited.add(k)
                 frontier.append((mv.result, path + [mv]))
     return None
 

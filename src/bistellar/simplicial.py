@@ -121,9 +121,6 @@ class Complex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** i * n for i, n in enumerate(self.f_vector))
 
-    def __contains__(self, face) -> bool:
-        return tuple(face) in self.faces
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Complex) and self.facets == other.facets
 
@@ -186,10 +183,6 @@ class Complex:
                 out.setdefault(r, []).append(f)
         return out
 
-    def ridge_degrees(self) -> dict[Simplex, int]:
-        """Multiplicity of each codimension-1 face among facets (pure complexes)."""
-        return {r: len(fs) for r, fs in self.ridges.items()}
-
     @cached_property
     def is_closed_pseudomanifold(self) -> bool:
         if not self.is_pure or self.dim < 1:
@@ -209,25 +202,6 @@ class Complex:
                         seen.add(g)
                         stack.append(g)
         return len(seen) == len(self.facets)
-
-    @cached_property
-    def is_connected(self) -> bool:
-        vs = self.vertices
-        if len(vs) <= 1:
-            return True
-        adj: dict[int, set[int]] = {v: set() for v in vs}
-        for e in self.faces_of_dim(1):
-            adj[e[0]].add(e[1])
-            adj[e[1]].add(e[0])
-        seen = {vs[0]}
-        stack = [vs[0]]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(vs)
 
 
 def build_complex(facets: Iterable[Iterable[int]]) -> Complex:
@@ -272,10 +246,6 @@ class OrientedComplex:
         return self.complex.dim
 
     @property
-    def faces(self):
-        return self.complex.faces
-
-    @property
     def f_vector(self):
         return self.complex.f_vector
 
@@ -285,9 +255,6 @@ class OrientedComplex:
 
     def degree(self, v: int) -> int:
         return self.complex.degree(v)
-
-    def __contains__(self, face) -> bool:
-        return face in self.complex
 
     def __eq__(self, other) -> bool:
         return (

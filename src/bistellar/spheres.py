@@ -23,16 +23,6 @@ class SphereVerdict:
         return self.verdict is True
 
 
-def _is_cycle(K: Complex) -> bool:
-    return (
-        K.dim == 1
-        and K.is_pure
-        and len(K.vertices) >= 3
-        and all(K.degree(v) == 2 for v in K.vertices)
-        and K.is_connected
-    )
-
-
 def is_combinatorial_sphere(K: Complex, budget: int = 20000, seed: int = 0) -> SphereVerdict:
     """Decide whether K is a combinatorial sphere of its dimension."""
     if isinstance(K, OrientedComplex):
@@ -41,26 +31,20 @@ def is_combinatorial_sphere(K: Complex, budget: int = 20000, seed: int = 0) -> S
     if d == 0:
         ok = len(K.vertices) == 2 and K.is_pure
         return SphereVerdict(ok, "two points" if ok else "not two points")
+    # pure, every ridge in two facets, strongly connected (hence connected)
+    if not K.is_closed_pseudomanifold:
+        return SphereVerdict(False, "not a single cycle" if d == 1 else "not a closed connected pseudomanifold")
     if d == 1:
-        ok = _is_cycle(K)
-        return SphereVerdict(ok, "single cycle" if ok else "not a single cycle")
-    if d == 2:
-        if not (K.is_pure and K.is_closed_pseudomanifold and K.is_connected):
-            return SphereVerdict(False, "not a closed connected pseudomanifold")
-        if K.euler_characteristic != 2:
-            return SphereVerdict(False, f"Euler characteristic {K.euler_characteristic} != 2")
-        for v in K.vertices:
-            if not _is_cycle(K.link((v,))):
-                return SphereVerdict(False, f"link of vertex {v} is not a cycle")
-        return SphereVerdict(True, "closed connected surface with chi = 2")
-    # dim >= 3: local checks, then reduction search
-    if not (K.is_pure and K.is_closed_pseudomanifold and K.is_connected):
-        return SphereVerdict(False, "not a closed connected pseudomanifold")
+        return SphereVerdict(True, "single cycle")
     chi = 1 + (-1) ** d
     if K.euler_characteristic != chi:
         return SphereVerdict(False, f"Euler characteristic {K.euler_characteristic} != {chi}")
-    # an Unknown link is left to the search: a reduction to a simplex
-    # boundary certifies K, links included
+    if d == 2:
+        # every vertex link is one cycle: splitting a vertex whose link is k > 1
+        # cycles would leave a connected closed surface with chi = k + 1 > 2
+        return SphereVerdict(True, "closed connected surface with chi = 2")
+    # dim >= 3: vertex links, then reduction search; an Unknown link is left
+    # to the search: a reduction to a simplex boundary certifies K, links included
     for v in K.vertices:
         sub = is_combinatorial_sphere(K.link((v,)), budget=budget, seed=seed)
         if sub.verdict is False:
@@ -79,7 +63,8 @@ def is_combinatorial_sphere(K: Complex, budget: int = 20000, seed: int = 0) -> S
 
 
 def is_combinatorial_manifold(K: Complex, budget: int = 20000, seed: int = 0) -> SphereVerdict:
-    """Every vertex link must be a combinatorial sphere of dimension dim-1."""
+    """Every vertex link must be a combinatorial sphere (of dimension dim-1,
+    as every vertex link of a pure complex is)."""
     if isinstance(K, OrientedComplex):
         K = K.complex
     if not K.is_pure:
@@ -88,10 +73,7 @@ def is_combinatorial_manifold(K: Complex, budget: int = 20000, seed: int = 0) ->
         return SphereVerdict(True, "0-dimensional")
     unknown = False
     for v in K.vertices:
-        lk = K.link((v,))
-        if lk.dim != K.dim - 1:
-            return SphereVerdict(False, f"link of {v} has wrong dimension")
-        sub = is_combinatorial_sphere(lk, budget=budget, seed=seed)
+        sub = is_combinatorial_sphere(K.link((v,)), budget=budget, seed=seed)
         if sub.verdict is False:
             return SphereVerdict(False, f"link of vertex {v}: {sub.reason}")
         if sub.verdict is None:

@@ -37,7 +37,7 @@ def sw_duals(K: Complex) -> list[Mod2Chain]:
     """
     if isinstance(K, OrientedComplex):
         K = K.complex
-    if not (K.is_pure and all(d == 2 for d in K.ridge_degrees().values())):
+    if not (K.is_pure and all(len(fs) == 2 for fs in K.ridges.values())):
         raise NotClosedManifold("Stiefel-Whitney chains need a closed manifold")
     Kp, _ = barycentric_subdivision(K)
     out = []

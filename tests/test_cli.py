@@ -242,11 +242,12 @@ def _perturbed_with_swapped_xi(d) -> list[str]:
         lambda d: _p1_with_cache(d, {"certificates": {D4: D4_CERT}, "eta": {D4: [["nonsense", "1", "1"]]}}),
         lambda d: _cp2_with_certificate(d, lambda key: D4_CERT),
         lambda d: _cp2_with_certificate(d, lambda key: {"start_key": key, "end_key": key, "moves": []}),
+        lambda d: _cp2_with_certificate(d, lambda key: {"start_key": key, "end_key": D4, "moves": []}),
         _perturbed_with_swapped_xi,
     ],
     ids=[
         "facet-text", "facet-json", "xi-cache", "chain", "json-vertex", "json-facets", "eta-without-certificate",
-        "eta-chain", "certificate-start", "certificate-end", "xi-swapped",
+        "eta-chain", "certificate-start", "certificate-end", "certificate-short", "xi-swapped",
     ],
 )
 def test_malformed_input_is_a_typed_error(capsys, data_dir, argv_of):

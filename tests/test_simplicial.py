@@ -10,9 +10,10 @@ from bistellar.errors import (
     NotPseudomanifold,
     SimplexNotInComplex,
 )
-from bistellar.canonical import ukey
+from bistellar.canonical import okey, ukey
 from bistellar.simplicial import (
     Complex,
+    OrientedComplex,
     barycentric_subdivision,
     boundary_of_simplex,
     build_complex,
@@ -20,6 +21,7 @@ from bistellar.simplicial import (
     faces,
     is_orientable,
     join,
+    join_oriented,
     orient,
     perm_parity,
 )
@@ -90,6 +92,22 @@ def test_join_relabels_on_collision():
     assert not set(m1.values()) & set(m2.values())
 
 
+@pytest.mark.parametrize(
+    "K2",
+    [orient(boundary_of_simplex(1)), random_walk_sphere(random.Random(3), steps=8)],
+    ids=["boundary-of-edge", "chiral-2-sphere"],
+)
+def test_join_oriented_signs(K2):
+    """A facet of K1 * K2 carries sign(F1) * sign(F2): the join is coherent,
+    and the link of a K1 vertex is the join of its link in K1 with K2."""
+    K1 = random_walk_sphere(random.Random(2), steps=6)  # chiral, vertex 7 missing
+    assert okey(K1) != okey(-K1)
+    J = join_oriented(K1, K2)
+    OrientedComplex(J.complex, J.facet_signs)
+    for i, v in enumerate(K1.vertices):  # K1 is relabeled in order onto 0, 1, ...
+        assert okey(J.link((i,))) == okey(join_oriented(K1.link((v,)), K2))
+
+
 def test_barycentric_subdivision_examples():
     edge = build_complex([[0, 1]])
     sub, back = barycentric_subdivision(edge)
@@ -139,7 +157,6 @@ def test_faces_and_ridges():
     K = build_complex([[0, 1, 2], [0, 1, 3], [0, 2, 3]])
     assert K.ridges[(0, 1)] == [(0, 1, 2), (0, 1, 3)]
     assert K.ridges[(1, 2)] == [(0, 1, 2)]
-    assert K.ridge_degrees() == {r: len(fs) for r, fs in K.ridges.items()}
 
 
 def test_faces_of_dim_and_degrees():

@@ -5,7 +5,7 @@ import pytest
 from bistellar.library import RP2_6_FACETS, cp2_9
 from bistellar.simplicial import Complex, boundary_of_simplex, build_complex
 from bistellar.spheres import is_combinatorial_manifold, is_combinatorial_sphere
-from helpers import torus_7
+from helpers import icosahedron, torus_7
 
 
 def _disjoint(K: Complex, shift: int) -> Complex:
@@ -13,20 +13,32 @@ def _disjoint(K: Complex, shift: int) -> Complex:
     return build_complex(list(K.facets) + [tuple(v + shift for v in f) for f in K.facets])
 
 
+def _pinched_icosahedron() -> Complex:
+    """The icosahedron with its antipodal vertices 0 and 9 identified: every
+    edge in two triangles, strongly connected, the link of 0 two pentagons."""
+    return build_complex([[0 if v == 9 else v for v in f] for f in icosahedron().facets])
+
+
 @pytest.mark.parametrize(
     "K, reason",
     [
         (build_complex([(0,), (1,), (2,)]), "not two points"),
         (build_complex([(0, 1), (1, 2)]), "not a single cycle"),
+        (_disjoint(boundary_of_simplex(2), 3), "not a single cycle"),
+        (build_complex([(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)]), "not a single cycle"),
         (torus_7(), "Euler characteristic 0 != 2"),
         (build_complex(RP2_6_FACETS), "Euler characteristic 1 != 2"),
         (cp2_9(), "Euler characteristic 3 != 2"),
+        (_pinched_icosahedron(), "Euler characteristic 1 != 2"),
         (_disjoint(boundary_of_simplex(3), 4), "not a closed connected pseudomanifold"),
         (_disjoint(boundary_of_simplex(4), 5), "not a closed connected pseudomanifold"),
         (build_complex([(0, 1, 2), (2, 3)]), "not a closed connected pseudomanifold"),
         (build_complex([(0, 1, 2, 3), (3, 4)]), "not a closed connected pseudomanifold"),
     ],
-    ids=["three-points", "path", "torus", "rp2", "cp2", "two-tetrahedra", "two-4-simplices", "nonpure-2", "nonpure-3"],
+    ids=[
+        "three-points", "path", "two-triangles", "figure-eight", "torus", "rp2", "cp2", "pinched-icosahedron",
+        "two-tetrahedra", "two-4-simplices", "nonpure-2", "nonpure-3",
+    ],
 )
 def test_not_a_sphere(K, reason):
     v = is_combinatorial_sphere(K)

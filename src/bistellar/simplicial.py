@@ -405,22 +405,26 @@ def boundary_of_simplex(n: int) -> Complex:
 def barycentric_subdivision(K: Complex) -> tuple[Complex, dict[int, Simplex]]:
     """First barycentric subdivision.
 
-    Vertices of K' are the non-empty faces of K; facets are the maximal flags.
-    Returns K' and the map from K'-vertex ids back to faces of K.
+    Vertices of K' are the non-empty faces of K, numbered in ``(len, f)``
+    order; a face of K' is a chain of them ordered by inclusion, which in
+    that numbering is an ascending tuple, and the facets are the chains of
+    |F| faces ending at a facet F.  Returns K' and the map from K'-vertex
+    ids back to faces of K.
     """
     faces = sorted((f for f in K.faces if f), key=lambda f: (len(f), f))
     index = {f: i for i, f in enumerate(faces)}
-    flags: set[Simplex] = set()
-    # maximal chains inside a facet correspond to orderings of its vertices
-    from itertools import permutations
-
-    for facet in K.facets:
-        for perm in permutations(facet):
-            chain = []
-            acc: tuple[int, ...] = ()
-            for v in perm:
-                acc = tuple(sorted(acc + (v,)))
-                chain.append(index[acc])
-            flags.add(tuple(sorted(chain)))
-    Kp = Complex(flags, _validated=True)
-    return Kp, {i: f for f, i in index.items()}
+    above: list[list[int]] = [[] for _ in faces]  # ascending ids of the faces strictly containing each
+    for j, g in enumerate(faces):
+        for k in range(1, len(g)):
+            for f in combinations(g, k):
+                above[index[f]].append(j)
+    # chains grown one face at a time stay in lexicographic order
+    levels = [[(i,) for i in range(len(faces))]]
+    while levels[-1]:
+        levels.append([c + (j,) for c in levels[-1] for j in above[c[-1]]])
+    levels.pop()
+    flags = [c for level in levels for c in level if len(faces[c[-1]]) == len(c) and faces[c[-1]] in K.facets]
+    Kp = Complex(flags or [()], _validated=True)  # the empty complex is its own subdivision
+    # the chains are the faces of K' in faces_of_dim order; no face set is built
+    Kp._faces_by_dim = {-1: [()], **dict(enumerate(levels))}
+    return Kp, dict(enumerate(faces))

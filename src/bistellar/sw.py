@@ -8,7 +8,9 @@ decides whether a given mod-2 cycle bounds.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .errors import NotClosedManifold
 from .simplicial import Complex, OrientedComplex, Simplex, barycentric_subdivision, faces
@@ -21,10 +23,8 @@ class Mod2Chain:
     simplices: frozenset[Simplex] = field(default_factory=frozenset)
 
     def boundary(self) -> "Mod2Chain":
-        acc: set[Simplex] = set()
-        for f in self.simplices:
-            acc ^= {r for r, _ in faces(f)}
-        return Mod2Chain(self.ambient, self.degree - 1, frozenset(acc))
+        counts = Counter(r for f in self.simplices for r in combinations(f, len(f) - 1))
+        return Mod2Chain(self.ambient, self.degree - 1, frozenset(r for r, n in counts.items() if n % 2))
 
     def is_cycle(self) -> bool:
         return self.degree == 0 or not self.boundary().simplices
@@ -33,7 +33,9 @@ class Mod2Chain:
 def sw_duals(K: Complex) -> list[Mod2Chain]:
     """W_0 .. W_n on the barycentric subdivision of a closed manifold.
 
-    Each chain is verified to be a mod-2 cycle before return.
+    W_k is the list of k-faces the subdivision was built from (chains of
+    k + 1 faces of K), so no face set is built.  Each chain is verified to
+    be a mod-2 cycle before return.
     """
     if isinstance(K, OrientedComplex):
         K = K.complex
@@ -50,31 +52,32 @@ def sw_duals(K: Complex) -> list[Mod2Chain]:
 
 
 def is_mod2_boundary(chain: Mod2Chain) -> bool:
-    """Solve d(x) = chain over GF(2) on the ambient complex (bitset
-    Gaussian elimination over the (degree+1)-simplices)."""
+    """Solve d(x) = chain over GF(2) on the ambient complex: bitset
+    Gaussian elimination over the (degree+1)-simplices, each basis vector
+    filed under its lowest set bit, so a vector is reduced only against
+    the pivots it hits."""
     k = chain.degree
     ambient = chain.ambient
-    rows = ambient.faces_of_dim(k + 1)
-    cols = {f: i for i, f in enumerate(ambient.faces_of_dim(k))}
     if not chain.simplices:
         return True
+    cols = {f: i for i, f in enumerate(ambient.faces_of_dim(k))}
     target = 0
     for f in chain.simplices:
         target |= 1 << cols[f]
-    basis: list[int] = []
-    for r in rows:
+    pivots: dict[int, int] = {}  # position of the lowest set bit -> basis vector
+    for r in ambient.faces_of_dim(k + 1):
         vec = 0
         for face, _ in faces(r):
             vec |= 1 << cols[face]
-        for b in basis:
-            low = b & -b
-            if vec & low:
-                vec ^= b
-        if vec:
-            basis.append(vec)
-            basis.sort(key=lambda x: x & -x)
-    for b in basis:
-        low = b & -b
-        if target & low:
-            target ^= b
-    return target == 0
+        while vec:
+            low = (vec & -vec).bit_length()
+            if low not in pivots:
+                pivots[low] = vec
+                break
+            vec ^= pivots[low]
+    while target:
+        low = (target & -target).bit_length()
+        if low not in pivots:
+            return False
+        target ^= pivots[low]
+    return True

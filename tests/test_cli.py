@@ -1,8 +1,10 @@
 import json
 import os
+from pathlib import Path
 
 import pytest
 
+import bistellar
 from bistellar.cli import main
 from bistellar.library import RP2_6_FACETS, write_facet_file
 from bistellar.simplicial import build_complex
@@ -69,6 +71,19 @@ def test_sw_flags_rp2(capsys, data_dir):
     rep = json.loads(out)
     w1 = [c for c in rep["chains"] if c["degree"] == 1][0]
     assert w1["is_cycle"] and w1["bounds"] is False
+
+
+def test_sw_report_cp2_pinned(capsys):
+    path = Path(bistellar.__file__).parent / "data" / "cp2_9.facets"
+    code, out = _run(capsys, ["sw", str(path), "--format", "json"])
+    assert code == 0
+    assert out == (
+        '{"chains":[{"degree":0,"is_cycle":true,"simplex_count":255},'
+        '{"bounds":true,"degree":1,"is_cycle":true,"simplex_count":2916},'
+        '{"degree":2,"is_cycle":true,"simplex_count":9144},'
+        '{"degree":3,"is_cycle":true,"simplex_count":10800},'
+        '{"degree":4,"is_cycle":true,"simplex_count":4320}]}\n'
+    )
 
 
 def test_p1_local_4_sphere(capsys, data_dir):

@@ -16,3 +16,5 @@ def test_demo_runs(demo):
     assert done.returncode == 0, done.stderr
     if demo.name == "04_pontryagin_cp2.py":
         assert "Pontryagin number: 3\n" in done.stdout
+    if demo.name == "05_stiefel_whitney.py":
+        assert "W_2: 9144 simplices, cycle: True, bounds: False\n" in done.stdout

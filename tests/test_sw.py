@@ -1,10 +1,12 @@
+from itertools import permutations
+
 import pytest
 
 from bistellar.errors import NotClosedManifold
-from bistellar.library import RP2_6_FACETS
-from bistellar.simplicial import boundary_of_simplex, build_complex
-from bistellar.sw import is_mod2_boundary, sw_duals
-from helpers import octahedron
+from bistellar.library import RP2_6_FACETS, cp2_9
+from bistellar.simplicial import Complex, barycentric_subdivision, boundary_of_simplex, build_complex
+from bistellar.sw import Mod2Chain, is_mod2_boundary, sw_duals
+from helpers import octahedron, perturbed_cp2, torus_7
 
 
 def test_w2_of_tetrahedron_boundary_is_fundamental():
@@ -41,3 +43,71 @@ def test_all_wk_are_cycles_on_3_sphere():
 def test_rejects_open_complexes():
     with pytest.raises(NotClosedManifold):
         sw_duals(build_complex([[0, 1, 2]]))
+
+
+def _subdivision_by_permutations(K):
+    """K' built the textbook way: one maximal flag per ordering of each facet."""
+    faces = sorted((f for f in K.faces if f), key=lambda f: (len(f), f))
+    index = {f: i for i, f in enumerate(faces)}
+    flags = set()
+    for facet in K.facets:
+        for perm in permutations(facet):
+            flags.add(tuple(sorted(index[tuple(sorted(perm[: i + 1]))] for i in range(len(perm)))))
+    return flags, {i: f for f, i in index.items()}
+
+
+@pytest.mark.parametrize(
+    "K",
+    [
+        boundary_of_simplex(4),
+        build_complex(RP2_6_FACETS),
+        torus_7(),
+        cp2_9(),
+        build_complex([[0, 1, 2], [2, 3], [3, 4], [4, 5, 6, 7]]),  # not pure
+        Complex([()]),
+    ],
+    ids=["boundary_delta_4", "rp2_6", "torus_7", "cp2_9", "mixed_dims", "empty"],
+)
+def test_subdivision_chains_are_the_faces_of_the_subdivision(K):
+    Kp, back = barycentric_subdivision(K)
+    flags, ref_back = _subdivision_by_permutations(K)
+    assert Kp.facets == flags and back == ref_back
+    fresh = Complex(Kp.facets, _validated=True)  # no seeded face lists: faces_of_dim reads Complex.faces
+    for k in range(-1, Kp.dim + 2):
+        assert Kp.faces_of_dim(k) == fresh.faces_of_dim(k), k
+    if K.is_pure and all(len(fs) == 2 for fs in K.ridges.values()):
+        for k, ch in enumerate(sw_duals(K)):
+            assert ch.simplices == {f for f in fresh.faces if len(f) == k + 1}, k
+
+
+@pytest.mark.parametrize("make", [cp2_9, lambda: perturbed_cp2(1, 5).complex], ids=["cp2_9", "perturbed_1_5"])
+def test_w2_of_cp2_does_not_bound(make):
+    """CP^2 is not spin: w_2 != 0, so W_2 does not bound; w_1 = w_3 = 0."""
+    chains = sw_duals(make())
+    assert [is_mod2_boundary(chains[k]) for k in (1, 2, 3)] == [True, False, True]
+
+
+def test_essential_loops_of_the_torus():
+    """On the subdivided 7-vertex torus (vertex i at (a, b) with a + 3b = i
+    mod 7) the 7-gon of +1 steps and the triangle 0-3-4 are essential loops
+    in the same mod-2 class, so their sum bounds; the 7-gon of +2 steps is
+    in another class."""
+    K = torus_7()
+    Kp, back = barycentric_subdivision(K)
+    index = {f: i for i, f in back.items()}
+
+    def loop(*vs):
+        edges = set()
+        for a, b in zip(vs, vs[1:] + vs[:1]):
+            e = index[tuple(sorted((a, b)))]
+            edges ^= {(index[(a,)], e), (index[(b,)], e)}
+        return Mod2Chain(Kp, 1, frozenset(edges))
+
+    ones, twos, tri = loop(*range(7)), loop(*(2 * i % 7 for i in range(7))), loop(0, 3, 4)
+    for c in (ones, twos, tri):
+        assert c.is_cycle() and not is_mod2_boundary(c)
+    same = Mod2Chain(Kp, 1, ones.simplices ^ tri.simplices)
+    assert same.simplices and is_mod2_boundary(same)
+    assert not is_mod2_boundary(Mod2Chain(Kp, 1, twos.simplices ^ tri.simplices))
+    facet = loop(0, 1, 3)  # the boundary of a triangle of K
+    assert is_mod2_boundary(facet)

@@ -3,12 +3,19 @@
 Two independent routes back each other:
 
 * bistellar expansion from the tetrahedron boundary with canonical
-  deduplication (the production path).  A state applies one move per orbit
-  of its automorphism group, named by the least canonical image of sigma
-  over the state's optimal labelings (any two differ by an automorphism),
-  and no vertex removal: flips connect all n-vertex triangulations of the
-  2-sphere (Wagner 1936), so flips from a facet subdivision of an
-  (n-1)-vertex class reach every n-vertex class;
+  deduplication (the production path).  It climbs the complexity order of
+  the 2-spheres (k, k+1/3, k+2/3 for k vertices and minimal degree 3, 4,
+  at least 5; ``moves.complexity_thirds``).  A state applies only the
+  moves that raise its complexity (``_increasing_moves``): every facet
+  subdivision below the vertex bound, and the flips that raise its minimal
+  degree.  It applies one such move per orbit of its automorphism group,
+  named by the least canonical image of sigma over the state's optimal
+  labelings (any two differ by an automorphism).  That reaches every
+  class, by induction on complexity: every 2-sphere other than the
+  tetrahedron boundary has a complexity-decreasing move
+  (``gamma2.decreasing_moves``); its result has lower complexity and at
+  most as many vertices, so the expansion reaches that result, and the
+  inverse move raises it back to the class;
 * a brute-force facet-set enumerator over labeled triangle sets (the test
   oracle; every isomorphism class on n vertices has a labeling containing
   the seed triangle (0,1,2), so seeding there loses nothing).
@@ -19,14 +26,38 @@ from __future__ import annotations
 from collections import deque
 
 from .canonical import FacetTuple, okey, ukey, unoriented_canon
-from .moves import apply_move, enumerate_moves
-from .simplicial import Complex, boundary_of_simplex, orient
+from .moves import BistellarMove, apply_move, move_tau
+from .simplicial import Complex, OrientedComplex, boundary_of_simplex, orient
+
+
+def _increasing_moves(S: OrientedComplex) -> list[BistellarMove]:
+    """All moves strictly raising the complexity of the 2-sphere S, in
+    ``enumerate_moves`` order.  Every facet subdivision adds a vertex.  A
+    flip keeps the vertex count, lowers the degrees of the ends of sigma and
+    raises those of tau, so with minimal degree m (3 or 4) it raises the
+    complexity iff tau holds every vertex of degree m and both ends of sigma
+    have degree at least m + 2: sigma is then an edge opposite such a
+    vertex."""
+    degs = S.degrees
+    m = min(degs.values())
+    low = {v for v, d in degs.items() if d == m}
+    cands = list(S.facets)
+    if m <= 4 and len(low) <= 2:
+        v = min(low)
+        opposite = (tuple(w for w in f if w != v) for f in S.facets_containing((v,)))
+        cands += [e for e in opposite if min(degs[w] for w in e) >= m + 2]
+    return [
+        BistellarMove(S, s, t, tau_checked=True)
+        for s in sorted(cands)
+        if (t := move_tau(S, s)) is not None and (len(s) == 3 or low <= set(t))
+    ]
 
 
 def spheres_by_expansion(max_vertices: int) -> dict[int, list[FacetTuple]]:
     """Unoriented 2-sphere classes with at most ``max_vertices`` vertices,
-    found by breadth-first expansion from the tetrahedron with one flip or
-    facet subdivision per automorphism orbit (see the module docstring)."""
+    found by breadth-first expansion from the tetrahedron with one
+    complexity-raising move per automorphism orbit (see the module
+    docstring)."""
     if max_vertices < 4:
         return {}  # no 2-sphere has fewer than 4 vertices
     start = orient(boundary_of_simplex(3))
@@ -38,8 +69,8 @@ def spheres_by_expansion(max_vertices: int) -> dict[int, list[FacetTuple]]:
         grow = len(state.vertices) < max_vertices
         orbits = {
             min(tuple(sorted(lab[v] for v in mv.sigma)) for lab in labs): mv
-            for mv in enumerate_moves(state)
-            if len(mv.sigma) == 2 or (grow and len(mv.sigma) == 3)
+            for mv in _increasing_moves(state)
+            if grow or len(mv.sigma) == 2
         }
         for mv in orbits.values():
             nxt = apply_move(mv)

@@ -126,6 +126,14 @@ def test_enumerate_expands_once(capsys, monkeypatch):
     assert rep["oriented_counts"] == {"4": 1, "5": 1, "6": 2, "7": 6}
 
 
+def test_enumerate_nine_vertices(capsys):
+    code, out = _run(capsys, ["enumerate-spheres", "--max-vertices", "9"])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["unoriented_counts"] == {"4": 1, "5": 1, "6": 2, "7": 5, "8": 14, "9": 50}
+    assert rep["oriented_counts"] == {"4": 1, "5": 1, "6": 2, "7": 6, "8": 17, "9": 73}
+
+
 @pytest.mark.parametrize("n", ["3", "0", "-2"])
 def test_enumerate_below_four_vertices_is_empty(capsys, n):
     code = main(["enumerate-spheres", "--max-vertices", n])

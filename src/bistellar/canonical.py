@@ -6,6 +6,19 @@ lexicographically least facet-set image.  All optimal labelings are collected
 so marked simplices and orientations can be canonicalized as well; any two
 differ by an automorphism, so they also give the orbits of Aut(K).
 
+The first full search of a class files its canonical image T in
+``_class_table`` with Aut(T) (lambda_i o lambda_0^-1 over the optimal
+leaves lambda_i) and P_T, the individualization path of T's identity leaf
+(lambda_0 applied to the first optimal leaf's path).  A later search ends at
+its first leaf beta whose image is in the table: a table key is a canonical
+form, so it is the complex's.  The optimal labelings are then a o beta over
+Aut(T).  The search commutes with isomorphisms, so the leaf of mu = a o beta
+lies at the path mu^-1(P_T); children are tried in increasing position, so
+the search's leaf order is the lexicographic order of the paths, and sorting
+by path returns the same labelings in the same order as a full search.  The
+boundary of a simplex is not searched: every labeling is optimal, in the
+order of the permutations that individualize its vertices.
+
 Keys:
 
 * the unoriented key of a complex is its canonical facet tuple;
@@ -20,7 +33,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations, permutations
 from typing import NamedTuple
 
 from .errors import NotPseudomanifold
@@ -118,34 +131,58 @@ def unoriented_canon(K: Complex) -> _UCanon:
 
 
 @functools.cache
+def _class_table() -> dict[FacetTuple, list[tuple[list[int], tuple[int, ...]]]]:
+    """Each canonical image T found by a full search in this process, with
+    the pairs (a, a^-1(P_T)) over Aut(T), where P_T is the individualization
+    path of T's identity leaf.  Read off that search: a = lambda_i o
+    lambda_0^-1 over its optimal leaves, and P_T = lambda_0(first optimal
+    leaf's path)."""
+    return {}
+
+
+@functools.cache
 def _ucanon(facet_set: frozenset) -> _UCanon:
     """``unoriented_canon`` memoized on the facet set.  The search runs on
     the positions of the sorted vertices and keeps each leaf as its color
-    list; only the optimal leaves become labeling dicts, in leaf order."""
+    list; only the optimal leaves become labeling dicts, in leaf order.  A
+    leaf whose image is in ``_class_table`` ends the search (see the module
+    docstring)."""
     deg = Counter(chain.from_iterable(facet_set))
     vertices = sorted(deg)
     if not vertices:
         # the empty complex {()} canonicalizes trivially
         return _UCanon(tuple(facet_set), [{}])
+    n = len(vertices)
+    if len(facet_set) == n and all(len(f) == n - 1 for f in facet_set):
+        # the boundary of a simplex: the search individualizes the vertices
+        # one by one in every order, and every leaf is optimal
+        return _UCanon(
+            tuple(combinations(range(n), n - 1)),
+            [dict(sorted(zip(perm, range(n)))) for perm in permutations(vertices)],
+        )
     pos = {v: p for p, v in enumerate(vertices)}
     facets = sorted([tuple(map(pos.__getitem__, f)) for f in facet_set])
-    n = len(vertices)
     star: list[list[int]] = [[] for _ in vertices]
     for j, f in enumerate(facets):
         for p in f:
             star[p].append(j)
+    table = _class_table()
     best: list[FacetTuple] = []
-    leaves: list[list[int]] = []
+    leaves: list[tuple[list[int], tuple[int, ...]]] = []  # each optimal leaf and its path
 
-    def search(colors, count) -> None:
+    def search(colors, count, path):
+        """Walk the subtree; return the image and coloring of the first leaf
+        on a known class, or None."""
         colors, count = _refine(facets, star, colors, count)
         if count == n:
             image = tuple(sorted([tuple(sorted(map(colors.__getitem__, f))) for f in facets]))
+            if image in table:
+                return image, colors
             if not best or image < best[0]:
                 best[:], leaves[:] = [image], []
             if image == best[0]:
-                leaves.append(colors)
-            return
+                leaves.append((colors, path))
+            return None
         # individualize each vertex of the least color shared by two or more:
         # give it a fresh color strictly below the rest of its cell, keeping
         # the coloring dense
@@ -153,12 +190,37 @@ def _ucanon(facet_set: frozenset) -> _UCanon:
         for p in [p for p, c in enumerate(colors) if c == cell]:
             child = [x if x < cell else x + 1 for x in colors]
             child[p] = cell
-            search(child, count + 1)
+            hit = search(child, count + 1, (*path, p))
+            if hit:
+                return hit
+        return None
 
     # seed colors with vertex degrees to shrink the search tree
     ranking = {d: i for i, d in enumerate(sorted(set(deg.values())))}
-    search([ranking[deg[v]] for v in vertices], len(ranking))
-    return _UCanon(best[0], [dict(zip(vertices, colors)) for colors in leaves])
+    hit = search([ranking[deg[v]] for v in vertices], len(ranking), ())
+    if hit:
+        # the optimal leaves are a o beta over Aut(T); the leaf of
+        # mu = a o beta lies at the path mu^-1(P_T) = beta^-1(a^-1(P_T))
+        image, beta = hit
+        inv = _inverse(beta)
+        ranked = sorted((tuple(map(inv.__getitem__, q)), a) for a, q in table[image])
+        labels = [[a[b] for b in beta] for _, a in ranked]
+    else:
+        # leaf i gives a = lambda_i o lambda_0^-1 and a^-1(P_T) = lambda_0(its
+        # path), since P_T = lambda_i(path of leaf i) for every optimal i
+        image = best[0]
+        lam0 = leaves[0][0]
+        inv0 = _inverse(lam0)
+        table[image] = [([lab[p] for p in inv0], tuple(map(lam0.__getitem__, path))) for lab, path in leaves]
+        labels = [lab for lab, _ in leaves]
+    return _UCanon(image, [dict(zip(vertices, colors)) for colors in labels])
+
+
+def _inverse(perm: list[int]) -> list[int]:
+    inv = [0] * len(perm)
+    for i, x in enumerate(perm):
+        inv[x] = i
+    return inv
 
 
 @functools.cache

@@ -118,9 +118,10 @@ def test_expansion_pinned_and_one_child_per_orbit():
     below the bound, and the flips that raise the minimal degree) keeps the
     canonical-form misses of a cold expansion at 121, against 514 for one
     flip or facet subdivision per orbit and 1,084 for every move."""
-    from bistellar.canonical import _ucanon
+    from bistellar.canonical import _class_table, _ucanon
 
     _ucanon.cache_clear()
+    _class_table.cache_clear()
     out = spheres_by_expansion(9)
     misses = _ucanon.cache_info().misses
     text = json.dumps({str(n): [list(map(list, k)) for k in ks] for n, ks in out.items()}, sort_keys=True)

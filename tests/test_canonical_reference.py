@@ -11,12 +11,18 @@ is what ``move_from_endpoint`` transports moves with.
 through each reference labeling facet by facet; the library classifies a
 labeling on one facet only, and must give the same key and the same
 designated labelings in the same order, in both orientations.
+
+A search that reaches a leaf of a class already in ``_class_table`` stops
+there and rebuilds the labelings from the class's automorphisms, and the
+boundary of a simplex is not searched at all; the tests below reach both
+paths on relabelled copies and hold them to the same reference.
 """
 
 import random
 
 import pytest
 
+import bistellar.canonical as canonical
 from bistellar.canonical import OKey, oriented_canon, relabel, unoriented_canon
 from bistellar.enumeration import spheres_by_expansion
 from bistellar.library import catalog
@@ -147,3 +153,54 @@ def test_perturbed_cp2_vertex_and_edge_links_match_reference(seed, steps):
     K = perturbed_cp2(seed, steps).complex
     for sigma in [*K.faces_of_dim(0), *K.faces_of_dim(1)]:
         _assert_matches_reference(K.link(sigma))
+
+
+def _relabeled(K: Complex, rng: random.Random) -> Complex:
+    """K on a random sample of vertex names, so the sorted vertex order is
+    shuffled against K's."""
+    return relabel(K, dict(zip(K.vertices, rng.sample(range(100), len(K.vertices)))))
+
+
+def _clear_tables():
+    for table in (canonical._ucanon, canonical._ocanon, canonical._class_table):
+        table.cache_clear()
+
+
+def test_known_classes_match_reference_after_early_exit():
+    """From cleared tables, the first relabelled copy of each class takes the
+    full search and the second stops at its first leaf of that class."""
+    rng = random.Random(29)
+    classes = [k for ks in spheres_by_expansion(9).values() for k in ks]
+    _clear_tables()
+    for k in classes:
+        for _ in range(2):
+            _assert_matches_reference(_relabeled(Complex(k, _validated=True), rng))
+    assert len(canonical._class_table()) == len(classes) - 1  # the tetrahedron boundary is not searched
+
+
+@pytest.mark.parametrize("name", ["boundary_delta_5", "boundary_delta_6", "cross_4", "icosahedron"])
+def test_symmetric_complexes_relabeled_after_their_class_is_known(name):
+    K = catalog()[name].complex
+    unoriented_canon(K)
+    _assert_matches_reference(_relabeled(K, random.Random(name)))
+
+
+@pytest.mark.parametrize("d", range(6))
+def test_relabeled_simplex_boundaries_match_reference(d):
+    _assert_matches_reference(_relabeled(boundary_of_simplex(d + 1), random.Random(d)))
+
+
+def test_known_icosahedron_takes_a_few_refinements(monkeypatch):
+    """The first relabelled icosahedron walks its whole search tree (120
+    optimal leaves); a second one stops at its first optimal leaf."""
+    rng = random.Random(5)
+    ico = catalog()["icosahedron"].complex
+    calls = []
+    refine = canonical._refine
+    monkeypatch.setattr(canonical, "_refine", lambda *args: calls.append(1) or refine(*args))
+    _clear_tables()
+    first = unoriented_canon(_relabeled(ico, rng))
+    assert len(calls) > 100 and len(first.labelings) == 120
+    calls.clear()
+    second = unoriented_canon(_relabeled(ico, rng))
+    assert len(calls) <= 5 and second.facets == first.facets and len(second.labelings) == 120

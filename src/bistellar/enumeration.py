@@ -6,14 +6,14 @@ Two independent routes back each other:
   deduplication (the production path).  It climbs the complexity order of
   the 2-spheres (k, k+1/3, k+2/3 for k vertices and minimal degree 3, 4,
   at least 5; ``moves.complexity_thirds``).  A state applies only the
-  moves that raise its complexity (``_increasing_moves``): every facet
+  moves that raise its complexity (``moves.increasing_moves``): every facet
   subdivision below the vertex bound, and the flips that raise its minimal
   degree.  It applies one such move per orbit of its automorphism group,
   named by the least canonical image of sigma over the state's optimal
   labelings (any two differ by an automorphism).  That reaches every
   class, by induction on complexity: every 2-sphere other than the
   tetrahedron boundary has a complexity-decreasing move
-  (``gamma2.decreasing_moves``); its result has lower complexity and at
+  (``moves.decreasing_moves``); its result has lower complexity and at
   most as many vertices, so the expansion reaches that result, and the
   inverse move raises it back to the class;
 * a brute-force facet-set enumerator over labeled triangle sets (the test
@@ -26,31 +26,9 @@ from __future__ import annotations
 from collections import deque
 
 from .canonical import FacetTuple, okey, ukey, unoriented_canon
-from .moves import BistellarMove, apply_move, move_tau
-from .simplicial import Complex, OrientedComplex, boundary_of_simplex, orient
-
-
-def _increasing_moves(S: OrientedComplex) -> list[BistellarMove]:
-    """All moves strictly raising the complexity of the 2-sphere S, in
-    ``enumerate_moves`` order.  Every facet subdivision adds a vertex.  A
-    flip keeps the vertex count, lowers the degrees of the ends of sigma and
-    raises those of tau, so with minimal degree m (3 or 4) it raises the
-    complexity iff tau holds every vertex of degree m and both ends of sigma
-    have degree at least m + 2: sigma is then an edge opposite such a
-    vertex."""
-    degs = S.degrees
-    m = min(degs.values())
-    low = {v for v, d in degs.items() if d == m}
-    cands = list(S.facets)
-    if m <= 4 and len(low) <= 2:
-        v = min(low)
-        opposite = (tuple(w for w in f if w != v) for f in S.facets_containing((v,)))
-        cands += [e for e in opposite if min(degs[w] for w in e) >= m + 2]
-    return [
-        BistellarMove(S, s, t, tau_checked=True)
-        for s in sorted(cands)
-        if (t := move_tau(S, s)) is not None and (len(s) == 3 or low <= set(t))
-    ]
+from .moves import apply_move, increasing_moves
+from .simplicial import Complex, boundary_of_simplex, orient
+from .spheres import is_combinatorial_sphere
 
 
 def spheres_by_expansion(max_vertices: int) -> dict[int, list[FacetTuple]]:
@@ -69,7 +47,7 @@ def spheres_by_expansion(max_vertices: int) -> dict[int, list[FacetTuple]]:
         grow = len(state.vertices) < max_vertices
         orbits = {
             min(tuple(sorted(lab[v] for v in mv.sigma)) for lab in labs): mv
-            for mv in _increasing_moves(state)
+            for mv in increasing_moves(state)
             if grow or len(mv.sigma) == 2
         }
         for mv in orbits.values():
@@ -125,8 +103,6 @@ def spheres_brute_force(n: int) -> list[FacetTuple]:
         if len(used) != n or len(tris) != target_facets:
             return
         K = Complex(tris)
-        from .spheres import is_combinatorial_sphere
-
         if is_combinatorial_sphere(K).verdict is True:
             found.add(ukey(K))
 

@@ -2,12 +2,11 @@
 the rational cocycle determined by the catalogued elementary-cycle values.
 
 Complexity of a 2-sphere with k vertices is k, k+1/3 or k+2/3 according to
-whether the minimal vertex degree is 3, 4 or at least 5 (the rule lives in
-:mod:`bistellar.moves`, which orders the endpoints of move-graph edges by
-it); the complexity of a move is the larger endpoint complexity, plus 1/6
-when they tie.  Every
-integer cycle in the move graph decomposes into "elementary" cycles of two
-kinds:
+whether the minimal vertex degree is 3, 4 or at least 5 (the rule and the
+moves that lower or raise it live in :mod:`bistellar.moves`, which orders
+the endpoints of move-graph edges by it); the complexity of a move is the
+larger endpoint complexity, plus 1/6 when they tie.  Every integer cycle in
+the move graph decomposes into "elementary" cycles of two kinds:
 
 * commutation cycles of two moves with disjoint, vertex-sharing or
   edge-sharing supports (kinds ``comm-a`` .. ``comm-i``);
@@ -43,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,6 +63,7 @@ from .moves import (
     carry,
     complexity_of_key,
     complexity_thirds,
+    decreasing_moves,
     materialize_edge,
     move_from_endpoint,
     move_tau,
@@ -84,7 +85,7 @@ def _tied(a1: int, a2: int) -> int:
 
 
 def move_complexity(move: BistellarMove) -> Fraction:
-    a1, a2 = (complexity_thirds(L.degrees.values()) for L in (move.host, move.result))
+    a1, a2 = (complexity_thirds(d.values()) for d in (move.host.degrees, move.result_degrees()))
     return Fraction(_tied(a1, a2), 6)
 
 
@@ -97,23 +98,6 @@ def _edge_order(key: GammaEdgeKey) -> tuple[int, str]:
     """Six times the complexity of an edge, then its ``encode()``: the order
     in which the decomposition peels edges."""
     return _tied(complexity_of_key(key.tail), complexity_of_key(key.head)), key.encode()
-
-
-def decreasing_moves(L: OrientedComplex) -> list[BistellarMove]:
-    """All moves strictly decreasing the sphere complexity, in
-    ``enumerate_moves`` order.  A flip lowers only the degrees of its edge's
-    ends, so with minimal degree m they are the removals of degree-3 vertices
-    (m <= 3), the flips of edges with an end of degree m (m = 4, 5) or none."""
-    degs = L.degrees
-    m = min(degs.values())
-    if m <= 3:
-        cands = [(v,) for v in sorted(degs) if degs[v] == 3]
-    elif m <= 5:
-        low = [v for v, d in degs.items() if d == m]
-        cands = sorted({tuple(sorted((v, w))) for v in low for f in L.facets_containing((v,)) for w in f if w != v})
-    else:
-        cands = []
-    return [BistellarMove(L, s, t, tau_checked=True) for s in cands if (t := move_tau(L, s)) is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -423,12 +407,11 @@ def special_cycle_a(move: BistellarMove) -> ElementaryCycle | None:
         chain = _chain(walk)
         if not chain.is_cycle():
             continue
+        # a's link is the triangle b-Rv-T and b's the 4-cycle Rv-a-T-Lap, so these are facets
         patch = [
             tuple(sorted(t))
             for t in ((Lap, b, T), (b, a, T), (a, Rv, T), (Lap, b, Rv), (b, a, Rv))
         ]
-        if any(t not in X.facet_signs for t in patch):
-            continue
         params = tuple(_outside(X, v, patch) for v in (Lap, T, Rv))
         s_or = X.sign_of((b, a, T))
         return ElementaryCycle("spec-a", params, chain, s_or)
@@ -627,8 +610,6 @@ def decompose_cycle(zeta: Gamma2Chain, order_seed: int | None = None) -> list[tu
     targets and partners; the well-definedness of the cocycle value across
     orders is a correctness check, not an assumption.
     """
-    import random
-
     if not zeta.is_cycle():
         raise NotACycle("decompose_cycle requires a cycle")
     if not zeta.is_integral():

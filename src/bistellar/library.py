@@ -8,12 +8,14 @@ slip through.
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import MalformedInput, NotClosedManifold, parsing
 from .simplicial import Complex, Simplex, boundary_of_simplex, build_complex, is_orientable, perm_parity, simplex
+from .spheres import is_combinatorial_sphere
 
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -86,8 +88,6 @@ def read_facet_file(path: str) -> tuple[Complex, dict[Simplex, int] | None]:
     with open(path) as fh, parsing(path):
         text = fh.read()
         if text.lstrip().startswith("{"):
-            import json
-
             data = json.loads(text)
             facets, orientation = data["facets"], data.get("orientation")
         else:
@@ -129,8 +129,6 @@ def cp2_9() -> Complex:
     """
     K, _ = read_facet_file(os.path.join(_DATA_DIR, "cp2_9.facets"))
     entry = ComplexLibraryEntry.checked("cp2_9", K, (9, 36, 84, 90, 36), 3, True)
-    from .spheres import is_combinatorial_sphere
-
     for v in K.vertices:
         lk = K.link((v,))
         if len(lk.vertices) != 8 or not is_combinatorial_sphere(lk):

@@ -20,14 +20,17 @@ reads the result's vertex degrees off the two stars without building it.
 
 Moves of oriented spheres fall into equivalence classes (orientation
 preserving isomorphism carrying sigma to sigma'); the essential classes are
-the edges of the graph Gamma_n, identified here by ``GammaEdgeKey``.
+the edges of the graph Gamma_n, identified here by ``GammaEdgeKey``.  Its
+2-sphere vertices are ordered by complexity (``complexity_thirds``), and
+``decreasing_moves`` and ``increasing_moves`` find the moves that lower or
+raise it.
 """
 
 from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from typing import Collection, NamedTuple
@@ -35,20 +38,16 @@ from typing import Collection, NamedTuple
 from .canonical import OKey, designated_labelings, marked_encoding, materialize, okey
 from .errors import InvalidMove, SphereCheckFailed
 from .simplicial import Complex, OrientedComplex, Simplex, faces, orient, perm_parity
+from .spheres import is_combinatorial_sphere
 
 
 @dataclass(frozen=True)
 class BistellarMove:
-    """The move (host, sigma, tau); tau may contain one fresh vertex (k = n).
-
-    ``tau_checked`` marks a tau just computed by ``move_tau`` for this host
-    and sigma, so ``validate`` does not compute it again.
-    """
+    """The move (host, sigma, tau); tau may contain one fresh vertex (k = n)."""
 
     host: OrientedComplex
     sigma: Simplex
     tau: Simplex
-    tau_checked: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", tuple(self.sigma))
@@ -106,19 +105,6 @@ class BistellarMove:
                 del degs[v]
         return degs
 
-    def validate(self) -> None:
-        if self.tau_checked:
-            return
-        host, sig, tau = self.host, self.sigma, self.tau
-        want = move_tau(host, sig)
-        if want is None:
-            raise InvalidMove(f"no bistellar move at {sig}")
-        if self.k == host.dim:
-            if len(tau) != 1 or tau[0] in host.vertices:
-                raise InvalidMove("a facet subdivision needs one fresh tau vertex")
-        elif tuple(sorted(tau)) != want:
-            raise InvalidMove(f"the move at {sig} has tau {want}, not {tau}")
-
     def describe(self) -> str:
         return f"({','.join(map(str, self.sigma))})->({','.join(map(str, self.tau))})"
 
@@ -161,19 +147,28 @@ def enumerate_moves(K: OrientedComplex) -> list[BistellarMove]:
     for sig in sorted(star):
         tau = move_tau(K, sig, star=star)
         if tau is not None:
-            out.append(BistellarMove(K, sig, tau, tau_checked=True))
+            out.append(BistellarMove(K, sig, tau))
     return out
 
 
 def apply_move(move: BistellarMove) -> OrientedComplex:
     """Replace sigma * d(tau) by d(sigma) * tau, transporting the orientation
-    in closed form (see the module docstring)."""
-    move.validate()
+    in closed form (see the module docstring).  Every move is checked
+    against ``move_tau`` first."""
+    host, sig, tau = move.host, move.sigma, move.tau
+    want = move_tau(host, sig)
+    if want is None:
+        raise InvalidMove(f"no bistellar move at {sig}")
+    if move.k == host.dim:
+        if len(tau) != 1 or tau[0] in host.vertices:
+            raise InvalidMove("a facet subdivision needs one fresh tau vertex")
+    elif tuple(sorted(tau)) != want:
+        raise InvalidMove(f"the move at {sig} has tau {want}, not {tau}")
     removed, added = move.removed, move.added
     f0, b0 = removed[0]
-    c = move.host.facet_signs[f0] * b0
+    c = host.facet_signs[f0] * b0
     old = {f for f, _ in removed}
-    signs = {f: s for f, s in move.host.facet_signs.items() if f not in old}
+    signs = {f: s for f, s in host.facet_signs.items() if f not in old}
     for f, b in added:
         signs[f] = -c * b
     return OrientedComplex(Complex(signs, _validated=True), signs, check=False)
@@ -230,8 +225,6 @@ def sphere_from_move(move: BistellarMove, check_sphere: bool = True) -> Oriented
     if out.facet_signs[tuple(sorted(f + (u2,)))] != L2.facet_signs[f] * perm_parity((u2,) + f):
         out = -out
     if check_sphere:
-        from .spheres import is_combinatorial_sphere
-
         verdict = is_combinatorial_sphere(out.complex)
         if verdict.verdict is not True:
             raise SphereCheckFailed(f"L_beta is not a combinatorial sphere: {verdict}")
@@ -280,13 +273,57 @@ def complexity_thirds(degrees: Collection[int]) -> int:
 
 def sphere_complexity(L: OrientedComplex | OKey) -> Fraction:
     """k, k+1/3 or k+2/3 for a 2-sphere with k vertices and min degree 3, 4, >=5."""
-    return Fraction(complexity_thirds(Counter(chain.from_iterable(L.facets)).values()), 3)
+    thirds = complexity_of_key(L) if isinstance(L, OKey) else complexity_thirds(L.degrees.values())
+    return Fraction(thirds, 3)
 
 
 @functools.cache
 def complexity_of_key(key: OKey) -> int:
     """Three times the complexity of a 2-sphere class (``complexity_thirds``)."""
     return complexity_thirds(Counter(chain.from_iterable(key.facets)).values())
+
+
+# The moves that change the complexity of a 2-sphere, read off its degree
+# table (m is the minimal degree).  A removal (of a degree-3 vertex) lowers
+# it and a facet subdivision raises it.  A flip of the edge sigma onto tau
+# keeps the vertex count, lowers the degrees of sigma's ends by one and
+# raises those of tau: it lowers the complexity iff m is 4 or 5 and an end
+# of sigma has degree m, and raises it iff m is 3 or 4, tau holds every
+# vertex of degree m (so sigma is an edge opposite one) and both ends of
+# sigma have degree at least m + 2.
+
+
+def decreasing_moves(L: OrientedComplex) -> list[BistellarMove]:
+    """All moves strictly lowering the complexity of the 2-sphere L, in
+    ``enumerate_moves`` order (the rule above)."""
+    degs = L.degrees
+    m = min(degs.values())
+    if m <= 3:
+        cands = [(v,) for v in sorted(degs) if degs[v] == 3]
+    elif m <= 5:
+        low = [v for v, d in degs.items() if d == m]
+        cands = sorted({tuple(sorted((v, w))) for v in low for f in L.facets_containing((v,)) for w in f if w != v})
+    else:
+        cands = []
+    return [BistellarMove(L, s, t) for s in cands if (t := move_tau(L, s)) is not None]
+
+
+def increasing_moves(S: OrientedComplex) -> list[BistellarMove]:
+    """All moves strictly raising the complexity of the 2-sphere S, in
+    ``enumerate_moves`` order (the rule above)."""
+    degs = S.degrees
+    m = min(degs.values())
+    low = {v for v, d in degs.items() if d == m}
+    cands = list(S.facets)
+    if m <= 4 and len(low) <= 2:
+        v = min(low)
+        opposite = (tuple(w for w in f if w != v) for f in S.facets_containing((v,)))
+        cands += [e for e in opposite if min(degs[w] for w in e) >= m + 2]
+    return [
+        BistellarMove(S, s, t)
+        for s in sorted(cands)
+        if (t := move_tau(S, s)) is not None and (len(s) == 3 or low <= set(t))
+    ]
 
 
 def _endpoint_rank(key: OKey) -> int:
@@ -335,7 +372,7 @@ def rep_move(key: OKey, sigma: Simplex) -> BistellarMove:
         tau = move_tau(host, sigma)
         if tau is None:
             raise InvalidMove(f"no move at {sigma} on {key.encode()[:40]}...")
-        mv = made[sigma] = BistellarMove(host, sigma, tau, tau_checked=True)
+        mv = made[sigma] = BistellarMove(host, sigma, tau)
     return mv
 
 

@@ -30,8 +30,8 @@ from fractions import Fraction
 
 from .canonical import OKey, designated_labelings, materialize, okey, simplex_boundary_key
 from .errors import DimensionTooSmall, InvalidMove, MalformedInput, NotACycle, SphereCheckFailed, parsing
-from .gamma2 import Gamma2Chain, c_of_cycle, decreasing_moves
-from .moves import BistellarMove, carry, is_inessential, u_set
+from .gamma2 import Gamma2Chain, c_of_cycle
+from .moves import BistellarMove, carry, decreasing_moves, is_inessential, u_set
 from .reduction import MoveSequence, reduce_to_boundary, replay
 from .simplicial import OrientedComplex
 from .talgebra import LocalCochain, SimplicialChain, f_sharp

@@ -2,7 +2,7 @@
 
 A 3-sphere is reduced by vertex elimination.  The link of a vertex v is a
 2-sphere, and a 2-sphere above the tetrahedron always has a
-complexity-decreasing move (``gamma2.decreasing_moves``).  Each link move
+complexity-decreasing move (``moves.decreasing_moves``).  Each link move
 (sigma', tau') lifts to the move (sigma' + v, tau') of the 3-sphere, whose
 induced move at v is the link move itself; the lift is valid iff tau' is not
 a face of the 3-sphere.  Once the link is the boundary of a tetrahedron, the
@@ -34,8 +34,7 @@ from dataclasses import dataclass
 
 from .canonical import OKey, materialize, okey, ukey
 from .errors import BudgetExhausted, MalformedInput
-from .gamma2 import decreasing_moves
-from .moves import BistellarMove, apply_move, complexity_thirds, enumerate_moves, move_tau
+from .moves import BistellarMove, apply_move, complexity_thirds, decreasing_moves, enumerate_moves, move_tau
 from .simplicial import OrientedComplex, Simplex
 
 
@@ -138,7 +137,7 @@ def _eliminate(state: OrientedComplex, v: int, rng: random.Random, cap: int) -> 
         for lm in decreasing_moves(link):
             sig = tuple(sorted(lm.sigma + (v,)))
             if move_tau(state, sig) == lm.tau:
-                mv = BistellarMove(state, sig, lm.tau, tau_checked=True)
+                mv = BistellarMove(state, sig, lm.tau)
                 lifts.append((_energy_from_degrees(3, mv.result_degrees()), lm, mv))
         if not lifts:
             return None
@@ -150,7 +149,7 @@ def _eliminate(state: OrientedComplex, v: int, rng: random.Random, cap: int) -> 
     tau = move_tau(state, (v,))
     if tau is None or len(path) >= cap:
         return None
-    path.append(BistellarMove(state, (v,), tau, tau_checked=True))
+    path.append(BistellarMove(state, (v,), tau))
     return path
 
 

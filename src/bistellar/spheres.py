@@ -45,14 +45,14 @@ def is_combinatorial_sphere(K: Complex, budget: int = 20000, seed: int = 0) -> S
         return SphereVerdict(True, "closed connected surface with chi = 2")
     # dim >= 3: vertex links, then reduction search; an Unknown link is left
     # to the search: a reduction to a simplex boundary certifies K, links included
-    for v in K.vertices:
-        sub = is_combinatorial_sphere(K.link((v,)), budget=budget, seed=seed)
-        if sub.verdict is False:
-            return SphereVerdict(False, f"link of vertex {v}: {sub.reason}")
+    links = is_combinatorial_manifold(K, budget=budget, seed=seed)
+    if links.verdict is False:
+        return links
     try:
         oc = orient(K)
     except NonOrientable:
         return SphereVerdict(False, "not orientable")
+    # deferred: reduction imports moves, which imports this module
     from .reduction import reduce_to_boundary
 
     try:

@@ -281,16 +281,50 @@ def test_malformed_input_is_a_typed_error(capsys, data_dir, argv_of):
     assert captured.err == ""
 
 
-@pytest.mark.parametrize("orbit", ["9,9", "0,1"])
-def test_edge_without_a_move_is_a_typed_error(capsys, tmp_path, orbit):
-    """A chain edge whose orbit carries no move on its tail sphere (a vertex
-    not in it, or an edge whose link spans a face) is InvalidMove."""
+def _chain_file(d, scale=1, drop_one=False) -> str:
+    """A commutation cycle of the icosahedron times ``scale`` as a chain
+    file, less its first edge if ``drop_one``."""
+    from fractions import Fraction
+
+    from bistellar.gamma2 import Gamma2Chain, commutation_cycle
+    from helpers import icosahedron
+
+    terms = commutation_cycle(icosahedron(), (0, 1, 2), (0, 5, 6)).chain.scaled(Fraction(scale)).terms
+    if drop_one:
+        terms.pop(min(terms))
+    return _write(d / "chain.json", json.dumps(Gamma2Chain(terms).to_json()))
+
+
+def _edge_file(d, orbit: str) -> str:
+    """A chain of one edge of the tetrahedron boundary to itself, at ``orbit``."""
     d3 = "+;0,1,2|0,1,3|0,2,3|1,2,3"
-    path = _write(tmp_path / "chain.json", json.dumps([[f"{d3}  {d3}  {orbit}", "1", "1"]]))
-    code = main(["gamma2", "decompose", path])
+    return _write(d / "chain.json", json.dumps([[f"{d3}  {d3}  {orbit}", "1", "1"]]))
+
+
+@pytest.mark.parametrize(
+    "argv_of, error",
+    [
+        (lambda d: ["check", str(d / "missing.facets")], "io"),
+        (lambda d: ["sw", _write(d / "tri.facets", "0 1 2\n")], "NotClosedManifold"),
+        (lambda d: ["check", _write(d / "neg.facets", "0 1 -1\n0 1 2\n")], "DuplicateVertexInFacet"),
+        (lambda d: ["check", _write(d / "comment.facets", "# no facets\n")], "FacetContainment"),
+        (lambda d: ["gamma2", "decompose", _chain_file(d, drop_one=True)], "NotACycle"),
+        (lambda d: ["gamma2", "decompose", _chain_file(d, scale="1/2")], "NotACycle"),
+        # an orbit with no move on its tail sphere: a vertex not in it, or
+        # an edge whose link spans a face
+        (lambda d: ["gamma2", "decompose", _edge_file(d, "9,9")], "InvalidMove"),
+        (lambda d: ["gamma2", "decompose", _edge_file(d, "0,1")], "InvalidMove"),
+    ],
+    ids=[
+        "missing-file", "sw-of-a-triangle", "negative-vertex", "comment-only", "open-chain", "half-integral-cycle",
+        "orbit-9,9", "orbit-0,1",
+    ],
+)
+def test_failure_is_a_typed_error(capsys, tmp_path, argv_of, error):
+    code = main(argv_of(tmp_path))
     captured = capsys.readouterr()
     assert code == 1
-    assert json.loads(captured.out)["error"] == "InvalidMove"
+    assert json.loads(captured.out)["error"] == error
     assert captured.err == ""
 
 

@@ -7,9 +7,8 @@ from collections import Counter, deque
 from itertools import chain
 
 from bistellar.canonical import relabel_oriented, ukey, unoriented_canon
-from bistellar.enumeration import _increasing_moves, spheres_by_expansion
-from bistellar.gamma2 import decreasing_moves
-from bistellar.moves import apply_move, complexity_thirds, enumerate_moves
+from bistellar.enumeration import spheres_by_expansion
+from bistellar.moves import apply_move, complexity_thirds, decreasing_moves, enumerate_moves, increasing_moves
 from bistellar.simplicial import Complex, boundary_of_simplex, orient
 from helpers import icosahedron, octahedron
 
@@ -49,7 +48,7 @@ def _classes(n):
 
 
 def test_increasing_moves_build_no_result(monkeypatch):
-    """``_increasing_moves`` reads its flips off the degree table, yet
+    """``increasing_moves`` reads its flips off the degree table, yet
     returns the moves of the complexity filter over ``enumerate_moves`` (every
     facet subdivision, and the flips raising the minimal degree), in that
     order: on every 2-sphere class up to 10 vertices in both orientations and
@@ -84,7 +83,7 @@ def test_increasing_moves_build_no_result(monkeypatch):
     flips = Counter()
     for L in cases:
         calls.clear()
-        got = _increasing_moves(L)
+        got = increasing_moves(L)
         assert calls == []
         want = reference(L)
         assert [(m.sigma, m.tau) for m in got] == [(m.sigma, m.tau) for m in want]
@@ -97,7 +96,7 @@ def test_increasing_moves_build_no_result(monkeypatch):
 def test_every_class_is_reached_by_a_raising_move():
     """The induction step of the expansion: every class with 5 to 10
     vertices has a decreasing move, the result of each is a class of the
-    expansion of lower complexity, and ``_increasing_moves`` of that result
+    expansion of lower complexity, and ``increasing_moves`` of that result
     holds the inverse move (tau on sigma)."""
     out = spheres_by_expansion(10)
     known = set(chain.from_iterable(out.values()))
@@ -110,7 +109,7 @@ def test_every_class_is_reached_by_a_raising_move():
         for mv in moves:
             assert ukey(mv.result.complex) in known
             assert complexity_thirds(mv.result.degrees.values()) < c
-            assert mv.tau in {up.sigma for up in _increasing_moves(mv.result)}
+            assert mv.tau in {up.sigma for up in increasing_moves(mv.result)}
 
 
 def test_expansion_equals_all_flips_reference():

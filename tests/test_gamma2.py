@@ -19,6 +19,7 @@ from bistellar.gamma2 import (
     decompose_cycle,
     edge_complexity,
     move_complexity,
+    special_cycle_a,
     special_cycle_b,
     special_cycle_c,
     sphere_complexity,
@@ -455,6 +456,31 @@ def test_pentagon_cycle_on_icosahedron():
     kinds = {p.kind for _, p in decompose_cycle(g.chain)}
     assert "spec-b" in kinds and all(k == "spec-b" or k.startswith("comm-") for k in kinds)
     assert c_of_cycle(g.chain) == g.value
+
+
+def test_special_cycle_a_pinned_on_every_flip():
+    """``special_cycle_a`` on every flip of every 2-sphere class up to 8
+    vertices, in both orientations: the kind, parameters, sign and chain of
+    each cycle, or None, hash to the value taken before the patch test was
+    dropped (452 flips, 74 spec-a cycles)."""
+    import hashlib
+    import json
+    from itertools import chain
+
+    from bistellar.enumeration import spheres_by_expansion
+    from bistellar.simplicial import Complex
+
+    out = []
+    for facets in chain.from_iterable(spheres_by_expansion(8).values()):
+        L = orient(Complex(facets, _validated=True))
+        for S in (L, -L):
+            for mv in enumerate_moves(S):
+                if len(mv.sigma) == 2:
+                    g = special_cycle_a(mv)
+                    out.append(None if g is None else [g.kind, list(g.params), g.sign, g.chain.to_json()])
+    assert (len(out), sum(g is not None for g in out)) == (452, 74)
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+    assert digest == "55344ce8a8defadaf600144d3f4fd2af1029051f5279122c6d748ea63a61f14a"
 
 
 # the triangles around vertex 0 of the icosahedron, whose link cycle is

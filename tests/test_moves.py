@@ -11,8 +11,10 @@ from bistellar.moves import (
     BistellarMove,
     apply_move,
     complexity_thirds,
+    decreasing_moves,
     edge_key,
     enumerate_moves,
+    increasing_moves,
     induced_vertex_moves,
     inverse_move,
     is_inessential,
@@ -118,22 +120,26 @@ def test_invalid_move_rejected():
         apply_move(BistellarMove(d3, (0, 1, 2), (3,)))  # stale tau vertex
 
 
-def test_only_moves_of_unchecked_tau_are_validated(monkeypatch):
-    """An enumerated move carries the tau ``move_tau`` just gave it, so
-    applying it computes no second tau; a move built from a caller's
-    (sigma, tau), such as a certificate step, is still checked."""
+def test_every_applied_move_is_checked_against_move_tau(monkeypatch):
+    """``apply_move`` computes the tau of every move once, however it was
+    built, so a move built as the move finders build theirs, (host, sigma,
+    tau), is rejected when its tau is not the one at sigma; so is a
+    certificate step with a wrong tau."""
     import bistellar.moves as moves
     from bistellar.reduction import MoveSequence, reduce_to_boundary, replay
 
     calls = []
     real = moves.move_tau
     monkeypatch.setattr(moves, "move_tau", lambda *a, **k: calls.append(a) or real(*a, **k))
-    mv = enumerate_moves(octahedron())[0]
-    calls.clear()
-    apply_move(mv)
-    assert not calls
-    apply_move(BistellarMove(mv.host, mv.sigma, mv.tau))
-    assert len(calls) == 1
+    L = octahedron()
+    for finder in (enumerate_moves, decreasing_moves, increasing_moves):
+        for mv in finder(L):
+            calls.clear()
+            apply_move(mv)
+            assert len(calls) == 1
+            for wrong in {m.tau for m in enumerate_moves(L)} - {mv.tau}:
+                with pytest.raises(InvalidMove):
+                    apply_move(BistellarMove(L, mv.sigma, wrong))
 
     seq = reduce_to_boundary(octahedron())
     (sig, tau), *rest = seq.moves

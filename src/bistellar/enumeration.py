@@ -8,14 +8,18 @@ Two independent routes back each other:
   at least 5; ``moves.complexity_thirds``).  A state applies only the
   moves that raise its complexity (``moves.increasing_moves``): every facet
   subdivision below the vertex bound, and the flips that raise its minimal
-  degree.  It applies one such move per orbit of its automorphism group,
-  named by the least canonical image of sigma over the state's optimal
-  labelings (any two differ by an automorphism).  That reaches every
-  class, by induction on complexity: every 2-sphere other than the
-  tetrahedron boundary has a complexity-decreasing move
-  (``moves.decreasing_moves``); its result has lower complexity and at
-  most as many vertices, so the expansion reaches that result, and the
-  inverse move raises it back to the class;
+  degree, one per orbit of its automorphism group, named by the least
+  canonical image of sigma over the state's optimal labelings (any two
+  differ by an automorphism).  It keys a child C, reached by the move m,
+  only if m is C's canonical parent move (McKay's canonical construction
+  path): the inverse of m has the largest degree invariant (the degrees of
+  sigma, then of tau, each sorted) among C's complexity-decreasing moves
+  (``moves.decreasing_moves``).  That reaches every class, by induction on
+  complexity: a 2-sphere C other than the tetrahedron boundary has a
+  decreasing move d of largest invariant; its result has lower complexity
+  and at most as many vertices, so the expansion reached it and applied
+  the inverse of d or an automorphic image of it, whose child passes.
+  Ties pass too; the keys already seen drop the repeats;
 * a brute-force facet-set enumerator over labeled triangle sets (the test
   oracle; every isomorphism class on n vertices has a labeling containing
   the seed triangle (0,1,2), so seeding there loses nothing).
@@ -23,19 +27,19 @@ Two independent routes back each other:
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
+from itertools import chain, combinations
 
 from .canonical import FacetTuple, okey, ukey, unoriented_canon
-from .moves import apply_move, increasing_moves
-from .simplicial import Complex, boundary_of_simplex, orient
+from .moves import BistellarMove, apply_move, decreasing_moves, increasing_moves, raising_flips
+from .simplicial import Complex, OrientedComplex, Simplex, boundary_of_simplex, orient
 from .spheres import is_combinatorial_sphere
 
 
 def spheres_by_expansion(max_vertices: int) -> dict[int, list[FacetTuple]]:
-    """Unoriented 2-sphere classes with at most ``max_vertices`` vertices,
-    found by breadth-first expansion from the tetrahedron with one
-    complexity-raising move per automorphism orbit (see the module
-    docstring)."""
+    """Unoriented 2-sphere classes with at most ``max_vertices`` vertices, by
+    the expansion of the module docstring.  A subdivision is tested for a
+    canonical parent before it is applied, a flip on its result."""
     if max_vertices < 4:
         return {}  # no 2-sphere has fewer than 4 vertices
     start = orient(boundary_of_simplex(3))
@@ -45,21 +49,40 @@ def spheres_by_expansion(max_vertices: int) -> dict[int, list[FacetTuple]]:
         state = frontier.popleft()
         labs = unoriented_canon(state.complex).labelings
         grow = len(state.vertices) < max_vertices
+        kept = _kept_subdivisions(state) if grow else ()
         orbits = {
             min(tuple(sorted(lab[v] for v in mv.sigma)) for lab in labs): mv
-            for mv in increasing_moves(state)
-            if grow or len(mv.sigma) == 2
+            for mv in (increasing_moves(state) if grow else raising_flips(state))
+            if len(mv.sigma) == 2 or mv.sigma in kept
         }
         for mv in orbits.values():
             nxt = apply_move(mv)
-            k = ukey(nxt.complex)
-            if k not in seen:
+            if (len(mv.sigma) == 3 or _canonical_parent(mv, nxt)) and (k := ukey(nxt.complex)) not in seen:
                 seen[k] = len(nxt.vertices)
                 frontier.append(nxt)
-    out: dict[int, list[FacetTuple]] = {n: [] for n in range(4, max_vertices + 1)}
-    for k, n in sorted(seen.items()):
-        out[n].append(k)
-    return out
+    keys = sorted(seen)
+    return {n: [k for k in keys if seen[k] == n] for n in range(4, max_vertices + 1)}
+
+
+def _canonical_parent(mv: BistellarMove, child: OrientedComplex) -> bool:
+    """True iff the inverse of the raising move ``mv`` onto ``child`` has the
+    largest degree invariant among the decreasing moves of ``child``."""
+    degs = child.degrees
+    ranks = [(sorted(degs[v] for v in d.sigma), sorted(degs[v] for v in d.tau)) for d in decreasing_moves(child)]
+    return (sorted(degs[v] for v in mv.tau), sorted(degs[v] for v in mv.sigma)) == max(ranks)
+
+
+def _kept_subdivisions(S: OrientedComplex) -> set[Simplex]:
+    """The facets of S whose subdivision passes ``_canonical_parent``, read
+    off S: the child's decreasing moves remove the new vertex and the
+    degree-3 vertices of S off the facet (a facet vertex gains a degree)."""
+    degs = S.degrees
+    thirds = [(v, {w for f in S.facets_containing((v,)) for w in f} - {v}) for v, d in degs.items() if d == 3]
+
+    def up(ws, f):  # the degrees of ws after subdividing f
+        return sorted(degs[w] + (w in f) for w in ws)
+
+    return {f for f in S.facets if all(v in f or up(ws, f) <= up(f, f) for v, ws in thirds)}
 
 
 def oriented_sphere_classes(classes: int | dict[int, list[FacetTuple]]) -> dict[int, int]:
@@ -79,57 +102,30 @@ def spheres_brute_force(n: int) -> list[FacetTuple]:
     by completing open edges of labeled triangle sets."""
     target_facets = 2 * n - 4
     found: set[FacetTuple] = set()
-    edge_use: dict[tuple[int, int], int] = {}
-    tris: list[tuple[int, int, int]] = []
-
-    def edges_of(t):
-        return ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))
-
-    def push(t):
-        tris.append(t)
-        for e in edges_of(t):
-            edge_use[e] = edge_use.get(e, 0) + 1
-
-    def pop():
-        t = tris.pop()
-        for e in edges_of(t):
-            edge_use[e] -= 1
-
-    def open_edges():
-        return sorted(e for e, c in edge_use.items() if c == 1)
-
-    def accept():
-        used = {v for t in tris for v in t}
-        if len(used) != n or len(tris) != target_facets:
-            return
-        K = Complex(tris)
-        if is_combinatorial_sphere(K).verdict is True:
-            found.add(ukey(K))
+    edge_use: Counter = Counter()
+    tris: list[Simplex] = []
 
     def search():
         if len(tris) > target_facets:
             return
-        opens = open_edges()
+        opens = sorted(e for e, c in edge_use.items() if c == 1)
         if not opens:
-            accept()
+            if len(tris) == target_facets and len(set(chain.from_iterable(tris))) == n:
+                K = Complex(tris)
+                if is_combinatorial_sphere(K).verdict is True:
+                    found.add(ukey(K))
             return
         a, b = opens[0]
-        present = {tuple(sorted(t)) for t in tris}
         for c in range(n):
-            if c in (a, b):
-                continue
             t = tuple(sorted((a, b, c)))
-            if t in present:
+            if c in (a, b) or t in tris or edge_use[min(a, c), max(a, c)] >= 2 or edge_use[min(b, c), max(b, c)] >= 2:
                 continue
-            if edge_use.get(tuple(sorted((a, c))), 0) >= 2:
-                continue
-            if edge_use.get(tuple(sorted((b, c))), 0) >= 2:
-                continue
-            push(t)
+            tris.append(t)
+            edge_use.update(combinations(t, 2))
             search()
-            pop()
+            edge_use.subtract(combinations(tris.pop(), 2))
 
-    push((0, 1, 2))
+    tris.append((0, 1, 2))
+    edge_use.update(combinations((0, 1, 2), 2))
     search()
-    pop()
     return sorted(found)

@@ -308,22 +308,26 @@ def decreasing_moves(L: OrientedComplex) -> list[BistellarMove]:
     return [BistellarMove(L, s, t) for s in cands if (t := move_tau(L, s)) is not None]
 
 
-def increasing_moves(S: OrientedComplex) -> list[BistellarMove]:
-    """All moves strictly raising the complexity of the 2-sphere S, in
-    ``enumerate_moves`` order (the rule above)."""
+def raising_flips(S: OrientedComplex) -> list[BistellarMove]:
+    """The flips strictly raising the complexity of the 2-sphere S, by edge
+    (the rule above)."""
     degs = S.degrees
     m = min(degs.values())
     low = {v for v, d in degs.items() if d == m}
-    cands = list(S.facets)
-    if m <= 4 and len(low) <= 2:
-        v = min(low)
-        opposite = (tuple(w for w in f if w != v) for f in S.facets_containing((v,)))
-        cands += [e for e in opposite if min(degs[w] for w in e) >= m + 2]
-    return [
-        BistellarMove(S, s, t)
-        for s in sorted(cands)
-        if (t := move_tau(S, s)) is not None and (len(s) == 3 or low <= set(t))
-    ]
+    if m > 4 or len(low) > 2:
+        return []
+    v = min(low)
+    edges = sorted(tuple(w for w in f if w != v) for f in S.facets_containing((v,)))
+    taus = {e: move_tau(S, e) for e in edges if min(degs[w] for w in e) >= m + 2}
+    return [BistellarMove(S, e, t) for e, t in taus.items() if t is not None and low <= set(t)]
+
+
+def increasing_moves(S: OrientedComplex) -> list[BistellarMove]:
+    """All moves strictly raising the complexity of the 2-sphere S, in
+    ``enumerate_moves`` order: every facet subdivision, onto the least id
+    not in S (found once), and the ``raising_flips``."""
+    fresh = (next(v for v in range(len(S.degrees) + 1) if v not in S.degrees),)
+    return sorted([BistellarMove(S, f, fresh) for f in S.facets] + raising_flips(S), key=lambda mv: mv.sigma)
 
 
 def _endpoint_rank(key: OKey) -> int:

@@ -7,8 +7,16 @@ from collections import Counter, deque
 from itertools import chain
 
 from bistellar.canonical import relabel_oriented, ukey, unoriented_canon
-from bistellar.enumeration import spheres_by_expansion
-from bistellar.moves import apply_move, complexity_thirds, decreasing_moves, enumerate_moves, increasing_moves
+from bistellar.enumeration import _canonical_parent, _kept_subdivisions, spheres_by_expansion
+from bistellar.moves import (
+    BistellarMove,
+    apply_move,
+    complexity_thirds,
+    decreasing_moves,
+    enumerate_moves,
+    increasing_moves,
+    move_tau,
+)
 from bistellar.simplicial import Complex, boundary_of_simplex, orient
 from helpers import icosahedron, octahedron
 
@@ -93,23 +101,123 @@ def test_increasing_moves_build_no_result(monkeypatch):
     assert flips[3] and flips[4] == 1 and not flips[5]
 
 
+def _invariant(L, mv):
+    """The degree invariant of a move on L: the degrees of sigma, then of
+    tau, each sorted."""
+    return sorted(L.degrees[v] for v in mv.sigma), sorted(L.degrees[v] for v in mv.tau)
+
+
+def _parent_is_canonical(up, child):
+    """The definition the expansion keys a child by: the inverse of the
+    raising move ``up`` has the largest invariant of the child's decreasing
+    moves."""
+    inverse = next(d for d in decreasing_moves(child) if (d.sigma, d.tau) == (up.tau, up.sigma))
+    return _invariant(child, inverse) == max(_invariant(child, d) for d in decreasing_moves(child))
+
+
 def test_every_class_is_reached_by_a_raising_move():
     """The induction step of the expansion: every class with 5 to 10
-    vertices has a decreasing move, the result of each is a class of the
-    expansion of lower complexity, and ``increasing_moves`` of that result
-    holds the inverse move (tau on sigma)."""
+    vertices, relabelled at random, has a decreasing move, the result of
+    each is a class of the expansion of lower complexity, and
+    ``increasing_moves`` of that result holds the inverse move (tau on
+    sigma).  For a decreasing move d of largest invariant, that inverse
+    passes the canonical-parent filter the expansion applies, read off the
+    parent for a subdivision and off the child for a flip."""
     out = spheres_by_expansion(10)
     known = set(chain.from_iterable(out.values()))
     assert decreasing_moves(orient(boundary_of_simplex(3))) == []
+    rng = random.Random(5)
+    kinds = Counter()
     for L in _classes(10)[1:]:
         assert 5 <= len(L.vertices) <= 10
+        L = relabel_oriented(L, dict(zip(L.vertices, rng.sample(range(3 * len(L.vertices)), len(L.vertices)))))
         c = complexity_thirds(L.degrees.values())
         moves = decreasing_moves(L)
         assert moves
+        best = max(_invariant(L, d) for d in moves)
         for mv in moves:
             assert ukey(mv.result.complex) in known
             assert complexity_thirds(mv.result.degrees.values()) < c
-            assert mv.tau in {up.sigma for up in increasing_moves(mv.result)}
+            up = next(m for m in increasing_moves(mv.result) if m.sigma == mv.tau)
+            if _invariant(L, mv) == best:
+                child = apply_move(up)
+                assert ukey(child.complex) == ukey(L.complex)
+                assert _parent_is_canonical(up, child)
+                assert up.sigma in _kept_subdivisions(mv.result) if len(up.sigma) == 3 else _canonical_parent(up, child)
+                kinds[len(up.sigma)] += 1
+    assert kinds[2] and kinds[3]
+
+
+def test_canonical_parent_filter_matches_its_definition():
+    """The filter the expansion applies equals the child-side definition:
+    for every facet subdivision of every class below 10 vertices (read off
+    the parent) and every raising flip of every class up to 10 vertices
+    (read off the child), each class also relabelled at random.  Both
+    verdicts occur for both kinds."""
+    rng = random.Random(3)
+    verdicts = Counter()
+    for L in _classes(10):
+        image = rng.sample(range(3 * len(L.vertices)), len(L.vertices))
+        for S in (L, relabel_oriented(L, dict(zip(L.vertices, image)))):
+            kept = _kept_subdivisions(S)
+            for up in increasing_moves(S):
+                if len(up.sigma) == 3 and len(S.vertices) == 10:
+                    continue
+                child = apply_move(up)
+                want = _parent_is_canonical(up, child)
+                got = up.sigma in kept if len(up.sigma) == 3 else _canonical_parent(up, child)
+                assert got == want, (S.facets, up.sigma)
+                verdicts[len(up.sigma), want] += 1
+    assert len(verdicts) == 4
+
+
+# 14 vertices, minimal degree 4.  The edge (0, 1) at the degree-4 vertex 0
+# ranks above every flip, ([4, 8], [7, 8]) against ([4, 8], [5, 8]) for
+# (0, 5), but its opposite vertices 5 and 13 span an edge, so it is no move.
+NO_FLIP_ON_TOP = [
+    (0, 1, 5), (0, 1, 13), (0, 5, 12), (0, 12, 13), (1, 2, 4), (1, 2, 13), (1, 4, 9), (1, 5, 8),
+    (1, 8, 11), (1, 9, 11), (2, 4, 8), (2, 5, 8), (2, 5, 13), (3, 5, 6), (3, 5, 13), (3, 6, 7),
+    (3, 7, 13), (4, 8, 10), (4, 9, 10), (5, 6, 12), (6, 7, 12), (7, 12, 13), (8, 10, 11), (9, 10, 11),
+]
+
+
+def test_an_edge_that_is_no_flip_does_not_compete():
+    """Only the moves of ``decreasing_moves`` compete for the canonical
+    parent: an edge at a vertex of minimal degree whose opposite vertices
+    are already joined is no flip, however high it ranks.  No class up to
+    12 vertices has such an edge on top, so this sphere is built by hand."""
+    C = orient(Complex(NO_FLIP_ON_TOP))
+    assert min(C.degrees.values()) == 4 and move_tau(C, (0, 1)) is None
+    no_flip = _invariant(C, BistellarMove(C, (0, 1), (5, 13)))
+    assert no_flip > max(_invariant(C, d) for d in decreasing_moves(C))
+    verdicts = []
+    for d in decreasing_moves(C):
+        up = next(m for m in increasing_moves(d.result) if m.sigma == d.tau)
+        child = apply_move(up)
+        verdicts.append(_parent_is_canonical(up, child))
+        assert _canonical_parent(up, child) == verdicts[-1]
+    assert True in verdicts and False in verdicts
+
+
+def test_expansion_keys_only_canonical_children(monkeypatch):
+    """A cold ``spheres_by_expansion(10)`` makes 316 canonical searches for
+    its 306 classes (626 when it keyed every child of one move per orbit)
+    and applies 384 moves (649): subdivisions failing the filter are never
+    applied, and a state at the vertex bound builds none."""
+    import bistellar.enumeration as enumeration_mod
+    from bistellar.canonical import _class_table, _ucanon
+
+    applied, grown = [], []
+    real_apply, real_increasing = enumeration_mod.apply_move, enumeration_mod.increasing_moves
+    monkeypatch.setattr(enumeration_mod, "apply_move", lambda mv: applied.append(mv) or real_apply(mv))
+    monkeypatch.setattr(enumeration_mod, "increasing_moves", lambda S: grown.append(S) or real_increasing(S))
+    _ucanon.cache_clear()
+    _class_table.cache_clear()
+    out = spheres_by_expansion(10)
+    assert sum(map(len, out.values())) == 306
+    assert _ucanon.cache_info().misses <= 320
+    assert len(applied) <= 400
+    assert max(len(S.vertices) for S in grown) == 9
 
 
 def test_expansion_equals_all_flips_reference():

@@ -238,7 +238,7 @@ def oriented_canon(OC: OrientedComplex) -> tuple[OKey, list[dict[int, int]]]:
     """The oriented key of OC and its designated labelings (in the order of
     ``unoriented_canon``), those onto the representative the key names."""
     f = min(OC.facets)
-    return _ocanon(OC.complex.facets, f, OC.facet_signs[f])
+    return _ocanon(OC.facets, f, OC.facet_signs[f])
 
 
 @functools.cache

@@ -43,11 +43,11 @@ def spheres_by_expansion(max_vertices: int) -> dict[int, list[FacetTuple]]:
     if max_vertices < 4:
         return {}  # no 2-sphere has fewer than 4 vertices
     start = orient(boundary_of_simplex(3))
-    seen: dict[FacetTuple, int] = {ukey(start.complex): 4}
+    seen: dict[FacetTuple, int] = {ukey(start): 4}
     frontier = deque([start])
     while frontier:
         state = frontier.popleft()
-        labs = unoriented_canon(state.complex).labelings
+        labs = unoriented_canon(state).labelings
         grow = len(state.vertices) < max_vertices
         kept = _kept_subdivisions(state) if grow else ()
         orbits = {
@@ -57,7 +57,7 @@ def spheres_by_expansion(max_vertices: int) -> dict[int, list[FacetTuple]]:
         }
         for mv in orbits.values():
             nxt = apply_move(mv)
-            if (len(mv.sigma) == 3 or _canonical_parent(mv, nxt)) and (k := ukey(nxt.complex)) not in seen:
+            if (len(mv.sigma) == 3 or _canonical_parent(mv, nxt)) and (k := ukey(nxt)) not in seen:
                 seen[k] = len(nxt.vertices)
                 frontier.append(nxt)
     keys = sorted(seen)

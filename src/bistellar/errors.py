@@ -67,10 +67,6 @@ class NotClosedManifold(BistellarError):
     pass
 
 
-class NotClosedCycle(BistellarError):
-    pass
-
-
 class NotACycle(BistellarError):
     pass
 

@@ -67,8 +67,6 @@ from .moves import (
     materialize_edge,
     move_from_endpoint,
     move_tau,
-    sphere_complexity,
-    u_set,
 )
 from .simplicial import OrientedComplex, Simplex
 from .talgebra import Chain
@@ -349,7 +347,7 @@ def commutation_cycle(L: OrientedComplex, sigma1, sigma2) -> ElementaryCycle:
     walk = _walk(L, [(sigma1, tau1), (sigma2, tau2), (tau1, sigma1), (tau2, sigma2)])
     if walk is None:
         raise NotApplicable(f"the moves at {sigma1} and {sigma2} are not available in turn")
-    if walk[-1].result.complex != L.complex:
+    if walk[-1].result.facets != L.facets:
         raise ClosureFailure("commutation did not return to the start complex")
     chain = _chain(walk)
     if not chain.is_cycle():
@@ -446,7 +444,7 @@ def special_cycle_b(R: OrientedComplex, e: int, D: int, C: int) -> ElementaryCyc
             ((B, D), (A, C)),
         ],
     )
-    if walk is None or walk[-1].result.complex != TL.complex:
+    if walk is None or walk[-1].result.facets != TL.facets:
         return None
     chain = _chain(walk)
     if not chain.is_cycle():
@@ -485,7 +483,7 @@ def special_cycle_c(L: OrientedComplex, sigma1: Simplex, sigma2: Simplex) -> Ele
             ((Dv, B), (A, Cv)),
         ],
     )
-    if walk is None or walk[-1].result.complex != L.complex:
+    if walk is None or walk[-1].result.facets != L.facets:
         return None
     chain = _chain(walk)
     if not chain.is_cycle():
@@ -523,7 +521,7 @@ def _candidates_single(key: GammaEdgeKey):
         mv = move_from_endpoint(key, end)
         H = mv.host
         # commute with a removal of an untouched degree-3 vertex
-        touched = set(u_set(mv)) | set(mv.sigma) | set(mv.tau)
+        touched = set(mv.sigma + mv.tau)
         for v in sorted(H.vertices):
             if v not in touched and H.degree(v) == 3:
                 yield [_commute(H, mv.sigma, (v,))]

@@ -225,7 +225,7 @@ def sphere_from_move(move: BistellarMove, check_sphere: bool = True) -> Oriented
     if out.facet_signs[tuple(sorted(f + (u2,)))] != L2.facet_signs[f] * perm_parity((u2,) + f):
         out = -out
     if check_sphere:
-        verdict = is_combinatorial_sphere(out.complex)
+        verdict = is_combinatorial_sphere(out)
         if verdict.verdict is not True:
             raise SphereCheckFailed(f"L_beta is not a combinatorial sphere: {verdict}")
     return out

@@ -97,14 +97,13 @@ class XiCache:
             "eta": {k.encode(): self._eta[v].to_json() for k, v in certs if v in self._eta},
         }
 
-    def save(self, path: str | None = None) -> None:
-        path = path or self.path
-        if not path:
+    def save(self) -> None:
+        if not self.path:
             return
-        tmp = path + ".tmp"
+        tmp = self.path + ".tmp"
         with open(tmp, "w") as fh:
             json.dump(self.to_json(), fh, sort_keys=True)
-        os.replace(tmp, path)
+        os.replace(tmp, self.path)
 
     def certificate(self, key: OKey, budget: int = 4000, seed: int = 0) -> MoveSequence:
         hit = self.certs.get(key)
@@ -229,7 +228,6 @@ def local_f(
     budget: int = 4000,
     seed: int = 0,
     cache: XiCache | None = None,
-    certificate: MoveSequence | None = None,
 ) -> Fraction:
     """The local formula for the first Pontryagin class on an oriented
     3-sphere class.
@@ -240,22 +238,16 @@ def local_f(
     independent of the sequence found (tested, not assumed).
     """
     _need_dim(L.dim, 3, "the local formula")
-    return _zeta_value(okey(L), cache if cache is not None else XiCache(), True, budget, seed, certificate)
+    return _zeta_value(okey(L), cache if cache is not None else XiCache(), True, budget, seed)
 
 
-def _zeta_value(
-    key: OKey, cache: XiCache, average: bool, budget: int, seed: int, certificate: MoveSequence | None = None
-) -> Fraction:
+def _zeta_value(key: OKey, cache: XiCache, average: bool, budget: int, seed: int) -> Fraction:
     """c(zeta(L)) for the oriented 3-sphere class ``key``: minus the eta
     chain of a reduction certificate of L (the sequence toward L is the
     reverse of the reduction), minus a chain with boundary
     {lk v} - {tetrahedron} for each vertex v of the class representative,
     xi (``average=True``) or the descent path (``average=False``)."""
-    if certificate is None:
-        certificate = cache.certificate(key, budget=budget, seed=seed)
-    elif certificate.start != key:
-        raise InvalidMove("certificate start does not match the sphere class")
-    zeta = cache.eta(certificate).scaled(-1)
+    zeta = cache.eta(cache.certificate(key, budget=budget, seed=seed)).scaled(-1)
     rep = materialize(key)
     for v in rep.vertices:
         zeta.iadd(_descent(okey(rep.link((v,))), cache, average), -1)
@@ -312,7 +304,7 @@ def _p1_dual(K: OrientedComplex, cache: XiCache | None, average: bool, budget: i
     if K.dim < 4:
         raise DimensionTooSmall(f"the first Pontryagin class needs dimension >= 4, not {K.dim}")
     cache = cache if cache is not None else XiCache()
-    keys = {okey(K.link(sig)) for sig in K.complex.faces_of_dim(K.dim - 4)}
+    keys = {okey(K.link(sig)) for sig in K.faces_of_dim(K.dim - 4)}
     todo = [k for k in sorted(keys, key=OKey.encode) if k.sign == 1 or (k.sign and k.mirror() not in keys)]
     f = LocalCochain(4)
     for k in todo:

@@ -100,7 +100,7 @@ def _find_descent(state: OrientedComplex, rng: random.Random, cap: int):
     """
     cur = _energy_from_degrees(state.dim, state.degrees)
     frontier = deque([(state, [])])
-    visited = {ukey(state.complex)}
+    visited = {ukey(state)}
     expanded = 0
     while frontier:
         st, path = frontier.popleft()
@@ -118,7 +118,7 @@ def _find_descent(state: OrientedComplex, rng: random.Random, cap: int):
         # low-energy neighbors first makes short descents likely
         level.sort(key=lambda x: x[0])
         for _, mv in level:
-            k = ukey(mv.result.complex)
+            k = ukey(mv.result)
             if k not in visited:
                 visited.add(k)
                 frontier.append((mv.result, path + [mv]))

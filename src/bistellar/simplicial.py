@@ -76,7 +76,7 @@ class Complex:
             fs = frozenset(simplex(f) for f in fs)
             for f in fs:
                 for g in fs:
-                    if f != g and set(f) <= set(g):
+                    if len(f) < len(g) and set(f) <= set(g):
                         raise FacetContainment(f"facet {f} contained in facet {g}")
         self.facets = fs
 
@@ -209,16 +209,19 @@ def build_complex(facets: Iterable[Iterable[int]]) -> Complex:
     return Complex([simplex(f) for f in facets])
 
 
-class OrientedComplex:
-    """A pure closed pseudomanifold with a coherent sign per facet."""
+class OrientedComplex(Complex):
+    """A pure closed pseudomanifold with a coherent sign per facet: a
+    ``Complex`` plus ``facet_signs``.  It starts from what ``complex`` has
+    already computed (degrees, vertex index, faces)."""
 
-    __slots__ = ("complex", "facet_signs", "__dict__")
+    __slots__ = ("facet_signs",)
 
     def __init__(self, complex: Complex, facet_signs: Mapping[Simplex, int], check: bool = True):
-        self.complex = complex
+        self.facets = complex.facets
+        self.__dict__.update(complex.__dict__)
         self.facet_signs = dict(facet_signs)
         if check:
-            if set(self.facet_signs) != set(complex.facets):
+            if set(self.facet_signs) != set(self.facets):
                 raise NotPseudomanifold("facet_signs must cover exactly the facets")
             if any(s not in (1, -1) for s in self.facet_signs.values()):
                 raise NotPseudomanifold("facet signs must be +1 or -1")
@@ -232,53 +235,33 @@ class OrientedComplex:
         if any(v != 0 for v in acc.values()):
             raise NonOrientable("facet signs are not coherent")
 
-    # Delegation of the read-only complex interface.
     @property
-    def facets(self):
-        return self.complex.facets
-
-    @property
-    def vertices(self):
-        return self.complex.vertices
-
-    @property
-    def dim(self):
-        return self.complex.dim
-
-    @property
-    def f_vector(self):
-        return self.complex.f_vector
-
-    @property
-    def degrees(self) -> Counter:
-        return self.complex.degrees
-
-    def degree(self, v: int) -> int:
-        return self.complex.degree(v)
+    def complex(self) -> Complex:
+        """The same complex with its orientation forgotten."""
+        K = Complex(self.facets, _validated=True)
+        K.__dict__.update(self.__dict__)
+        return K
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, OrientedComplex)
-            and self.complex == other.complex
+            and self.facets == other.facets
             and self.facet_signs == other.facet_signs
         )
 
     def __hash__(self) -> int:
-        return hash((self.complex, tuple(sorted(self.facet_signs.items()))))
+        return hash((self.facets, tuple(sorted(self.facet_signs.items()))))
 
     def __repr__(self) -> str:
         return f"OrientedComplex(dim={self.dim}, f={self.f_vector})"
 
     def __neg__(self) -> "OrientedComplex":
-        return OrientedComplex(self.complex, {f: -s for f, s in self.facet_signs.items()}, check=False)
+        return OrientedComplex(self, {f: -s for f, s in self.facet_signs.items()}, check=False)
 
     def sign_of(self, ordered_facet: Iterable[int]) -> int:
         """Sign of a facet presented in an arbitrary vertex order."""
         of = tuple(ordered_facet)
         return self.facet_signs[tuple(sorted(of))] * perm_parity(of)
-
-    def facets_containing(self, sigma: Simplex) -> list[Simplex]:
-        return self.complex.facets_containing(sigma)
 
     def link(self, sigma: Iterable[int]) -> "OrientedComplex":
         """Link with the induced orientation.
@@ -288,7 +271,7 @@ class OrientedComplex:
         """
         sig = simplex(sigma)
         signs: dict[Simplex, int] = {}
-        for f in self.complex._star(sig):
+        for f in self._star(sig):
             lam = tuple(v for v in f if v not in sig)
             signs[lam] = self.facet_signs[f] * perm_parity(sig + lam)
         return OrientedComplex(Complex(signs, _validated=True), signs, check=False)
@@ -388,12 +371,9 @@ def join_oriented(K1: OrientedComplex, K2: OrientedComplex) -> OrientedComplex:
     return OrientedComplex(Complex(signs.keys(), _validated=True), signs, check=False)
 
 
-def cone(K: Complex, apex: int | None = None) -> Complex:
-    """Cone over K: join with a single point."""
-    if apex is None:
-        apex = max(K.vertices, default=-1) + 1
-    if apex in K.vertices:
-        raise DuplicateVertexInFacet(f"apex {apex} already a vertex")
+def cone(K: Complex) -> Complex:
+    """Cone over K: join with a single point, numbered above K's vertices."""
+    apex = max(K.vertices, default=-1) + 1
     return Complex({tuple(sorted(f + (apex,))) for f in K.facets}, _validated=True)
 
 

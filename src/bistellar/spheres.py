@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExhausted, NonOrientable
-from .simplicial import Complex, OrientedComplex, orient
+from .simplicial import Complex, orient
 
 
 @dataclass(frozen=True)
@@ -25,8 +25,6 @@ class SphereVerdict:
 
 def is_combinatorial_sphere(K: Complex, budget: int = 20000, seed: int = 0) -> SphereVerdict:
     """Decide whether K is a combinatorial sphere of its dimension."""
-    if isinstance(K, OrientedComplex):
-        K = K.complex
     d = K.dim
     if d == 0:
         ok = len(K.vertices) == 2 and K.is_pure
@@ -65,8 +63,6 @@ def is_combinatorial_sphere(K: Complex, budget: int = 20000, seed: int = 0) -> S
 def is_combinatorial_manifold(K: Complex, budget: int = 20000, seed: int = 0) -> SphereVerdict:
     """Every vertex link must be a combinatorial sphere (of dimension dim-1,
     as every vertex link of a pure complex is)."""
-    if isinstance(K, OrientedComplex):
-        K = K.complex
     if not K.is_pure:
         return SphereVerdict(False, "not pure")
     if K.dim == 0:

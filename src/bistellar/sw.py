@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import NotClosedManifold
-from .simplicial import Complex, OrientedComplex, Simplex, barycentric_subdivision, faces
+from .simplicial import Complex, Simplex, barycentric_subdivision, faces
 
 
 @dataclass
@@ -23,6 +23,7 @@ class Mod2Chain:
     simplices: frozenset[Simplex] = field(default_factory=frozenset)
 
     def boundary(self) -> "Mod2Chain":
+        # not simplicial.faces: the signs are not needed, and building them doubles sw_duals' time
         counts = Counter(r for f in self.simplices for r in combinations(f, len(f) - 1))
         return Mod2Chain(self.ambient, self.degree - 1, frozenset(r for r, n in counts.items() if n % 2))
 
@@ -37,8 +38,6 @@ def sw_duals(K: Complex) -> list[Mod2Chain]:
     k + 1 faces of K), so no face set is built.  Each chain is verified to
     be a mod-2 cycle before return.
     """
-    if isinstance(K, OrientedComplex):
-        K = K.complex
     if not (K.is_pure and all(len(fs) == 2 for fs in K.ridges.values())):
         raise NotClosedManifold("Stiefel-Whitney chains need a closed manifold")
     Kp, _ = barycentric_subdivision(K)

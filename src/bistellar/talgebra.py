@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .canonical import OKey, materialize, okey
-from .errors import DimensionTooSmall, NotClosedCycle
+from .errors import DimensionTooSmall, NotACycle
 from .moves import BistellarMove, induced_vertex_moves, sphere_from_move
 from .simplicial import Complex, OrientedComplex, Simplex, faces, join_oriented, perm_parity
 
@@ -183,7 +183,7 @@ def f_sharp(f: LocalCochain, K: OrientedComplex) -> "SimplicialChain":
     if m < n:
         raise DimensionTooSmall(f"manifold dimension {m} < cochain grade {n}")
     out = SimplicialChain(K, m - n)
-    for sig in K.complex.faces_of_dim(m - n):
+    for sig in K.faces_of_dim(m - n):
         out.add(sig, f(K.link(sig)))
     return out
 
@@ -225,7 +225,7 @@ def alpha_cycle(K: OrientedComplex) -> SphereChain:
     for v in K.vertices:
         out.add_sphere(K.link((v,)))
     if boundary_t(out):
-        raise NotClosedCycle("alpha image has nonzero boundary")
+        raise NotACycle("alpha image has nonzero boundary")
     return out
 
 
@@ -236,7 +236,7 @@ class SimplicialChain(Chain):
     simplex orientation negates its coefficient.
     """
 
-    def __init__(self, ambient: OrientedComplex | Complex, degree: int, terms: dict[Simplex, Fraction] | None = None):
+    def __init__(self, ambient: Complex, degree: int, terms: dict[Simplex, Fraction] | None = None):
         self.ambient = ambient
         self.degree = degree
         super().__init__(terms)

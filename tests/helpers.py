@@ -6,9 +6,9 @@ import random
 from fractions import Fraction
 
 from bistellar.canonical import materialize, okey
-from bistellar.gamma2 import Gamma2Chain, sphere_complexity
+from bistellar.gamma2 import Gamma2Chain
 from bistellar.library import cp2_9
-from bistellar.moves import BistellarMove, apply_move, enumerate_moves, induced_vertex_moves
+from bistellar.moves import BistellarMove, apply_move, enumerate_moves, induced_vertex_moves, sphere_complexity
 from bistellar.reduction import MoveSequence, replay
 from bistellar.simplicial import Complex, OrientedComplex, boundary_of_simplex, build_complex, orient
 

@@ -126,7 +126,7 @@ def test_criterion_3_well_definedness():
         for s in range(5):
             cert = reduce_to_boundary(L, seed=s)
             certs.add(cert.moves)
-            vals.append(local_f(L, cache=XiCache(), certificate=cert))
+            vals.append(local_f(L, cache=XiCache(), seed=s))
         assert len(set(vals)) == 1
         distinct_certs = max(distinct_certs, len(certs))
         vals_per_class[key] = vals[0]

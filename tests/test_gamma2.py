@@ -22,9 +22,8 @@ from bistellar.gamma2 import (
     special_cycle_a,
     special_cycle_b,
     special_cycle_c,
-    sphere_complexity,
 )
-from bistellar.moves import BistellarMove, apply_move, edge_key, enumerate_moves, move_tau
+from bistellar.moves import BistellarMove, apply_move, edge_key, enumerate_moves, move_tau, sphere_complexity
 from bistellar.simplicial import boundary_of_simplex, orient
 from helpers import icosahedron, octahedron, perturbed_cp2, random_loop_cycle, random_walk_sphere
 

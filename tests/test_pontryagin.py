@@ -174,7 +174,7 @@ def test_local_f_seed_independence_and_equivariance():
     for s in range(5):
         cert = reduce_to_boundary(state, seed=s)
         certs.add(cert.moves)
-        vals.append(local_f(state, cache=XiCache(), certificate=cert))
+        vals.append(local_f(state, cache=XiCache(), seed=s))
     assert len(set(vals)) == 1
     assert len(certs) >= 2
     assert local_f(-state, cache=XiCache()) == -vals[0]

@@ -11,6 +11,8 @@ from bistellar.errors import (
     SimplexNotInComplex,
 )
 from bistellar.canonical import okey, ukey
+from bistellar.spheres import is_combinatorial_manifold, is_combinatorial_sphere
+from bistellar.sw import sw_duals
 from bistellar.simplicial import (
     Complex,
     OrientedComplex,
@@ -25,7 +27,7 @@ from bistellar.simplicial import (
     orient,
     perm_parity,
 )
-from helpers import octahedron, random_walk_sphere
+from helpers import octahedron, random_three_sphere, random_walk_sphere, torus_7
 
 RP2_6 = [[1, 2, 3], [1, 2, 4], [1, 3, 5], [1, 4, 6], [1, 5, 6],
          [2, 3, 6], [2, 4, 5], [2, 5, 6], [3, 4, 5], [3, 4, 6]]
@@ -53,6 +55,11 @@ def test_build_rejects_duplicates_and_containment():
         build_complex([[0, 0, 1]])
     with pytest.raises(FacetContainment):
         build_complex([[0, 1, 2], [0, 1]])
+    with pytest.raises(FacetContainment):
+        build_complex([[0, 1, 2, 3], [4, 5], [2]])
+    # non-pure without containment: a triangle plus a disjoint edge
+    K = build_complex([[0, 1, 2], [3, 4]])
+    assert K.facets == {(0, 1, 2), (3, 4)} and not K.is_pure
 
 
 def test_link_examples():
@@ -150,6 +157,49 @@ def test_orient_unique_up_to_global_flip():
     seed = min(oc.facets)
     assert flipped.facet_signs[seed] == -1
     assert {f: -s for f, s in oc.facet_signs.items()} == flipped.facet_signs
+
+
+def _chiral_sphere() -> OrientedComplex:
+    rng = random.Random(3)
+    while True:
+        L = random_walk_sphere(rng, steps=8, max_cx=12)
+        if okey(L).sign != 0:
+            return L
+
+
+def test_oriented_complex_is_a_complex_sharing_what_it_starts_from():
+    K = octahedron().complex
+    degrees = K.degrees
+    OC = orient(K)
+    assert isinstance(OC, Complex)
+    assert OC.degrees is degrees
+    index = OC._vertex_facets
+    assert (-OC)._vertex_facets is index
+
+
+def test_oriented_complex_view_forgets_the_orientation():
+    OC = octahedron()
+    view = OC.complex
+    assert type(view) is Complex
+    assert view == Complex(OC.facets)
+    assert OC != view and view != OC
+
+
+def test_oriented_complex_equality_compares_facets_and_signs():
+    L = _chiral_sphere()
+    copy = OrientedComplex(Complex(sorted(L.facets)), {f: L.facet_signs[f] for f in sorted(L.facets, reverse=True)})
+    assert copy == L and hash(copy) == hash(L)
+    assert -L != L and -(-L) == L
+    assert okey(-L) != okey(L)
+
+
+def test_recognition_reads_an_oriented_complex_as_its_complex():
+    rng = random.Random(2)
+    for OC in (octahedron(), orient(torus_7()), random_three_sphere(rng, 7)):
+        K = OC.complex
+        assert is_combinatorial_sphere(OC) == is_combinatorial_sphere(K)
+        assert is_combinatorial_manifold(OC) == is_combinatorial_manifold(K)
+        assert [c.simplices for c in sw_duals(OC)] == [c.simplices for c in sw_duals(K)]
 
 
 def test_faces_and_ridges():

@@ -15,9 +15,11 @@ form, so it is the complex's.  The optimal labelings are then a o beta over
 Aut(T).  The search commutes with isomorphisms, so the leaf of mu = a o beta
 lies at the path mu^-1(P_T); children are tried in increasing position, so
 the search's leaf order is the lexicographic order of the paths, and sorting
-by path returns the same labelings in the same order as a full search.  The
-boundary of a simplex is not searched: every labeling is optimal, in the
-order of the permutations that individualize its vertices.
+by path (``_by_path``) returns the same labelings in the same order as a
+full search.  Any isomorphism onto T serves as beta: T itself takes the
+identity, and ``transported_labeling`` takes a known one.  The boundary of
+a simplex is not searched: every labeling is optimal, in the order of the
+permutations that individualize its vertices.
 
 Keys:
 
@@ -167,6 +169,10 @@ def _ucanon(facet_set: frozenset) -> _UCanon:
         for p in f:
             star[p].append(j)
     table = _class_table()
+    image = tuple(facets)
+    if image in table:
+        # a filed canonical image T is its own first leaf, beta = identity
+        return _UCanon(image, [dict(zip(vertices, lab)) for lab in _by_path(table[image], list(range(n)))])
     best: list[FacetTuple] = []
     leaves: list[tuple[list[int], tuple[int, ...]]] = []  # each optimal leaf and its path
 
@@ -199,12 +205,8 @@ def _ucanon(facet_set: frozenset) -> _UCanon:
     ranking = {d: i for i, d in enumerate(sorted(set(deg.values())))}
     hit = search([ranking[deg[v]] for v in vertices], len(ranking), ())
     if hit:
-        # the optimal leaves are a o beta over Aut(T); the leaf of
-        # mu = a o beta lies at the path mu^-1(P_T) = beta^-1(a^-1(P_T))
         image, beta = hit
-        inv = _inverse(beta)
-        ranked = sorted((tuple(map(inv.__getitem__, q)), a) for a, q in table[image])
-        labels = [[a[b] for b in beta] for _, a in ranked]
+        labels = _by_path(table[image], beta)
     else:
         # leaf i gives a = lambda_i o lambda_0^-1 and a^-1(P_T) = lambda_0(its
         # path), since P_T = lambda_i(path of leaf i) for every optimal i
@@ -214,6 +216,27 @@ def _ucanon(facet_set: frozenset) -> _UCanon:
         table[image] = [([lab[p] for p in inv0], tuple(map(lam0.__getitem__, path))) for lab, path in leaves]
         labels = [lab for lab, _ in leaves]
     return _UCanon(image, [dict(zip(vertices, colors)) for colors in labels])
+
+
+def _by_path(entries: list[tuple[list[int], tuple[int, ...]]], beta: list[int]) -> list[list[int]]:
+    """a o beta over the table entries (a, a^-1(P_T)) in the search's leaf
+    order: by the path beta^-1(a^-1(P_T)) of the leaf of a o beta."""
+    inv = _inverse(beta)
+    ranked = sorted((tuple(map(inv.__getitem__, q)), a) for a, q in entries)
+    return [[a[b] for b in beta] for _, a in ranked]
+
+
+def transported_labeling(key: OKey, psi: dict[int, int]) -> dict[int, int] | None:
+    """The first designated labeling of a complex that ``psi`` maps onto
+    ``materialize(key)`` keeping the orientation: a o psi over the a in
+    Aut(T) that keep it, by ``_by_path``; None when T is not filed."""
+    entries = _class_table().get(key.facets)
+    if entries is None:
+        return None
+    rep, f = _rep_signs(key.facets), key.facets[0]
+    kept = [(a, q) for a, q in entries if perm_parity(img := [a[v] for v in f]) * rep[tuple(sorted(img))] == rep[f]]
+    vertices = sorted(psi)
+    return dict(zip(vertices, _by_path(kept, [psi[v] for v in vertices])[0]))
 
 
 def _inverse(perm: list[int]) -> list[int]:

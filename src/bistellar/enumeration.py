@@ -31,7 +31,7 @@ from collections import Counter, deque
 from itertools import chain, combinations
 
 from .canonical import FacetTuple, okey, ukey, unoriented_canon
-from .moves import BistellarMove, apply_move, decreasing_moves, increasing_moves, raising_flips
+from .moves import BistellarMove, apply_move, decreasing_sigmas, increasing_moves, move_tau, raising_flips
 from .simplicial import Complex, OrientedComplex, Simplex, boundary_of_simplex, orient
 from .spheres import is_combinatorial_sphere
 
@@ -66,10 +66,16 @@ def spheres_by_expansion(max_vertices: int) -> dict[int, list[FacetTuple]]:
 
 def _canonical_parent(mv: BistellarMove, child: OrientedComplex) -> bool:
     """True iff the inverse of the raising move ``mv`` onto ``child`` has the
-    largest degree invariant among the decreasing moves of ``child``."""
+    largest degree invariant among the decreasing moves of ``child``, which
+    include it: it fails at the first that outranks it, and a tau is sought
+    only where the degrees of sigma reach the inverse's."""
     degs = child.degrees
-    ranks = [(sorted(degs[v] for v in d.sigma), sorted(degs[v] for v in d.tau)) for d in decreasing_moves(child)]
-    return (sorted(degs[v] for v in mv.tau), sorted(degs[v] for v in mv.sigma)) == max(ranks)
+    mine = sorted(degs[v] for v in mv.tau), sorted(degs[v] for v in mv.sigma)
+    for s in decreasing_sigmas(child):
+        first = sorted(degs[v] for v in s)
+        if first >= mine[0] and (t := move_tau(child, s)) is not None and (first, sorted(degs[v] for v in t)) > mine:
+            return False
+    return True
 
 
 def _kept_subdivisions(S: OrientedComplex) -> set[Simplex]:

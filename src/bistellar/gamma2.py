@@ -34,8 +34,10 @@ Moves read what they need from the objects that own it: a vertex degree
 from the cached ``Complex.degrees``, the support of a move (the triangles
 of sigma * d(tau)) from ``BistellarMove.removed``, and a move's endpoint
 from ``BistellarMove.result``; face tests use ``facets_containing`` or the
-facet signs.  One walker, ``_walk``, applies the moves of every elementary
-cycle; a commutation cycle is classified on a state of its own walk.
+facet signs.  One walker, ``_carried_walk``, takes the moves of every
+elementary cycle on class representatives (``moves.carry``) and builds no
+state but the first; a commutation cycle is classified on the
+representative of a state of its own walk.
 """
 
 from __future__ import annotations
@@ -119,10 +121,11 @@ class Gamma2Chain(Chain):
         return self
 
     def boundary(self) -> dict[OKey, Fraction]:
-        out = Chain()
+        out: dict[OKey, Fraction] = {}
         for k, c in self.terms.items():
-            out.add(k.head, c).add(k.tail, -c)
-        return out.terms
+            out[k.head] = out.get(k.head, 0) + c
+            out[k.tail] = out.get(k.tail, 0) - c
+        return {v: c for v, c in out.items() if c}
 
     def is_cycle(self) -> bool:
         return not self.boundary()
@@ -212,28 +215,38 @@ class ElementaryCycle:
 # ---------------------------------------------------------------------------
 
 
-def _walk(state: OrientedComplex, plan) -> list[BistellarMove] | None:
-    """The moves of ``plan``, (sigma, tau) pairs, applied in turn from
-    ``state``; None when one of them is not available."""
-    walk = []
+def _carried_walk(L: OrientedComplex, plan) -> tuple[list[BistellarMove], list[tuple[OKey, dict]]] | None:
+    """The ``moves.carry`` images of the (sigma, tau) pairs of ``plan`` taken
+    in turn from L, and each state's class and labelling; None when a move
+    is not available."""
+    state = okey(L), designated_labelings(L)[0]
+    moves, states = [], [state]
     for s, t in plan:
-        mv = BistellarMove(state, tuple(sorted(s)), tuple(sorted(t)))
         try:
-            state = mv.result
+            mv, state = carry(*state, s, t)
         except InvalidMove:
             return None
-        walk.append(mv)
-    return walk
+        moves.append(mv)
+        states.append(state)
+    return moves, states
 
 
-def _chain(walk: list[BistellarMove]) -> Gamma2Chain:
-    """The sum of the Gamma_2 edges of a walk's moves, carried along the walk
-    from one labelling of its first host (``moves.carry``)."""
-    out, host = Gamma2Chain(), walk[0].host
-    key, lab = okey(host), designated_labelings(host)[0]
-    for mv in walk:
-        rm, (key, lab) = carry(key, lab, mv.sigma, mv.tau)
-        out.add_move(rm)
+def _closed(start, end) -> bool:
+    """True iff two walk states (class, labelling) are one complex."""
+    (key, lab0), (k1, lab1) = start, end
+    if k1 != key or lab1.keys() != lab0.keys():
+        return False
+    if lab1 == lab0:
+        return True
+    back = {c: v for v, c in lab0.items()}
+    return {tuple(sorted(lab1[back[c]] for c in f)) for f in key.facets} == set(key.facets)
+
+
+def _chain(moves: list[BistellarMove]) -> Gamma2Chain:
+    """The sum of the Gamma_2 edges of a walk's representative moves."""
+    out = Gamma2Chain()
+    for mv in moves:
+        out.add_move(mv)
     return out
 
 
@@ -344,20 +357,26 @@ def commutation_cycle(L: OrientedComplex, sigma1, sigma2) -> ElementaryCycle:
     union = tuple(sorted(set(sigma1) | set(sigma2)))
     if L.facets_containing(union):
         raise NotApplicable("a simplex contains both sigma1 and sigma2")
-    walk = _walk(L, [(sigma1, tau1), (sigma2, tau2), (tau1, sigma1), (tau2, sigma2)])
-    if walk is None:
+    got = _carried_walk(L, [(sigma1, tau1), (sigma2, tau2), (tau1, sigma1), (tau2, sigma2)])
+    if got is None:
         raise NotApplicable(f"the moves at {sigma1} and {sigma2} are not available in turn")
-    if walk[-1].result.facets != L.facets:
+    moves, states = got
+    if not _closed(states[0], states[-1]):
         raise ClosureFailure("commutation did not return to the start complex")
-    chain = _chain(walk)
+    chain = _chain(moves)
     if not chain.is_cycle():
         raise ClosureFailure("commutation chain has nonzero boundary")
-    # classify on the state past the removals and before the insertions; a
-    # re-anchored removal's support is its added star
+    # classify on the representative of the state past the removals and before
+    # the insertions, a removal re-anchored as the insertion undoing it; a
+    # vertex the state lacks gets an id past the representative's 0 .. n-1
     r1, r2 = len(sigma1) == 1, len(sigma2) == 1
-    host = walk[{(0, 0): 0, (1, 0): 1, (1, 1): 2, (0, 1): 3}[r1, r2]].host
-    pairs = [(mv.tau, mv.sigma, mv.added) if r else (mv.sigma, mv.tau, mv.removed) for mv, r in zip(walk, (r1, r2))]
-    kind, params, sign = _classify_pair(host, *pairs)
+    i = {(0, 0): 0, (1, 0): 1, (1, 1): 2, (0, 1): 3}[r1, r2]
+    host, lab = moves[i].host, dict(states[i][1])
+    pairs = [(t, s) if r else (s, t) for s, t, r in ((sigma1, tau1, r1), (sigma2, tau2, r2))]
+    for x in sorted(set().union(*pairs[0], *pairs[1]) - lab.keys()):
+        lab[x] = len(lab)
+    on_rep = [[tuple(sorted(lab[x] for x in m)) for m in p] for p in pairs]
+    kind, params, sign = _classify_pair(host, *[(s, t, BistellarMove(host, s, t).removed) for s, t in on_rep])
     return ElementaryCycle(kind, params, chain, (-1) ** (r1 + r2) * sign)
 
 
@@ -395,14 +414,11 @@ def special_cycle_a(move: BistellarMove) -> ElementaryCycle | None:
         Lap = next(v for v in tau if v != a)
         Rv = next(v for v in sig if v != b)
         link_tri = tuple(sorted((b, Rv, T)))
-        # T-sphere: remove a from X
-        got = _walk(X, [((a,), link_tri)])
+        # remove a from X, then walk the cycle from that T-sphere
+        got = _carried_walk(X, [((a,), link_tri), (link_tri, (a,)), (sig, tau), ((b,), (Lap, a, T))])
         if got is None:
             continue
-        walk = _walk(got[-1].result, [(link_tri, (a,)), (sig, tau), ((b,), tuple(sorted((Lap, a, T))))])
-        if walk is None:
-            continue
-        chain = _chain(walk)
+        chain = _chain(got[0][1:])
         if not chain.is_cycle():
             continue
         # a's link is the triangle b-Rv-T and b's the 4-cycle Rv-a-T-Lap, so these are facets
@@ -429,14 +445,12 @@ def special_cycle_b(R: OrientedComplex, e: int, D: int, C: int) -> ElementaryCyc
         return None  # not adjacent corners
     A = cycle[(i + 1) % d] if C == cycle[i - 1] else cycle[i - 1]
     B = cycle[i - 2]  # the corner opposite D, as d = 4
-    # states: R --flip {e,D}->{A,C}--> TM --remove e--> TL; then forward
-    got = _walk(R, [((e, D), (A, C)), ((e,), (A, B, C))])
-    if got is None:
-        return None
-    TL = got[-1].result
-    walk = _walk(
-        TL,
+    # states: R --flip {e,D}->{A,C}--> TM --remove e--> TL; then the cycle from TL
+    got = _carried_walk(
+        R,
         [
+            ((e, D), (A, C)),
+            ((e,), (A, B, C)),
             ((A, B, C), (e,)),
             ((A, C), (D, e)),
             ((e, C), (B, D)),
@@ -444,9 +458,9 @@ def special_cycle_b(R: OrientedComplex, e: int, D: int, C: int) -> ElementaryCyc
             ((B, D), (A, C)),
         ],
     )
-    if walk is None or walk[-1].result.facets != TL.facets:
+    if got is None or not _closed(got[1][2], got[1][-1]):
         return None
-    chain = _chain(walk)
+    chain = _chain(got[0][2:])
     if not chain.is_cycle():
         return None
     around = {tuple(sorted((e, cycle[j], cycle[(j + 1) % d]))) for j in range(d)}
@@ -473,7 +487,7 @@ def special_cycle_c(L: OrientedComplex, sigma1: Simplex, sigma2: Simplex) -> Ele
     (B,) = set(tau2) - {Dv}
     if len({A, B, Cv, Dv, E}) != 5:
         return None
-    walk = _walk(
+    got = _carried_walk(
         L,
         [
             ((A, Dv), (E, Cv)),
@@ -483,9 +497,9 @@ def special_cycle_c(L: OrientedComplex, sigma1: Simplex, sigma2: Simplex) -> Ele
             ((Dv, B), (A, Cv)),
         ],
     )
-    if walk is None or walk[-1].result.facets != L.facets:
+    if got is None or not _closed(got[1][0], got[1][-1]):
         return None
-    chain = _chain(walk)
+    chain = _chain(got[0])
     if not chain.is_cycle():
         return None
     # the two taus checked above make (A, Cv, Dv), (A, Dv, E) and (A, Cv, B) facets

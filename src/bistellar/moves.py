@@ -35,7 +35,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from typing import Collection, NamedTuple
 
-from .canonical import OKey, designated_labelings, marked_encoding, materialize, okey
+from .canonical import OKey, designated_labelings, marked_encoding, materialize, okey, transported_labeling
 from .errors import InvalidMove, SphereCheckFailed
 from .simplicial import Complex, OrientedComplex, Simplex, faces, orient, perm_parity
 from .spheres import is_combinatorial_sphere
@@ -293,19 +293,22 @@ def complexity_of_key(key: OKey) -> int:
 # sigma have degree at least m + 2.
 
 
-def decreasing_moves(L: OrientedComplex) -> list[BistellarMove]:
-    """All moves strictly lowering the complexity of the 2-sphere L, in
-    ``enumerate_moves`` order (the rule above)."""
+def decreasing_sigmas(L: OrientedComplex) -> list[Simplex]:
+    """The sigmas of ``decreasing_moves(L)`` before ``move_tau`` tests them."""
     degs = L.degrees
     m = min(degs.values())
     if m <= 3:
-        cands = [(v,) for v in sorted(degs) if degs[v] == 3]
-    elif m <= 5:
+        return [(v,) for v in sorted(degs) if degs[v] == 3]
+    if m <= 5:
         low = [v for v, d in degs.items() if d == m]
-        cands = sorted({tuple(sorted((v, w))) for v in low for f in L.facets_containing((v,)) for w in f if w != v})
-    else:
-        cands = []
-    return [BistellarMove(L, s, t) for s in cands if (t := move_tau(L, s)) is not None]
+        return sorted({tuple(sorted((v, w))) for v in low for f in L.facets_containing((v,)) for w in f if w != v})
+    return []
+
+
+def decreasing_moves(L: OrientedComplex) -> list[BistellarMove]:
+    """All moves strictly lowering the complexity of the 2-sphere L, in
+    ``enumerate_moves`` order (the rule above)."""
+    return [BistellarMove(L, s, t) for s in decreasing_sigmas(L) if (t := move_tau(L, s)) is not None]
 
 
 def raising_flips(S: OrientedComplex) -> list[BistellarMove]:
@@ -386,13 +389,42 @@ def carry(key: OKey, lab: dict[int, int], sigma: Simplex, tau: Simplex) -> tuple
     to (whose cached ``edge`` is its edge), and the class of its result with
     the result's labelling, ``lab`` composed with the representative's.  A
     removal drops sigma's vertex; a subdivision sends tau's vertex to the
-    representative's fresh one.  No state of a sequence is labelled again."""
+    representative's fresh one.  No state of a sequence is labelled again.
+    InvalidMove when (sigma, tau) is no move of the complex."""
+    if not lab.keys() >= set(sigma):
+        raise InvalidMove(f"{sigma} is not a simplex of the complex")
     mv = rep_move(key, tuple(sorted(lab[x] for x in sigma)))
-    head, after = mv.result_class
+    if mv.k == mv.host.dim:
+        ok = len(tau) == 1 and tau[0] not in lab
+    else:
+        ok = {lab.get(x) for x in tau} == set(mv.tau)
+    if not ok:
+        raise InvalidMove(f"the move at {sigma} has no tau {tau}")
+    head, after = _result_class(key, mv)
     out = {x: after[y] for x, y in lab.items() if y in after}
     if len(tau) == 1:
         out[tau[0]] = after[mv.tau[0]]
     return mv, (head, out)
+
+
+def _result_class(key: OKey, mv: BistellarMove) -> tuple[OKey, dict[int, int]]:
+    """``mv.result_class`` for a move on the representative of ``key``.  When
+    it is first computed, the inverse on the head representative inherits
+    its result class through psi, its result onto mv's host, and mv's edge
+    reversed; its result is never built."""
+    if "result_class" in vars(mv):
+        return mv.result_class
+    head, after = mv.result_class
+    inv = rep_move(head, tuple(sorted(after[x] for x in mv.tau)))
+    if "result_class" not in vars(inv):
+        psi = {y: x for x, y in after.items() if x in mv.host.degrees}
+        if inv.k == inv.host.dim:
+            psi[inv.tau[0]] = mv.sigma[0]
+        lab = transported_labeling(key, psi)
+        if lab is not None:
+            se = mv.edge
+            vars(inv).update(result_class=(key, lab), edge=se and SignedEdge(se.key, -se.sign))
+    return head, after
 
 
 def materialize_edge(key: GammaEdgeKey) -> BistellarMove:
@@ -408,4 +440,4 @@ def move_from_endpoint(key: GammaEdgeKey, endpoint: str) -> BistellarMove:
     its inverse carried onto the head representative.
     """
     mv = materialize_edge(key)
-    return mv if endpoint == "tail" else carry(*mv.result_class, mv.tau, mv.sigma)[0]
+    return mv if endpoint == "tail" else carry(*_result_class(key.tail, mv), mv.tau, mv.sigma)[0]

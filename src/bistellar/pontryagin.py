@@ -25,6 +25,7 @@ reduction sequences:
 from __future__ import annotations
 
 import json
+import math
 import os
 from fractions import Fraction
 
@@ -246,14 +247,22 @@ def _zeta_value(key: OKey, cache: XiCache, average: bool, budget: int, seed: int
     chain of a reduction certificate of L (the sequence toward L is the
     reverse of the reduction), minus a chain with boundary
     {lk v} - {tetrahedron} for each vertex v of the class representative,
-    xi (``average=True``) or the descent path (``average=False``)."""
-    zeta = cache.eta(cache.certificate(key, budget=budget, seed=seed)).scaled(-1)
+    xi (``average=True``) or the descent path (``average=False``).  zeta is
+    summed in integers, times the parts' common denominator and divided by
+    its gcd with the coefficients: the cycle ``c_of_cycle`` decomposes for
+    zeta.  The value is scaled back."""
     rep = materialize(key)
-    for v in rep.vertices:
-        zeta.iadd(_descent(okey(rep.link((v,))), cache, average), -1)
+    parts = [cache.eta(cache.certificate(key, budget=budget, seed=seed))]
+    parts += [_descent(okey(rep.link((v,))), cache, average) for v in rep.vertices]
+    den = math.lcm(*(c.denominator for p in parts for c in p.terms.values()))
+    zeta = Gamma2Chain()
+    for p in parts:
+        for k, c in p.terms.items():
+            zeta.add(k, -c.numerator * (den // c.denominator))
     if not zeta.is_cycle():
         raise NotACycle("zeta cycle check failed: orientation bookkeeping bug")
-    return c_of_cycle(zeta)
+    g = math.gcd(den, *zeta.terms.values())
+    return c_of_cycle(Gamma2Chain({k: c // g for k, c in zeta.terms.items()})) / (den // g)
 
 
 def _need_dim(dim: int, want: int, what: str) -> None:

@@ -62,14 +62,14 @@ def is_combinatorial_sphere(K: Complex, budget: int = 20000, seed: int = 0) -> S
 
 def is_combinatorial_manifold(K: Complex, budget: int = 20000, seed: int = 0) -> SphereVerdict:
     """Every vertex link must be a combinatorial sphere (of dimension dim-1,
-    as every vertex link of a pure complex is)."""
+    as every vertex link of a pure complex is), read without signs."""
     if not K.is_pure:
         return SphereVerdict(False, "not pure")
     if K.dim == 0:
         return SphereVerdict(True, "0-dimensional")
     unknown = False
     for v in K.vertices:
-        sub = is_combinatorial_sphere(K.link((v,)), budget=budget, seed=seed)
+        sub = is_combinatorial_sphere(Complex.link(K, (v,)), budget=budget, seed=seed)
         if sub.verdict is False:
             return SphereVerdict(False, f"link of vertex {v}: {sub.reason}")
         if sub.verdict is None:

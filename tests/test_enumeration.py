@@ -203,14 +203,20 @@ def test_expansion_keys_only_canonical_children(monkeypatch):
     """A cold ``spheres_by_expansion(10)`` makes 316 canonical searches for
     its 306 classes (626 when it keyed every child of one move per orbit)
     and applies 384 moves (649): subdivisions failing the filter are never
-    applied, and a state at the vertex bound builds none."""
+    applied, and a state at the vertex bound builds none.  It asks 975
+    times for a tau (2,205 when the filter listed every decreasing move of
+    a flip child instead of stopping at the first that outranks)."""
     import bistellar.enumeration as enumeration_mod
+    import bistellar.moves as moves_mod
     from bistellar.canonical import _class_table, _ucanon
 
-    applied, grown = [], []
+    applied, grown, taus = [], [], []
     real_apply, real_increasing = enumeration_mod.apply_move, enumeration_mod.increasing_moves
+    real_tau = moves_mod.move_tau
     monkeypatch.setattr(enumeration_mod, "apply_move", lambda mv: applied.append(mv) or real_apply(mv))
     monkeypatch.setattr(enumeration_mod, "increasing_moves", lambda S: grown.append(S) or real_increasing(S))
+    for mod in (moves_mod, enumeration_mod):
+        monkeypatch.setattr(mod, "move_tau", lambda *a, **k: taus.append(a) or real_tau(*a, **k))
     _ucanon.cache_clear()
     _class_table.cache_clear()
     out = spheres_by_expansion(10)
@@ -218,6 +224,7 @@ def test_expansion_keys_only_canonical_children(monkeypatch):
     assert _ucanon.cache_info().misses <= 320
     assert len(applied) <= 400
     assert max(len(S.vertices) for S in grown) == 9
+    assert len(taus) == 975
 
 
 def test_expansion_equals_all_flips_reference():

@@ -342,30 +342,110 @@ def test_top_stratum_is_the_ranked_top(monkeypatch):
 
 
 def test_walk_chains_are_their_edge_keys(monkeypatch):
-    """Every elementary cycle the decompositions of the pinned cycles build
-    (rejected candidates included) keys its walk by carrying one labelling
-    from the walk's start; the chain equals the sum of ``edge_key`` over the
-    walk's moves, each labelled on its own."""
+    """Every walk of the elementary cycles the decompositions of the pinned
+    cycles build (rejected candidates included) is carried on class
+    representatives, and agrees with the same plan applied to concrete
+    copies, each move labelled on its own: the walk is rejected exactly
+    when a concrete move is not available; otherwise each representative
+    move has the concrete move's ``edge_key``, each state's class and
+    labelling are its concrete complex's, and two states close up exactly
+    when their concrete complexes are equal."""
     import bistellar.gamma2 as gamma2
+    from bistellar.canonical import designated_labelings
+    from bistellar.errors import InvalidMove
 
-    real, checked = gamma2._chain, []
+    real, checked = gamma2._carried_walk, []
 
-    def spy(walk):
-        got, want = real(walk), Gamma2Chain()
-        for mv in walk:
-            se = edge_key(mv)
-            if se is not None:
-                want.add(se.key, se.sign)
-        checked.append(got == want)
+    def spy(L, plan):
+        got = real(L, plan)
+        concrete, state = [L], L
+        for s, t in plan:
+            mv = BistellarMove(state, tuple(sorted(s)), tuple(sorted(t)))
+            try:
+                state = apply_move(mv)
+            except InvalidMove:
+                checked.append(got is None)
+                return got
+            concrete.append(state)
+            if got is not None:
+                i = len(concrete) - 1
+                ok = got[0][i - 1].edge == edge_key(mv)
+                key, lab = got[1][i]
+                checked.append(ok and key == okey(state) and lab in designated_labelings(state))
+        if got is None:
+            checked.append(False)
+            return got
+        states = got[1]
+        checked.append(all(
+            gamma2._closed(states[i], states[j]) == (concrete[i].facets == concrete[j].facets)
+            for i in range(len(states)) for j in range(i + 1, len(states))
+        ))
         return got
 
-    monkeypatch.setattr(gamma2, "_chain", spy)
+    monkeypatch.setattr(gamma2, "_carried_walk", spy)
     _commute.cache_clear()
     kinds = set()
     for seed in (14, 20, 59):
         kinds |= {g.kind for _, g in decompose_cycle(_loop_cycle(seed))}
     assert len(checked) > 20 and all(checked)
     assert {"spec-a", "spec-b", "comm-b", "comm-f", "comm-i"} <= kinds
+
+
+def _cold():
+    """Empty every memo table a decomposition reads."""
+    from bistellar import canonical, moves
+
+    for table in (canonical._ucanon, canonical._class_table, canonical._ocanon, moves._rep_moves, _commute):
+        table.cache_clear()
+
+
+def test_decompositions_apply_moves_on_representatives_only(monkeypatch):
+    """Cold decompositions of the pinned cycles apply 85 moves, each on a
+    class representative and each representative move once: the cycles
+    are walked on representatives, and an inverse whose result is known by
+    transport is not applied (264 applications when every walk was also
+    applied to concrete copies)."""
+    from bistellar import moves
+    from bistellar.canonical import materialize
+
+    cycles = [(_loop_cycle(seed), order_seed) for seed, order_seed in sorted(PINNED_PIECES, key=str)]
+    applied, real = [], moves.apply_move
+    monkeypatch.setattr(moves, "apply_move", lambda mv: applied.append(mv) or real(mv))
+    _cold()
+    for cycle, order_seed in cycles:
+        decompose_cycle(cycle, order_seed=order_seed)
+    monkeypatch.undo()
+    assert all(mv.host == materialize(okey(mv.host)) for mv in applied)
+    assert len({(okey(mv.host), mv.sigma) for mv in applied}) == len(applied) == 85
+
+
+def test_transported_inverses_match_a_fresh_search(monkeypatch):
+    """Every inverse handed its result class and edge by transport, in cold
+    local and direct p1 on an asymmetric input and in the pinned
+    decompositions, has the class, first designated labelling and edge of
+    its result applied and searched afresh; every representative, labelled
+    from the class table as its own first leaf, has a fresh search's
+    designated labellings in their order."""
+    from bistellar import canonical, moves
+    from bistellar.pontryagin import XiCache, p1_dual_direct, p1_dual_local
+
+    made, real = {}, moves.rep_move
+    monkeypatch.setattr(moves, "rep_move", lambda key, sigma: made.setdefault((key, sigma), real(key, sigma)))
+    _cold()
+    K = perturbed_cp2(1, 5)
+    p1_dual_local(K, cache=XiCache())
+    p1_dual_direct(K, cache=XiCache())
+    for seed, order_seed in sorted(PINNED_PIECES, key=str):
+        decompose_cycle(_loop_cycle(seed), order_seed=order_seed)
+    monkeypatch.undo()
+    carried = [mv for mv in made.values() if "result_class" in vars(mv) and "result" not in vars(mv)]
+    reps = {key: mv.host for (key, _), mv in made.items()}
+    ident = {key: canonical.designated_labelings(rep) for key, rep in reps.items()}
+    got = [(mv.result_class, mv.edge) for mv in carried]
+    _cold()
+    want = [((okey(mv.result), canonical.designated_labelings(mv.result)[0]), edge_key(mv)) for mv in carried]
+    assert len(carried) > 100 and got == want
+    assert ident == {key: canonical.designated_labelings(rep) for key, rep in reps.items()}
 
 
 def _measure(chain: Gamma2Chain):

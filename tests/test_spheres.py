@@ -3,7 +3,7 @@
 import pytest
 
 from bistellar.library import RP2_6_FACETS, cp2_9
-from bistellar.simplicial import Complex, boundary_of_simplex, build_complex
+from bistellar.simplicial import Complex, boundary_of_simplex, build_complex, orient
 from bistellar.spheres import is_combinatorial_manifold, is_combinatorial_sphere
 from helpers import icosahedron, torus_7
 
@@ -53,3 +53,18 @@ def test_manifold_verdicts_no_and_unknown():
     starved = is_combinatorial_manifold(cp2_9(), budget=0)
     assert starved.verdict is None and starved.reason == "some link verdicts unknown within budget"
     assert is_combinatorial_manifold(cp2_9()).verdict is True
+
+
+def test_manifold_check_computes_no_link_signs(monkeypatch):
+    """On the oriented CP^2 the vertex links are read as plain complexes:
+    the verdict is the unoriented one, and ``OrientedComplex.link`` is never
+    asked for a link of the input."""
+    from bistellar.simplicial import OrientedComplex
+
+    K = cp2_9()
+    OC = orient(K)
+    want = is_combinatorial_manifold(K)
+    asked, real = [], OrientedComplex.link
+    monkeypatch.setattr(OrientedComplex, "link", lambda self, sigma: asked.append(self is OC) or real(self, sigma))
+    assert is_combinatorial_manifold(OC) == want and want.verdict is True
+    assert not any(asked)

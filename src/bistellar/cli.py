@@ -76,15 +76,9 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_sw(args) -> int:
-    K = _load(args.complex)
-    chains = sw_duals(K)
     report = {"chains": []}
-    for k, ch in enumerate(chains):
-        entry = {
-            "degree": k,
-            "simplex_count": len(ch.simplices),
-            "is_cycle": ch.is_cycle(),
-        }
+    for k, ch in enumerate(sw_duals(_load(args.complex))):
+        entry = {"degree": k, "simplex_count": len(ch.simplices), "is_cycle": ch.is_cycle()}
         if k == 1:
             entry["bounds"] = is_mod2_boundary(ch)
         report["chains"].append(entry)

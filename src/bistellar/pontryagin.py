@@ -32,7 +32,7 @@ from fractions import Fraction
 from .canonical import OKey, designated_labelings, materialize, okey, simplex_boundary_key
 from .errors import DimensionTooSmall, InvalidMove, MalformedInput, NotACycle, SphereCheckFailed, parsing
 from .gamma2 import Gamma2Chain, c_of_cycle
-from .moves import BistellarMove, carry, decreasing_moves, is_inessential, u_set
+from .moves import BistellarMove, _rep_moves, _result_class, carry, decreasing_moves, is_inessential, rep_move, u_set
 from .reduction import MoveSequence, reduce_to_boundary, replay
 from .simplicial import OrientedComplex
 from .talgebra import LocalCochain, SimplicialChain, f_sharp
@@ -170,9 +170,9 @@ def _descent(key: OKey, cache: XiCache, average: bool) -> Gamma2Chain:
     ``key``, built by descending complexity and memoized in the cache.
 
     ``average=True`` gives xi: the mean over every complexity-decreasing
-    move of the representative.  ``average=False`` gives the descent path
-    of the direct procedure: it follows the representative's first
-    decreasing move in ``enumerate_moves`` order, and an achiral class
+    ``rep_move`` of the representative.  ``average=False`` gives the
+    descent path of the direct procedure: it follows the representative's
+    first decreasing move in ``enumerate_moves`` order, and an achiral class
     takes the mean of its path and the path's mirror, so both sides of a
     codimension-3 simplex agree.  Complexity strictly decreases at every
     step, so neither needs a budget.  A mirrored class gets the mirror of
@@ -195,7 +195,7 @@ def _descent(key: OKey, cache: XiCache, average: bool) -> Gamma2Chain:
     elif key == d3:
         out = Gamma2Chain()
     else:
-        moves = decreasing_moves(materialize(key))
+        moves = [rep_move(key, mv.sigma) for mv in decreasing_moves(_rep_moves(key)[0])]
         if not moves:
             raise SphereCheckFailed(f"no complexity-decreasing move on {key.encode()[:40]}...: not a 2-sphere")
         if not average:
@@ -203,7 +203,7 @@ def _descent(key: OKey, cache: XiCache, average: bool) -> Gamma2Chain:
         r = Fraction(1, len(moves))
         out = Gamma2Chain()
         for mv in moves:
-            out.iadd(_descent(okey(mv.result), cache, average), r).add_move(mv, -r)
+            out.iadd(_descent(_result_class(key, mv)[0], cache, average), r).add_move(mv, -r)
         if not average and key.sign == 0:
             out = out.scaled(Fraction(1, 2)).plus(out.mirror(), Fraction(1, 2))
     if out.boundary() != want:

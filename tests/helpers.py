@@ -10,7 +10,7 @@ from bistellar.gamma2 import Gamma2Chain
 from bistellar.library import cp2_9
 from bistellar.moves import BistellarMove, apply_move, enumerate_moves, induced_vertex_moves, sphere_complexity
 from bistellar.reduction import MoveSequence, replay
-from bistellar.simplicial import Complex, OrientedComplex, boundary_of_simplex, build_complex, orient
+from bistellar.simplicial import Complex, OrientedComplex, boundary_of_simplex, build_complex, join, orient
 
 
 def octahedron() -> OrientedComplex:
@@ -37,6 +37,11 @@ def icosahedron() -> OrientedComplex:
 def torus_7() -> Complex:
     """The 7-vertex torus, every vertex of degree 6."""
     return build_complex([(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)] + [(i, (i + 2) % 7, (i + 3) % 7) for i in range(7)])
+
+
+def suspension(K: Complex) -> Complex:
+    """The join of K with the 0-sphere: two apexes, each with link K."""
+    return join(K, boundary_of_simplex(1))[0]
 
 
 def perturbed_cp2(seed: int, steps: int = 5) -> OrientedComplex:

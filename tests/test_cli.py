@@ -73,17 +73,41 @@ def test_sw_flags_rp2(capsys, data_dir):
     assert w1["is_cycle"] and w1["bounds"] is False
 
 
+_CP2_SW_REPORT = (
+    '{"chains":[{"degree":0,"is_cycle":true,"simplex_count":255},'
+    '{"bounds":true,"degree":1,"is_cycle":true,"simplex_count":2916},'
+    '{"degree":2,"is_cycle":true,"simplex_count":9144},'
+    '{"degree":3,"is_cycle":true,"simplex_count":10800},'
+    '{"degree":4,"is_cycle":true,"simplex_count":4320}]}\n'
+)
+
+
 def test_sw_report_cp2_pinned(capsys):
     path = Path(bistellar.__file__).parent / "data" / "cp2_9.facets"
     code, out = _run(capsys, ["sw", str(path), "--format", "json"])
     assert code == 0
-    assert out == (
-        '{"chains":[{"degree":0,"is_cycle":true,"simplex_count":255},'
-        '{"bounds":true,"degree":1,"is_cycle":true,"simplex_count":2916},'
-        '{"degree":2,"is_cycle":true,"simplex_count":9144},'
-        '{"degree":3,"is_cycle":true,"simplex_count":10800},'
-        '{"degree":4,"is_cycle":true,"simplex_count":4320}]}\n'
-    )
+    assert out == _CP2_SW_REPORT
+
+
+def test_sw_report_cp2_default_format_pinned(capsys):
+    """The default-format report: its ``is_cycle`` flags come from the
+    brute-force ``Mod2Chain.boundary``, and W_1 bounds."""
+    code = main(["sw", str(Path(bistellar.__file__).parent / "data" / "cp2_9.facets")])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (0, _CP2_SW_REPORT, "")
+
+
+def test_sw_of_a_pseudomanifold_that_is_no_euler_space(capsys, tmp_path):
+    """The suspension of RP^2_6 is a closed pseudomanifold whose apexes have
+    an odd number of cofaces: a typed error naming W_1, nothing on stderr."""
+    from helpers import suspension
+
+    path = str(tmp_path / "suspended_rp2.facets")
+    write_facet_file(path, suspension(build_complex(RP2_6_FACETS)))
+    code = main(["sw", path])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert captured.out == '{"error": "NotClosedManifold", "message": "W_1 is not a mod-2 cycle"}\n'
 
 
 def test_p1_local_4_sphere(capsys, data_dir):

@@ -512,6 +512,30 @@ def test_cold_local_p1_keys_edges_on_representatives_only(monkeypatch):
     _assert_mirrors_by_relabelling(cache.chains.values())
 
 
+def test_descent_applies_each_representative_move_once(monkeypatch):
+    """``_descent`` takes its decreasing moves from the representative-move
+    memo, so each (class, sigma) it uses is applied at most once in cold
+    local p1, shared with the Gamma_2 walks and the inverses' transport."""
+    from collections import Counter
+
+    from bistellar import moves, pontryagin
+    from bistellar.gamma2 import _commute
+
+    def labelled(mv):
+        return tuple(sorted(mv.host.facet_signs.items())), mv.sigma
+
+    used, applied = set(), Counter()
+    real_decreasing, real_apply = pontryagin.decreasing_moves, moves.apply_move
+    monkeypatch.setattr(pontryagin, "decreasing_moves", lambda L: [used.add(labelled(m)) or m for m in real_decreasing(L)])
+    monkeypatch.setattr(moves, "apply_move", lambda mv: applied.update([labelled(mv)]) or real_apply(mv))
+    moves._rep_moves.cache_clear()
+    _commute.cache_clear()
+    assert p1_dual_local(perturbed_cp2(1, steps=5), cache=XiCache()).total() == 3
+    monkeypatch.undo()
+    assert len(used) > 50 and sum(applied[u] for u in used) > 50
+    assert max(applied[u] for u in used) == 1
+
+
 def _digest(data) -> str:
     import hashlib
     import json

@@ -6,7 +6,7 @@ from bistellar.errors import NotClosedManifold
 from bistellar.library import RP2_6_FACETS, cp2_9
 from bistellar.simplicial import Complex, barycentric_subdivision, boundary_of_simplex, build_complex
 from bistellar.sw import Mod2Chain, is_mod2_boundary, sw_duals
-from helpers import octahedron, perturbed_cp2, torus_7
+from helpers import octahedron, perturbed_cp2, suspension, torus_7
 
 
 def test_w2_of_tetrahedron_boundary_is_fundamental():
@@ -43,6 +43,42 @@ def test_all_wk_are_cycles_on_3_sphere():
 def test_rejects_open_complexes():
     with pytest.raises(NotClosedManifold):
         sw_duals(build_complex([[0, 1, 2]]))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: boundary_of_simplex(4),
+        lambda: build_complex(RP2_6_FACETS),
+        torus_7,
+        cp2_9,
+        lambda: perturbed_cp2(1, 5),
+        lambda: build_complex([g for f in boundary_of_simplex(3).facets for g in (f, [v + 3 for v in f])]),
+        lambda: suspension(torus_7()),
+        lambda: suspension(build_complex(RP2_6_FACETS)),
+    ],
+    ids=["boundary_delta_4", "rp2_6", "torus_7", "cp2_9", "perturbed_1_5", "two_tetrahedra_at_a_vertex",
+         "suspended_torus", "suspended_rp2_6"],
+)
+def test_wk_is_a_cycle_iff_no_face_of_dim_k_minus_1_or_more_has_odd_cofaces(make):
+    """Gap parity (the sw module docstring) against the brute-force
+    boundary of every W_k on closed pseudomanifolds; sw_duals returns
+    exactly when W_1 is a cycle and raises otherwise.  The suspension of
+    RP^2_6 is no Euler space: each apex has link RP^2 (chi = 1) and 31
+    proper cofaces, so W_1 fails while W_2 and W_3 are cycles."""
+    K = make()
+    assert K.is_pure and all(len(fs) == 2 for fs in K.ridges.values())
+    Kp, _ = barycentric_subdivision(K)
+    faces = [f for f in K.faces if f]
+    # the dimensions of the faces with an odd number of proper cofaces, counted face against face
+    odd = {len(g) - 1 for g in faces if sum(len(f) > len(g) and set(g) <= set(f) for f in faces) % 2}
+    brute = [Mod2Chain(Kp, k, frozenset(Kp.faces_of_dim(k))).is_cycle() for k in range(K.dim + 1)]
+    assert brute == [k == 0 or all(d < k - 1 for d in odd) for k in range(K.dim + 1)]
+    if brute[1]:
+        assert [ch.simplices for ch in sw_duals(K)] == [frozenset(Kp.faces_of_dim(k)) for k in range(K.dim + 1)]
+    else:
+        with pytest.raises(NotClosedManifold, match="^W_1 is not a mod-2 cycle$"):
+            sw_duals(K)
 
 
 def _subdivision_by_permutations(K):

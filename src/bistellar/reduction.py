@@ -1,24 +1,21 @@
 """Reduction of combinatorial spheres to boundaries of simplices.
 
-A 3-sphere is reduced by vertex elimination.  The link of a vertex v is a
-2-sphere, and a 2-sphere above the tetrahedron always has a
-complexity-decreasing move (``moves.decreasing_moves``).  Each link move
-(sigma', tau') lifts to the move (sigma' + v, tau') of the 3-sphere, whose
-induced move at v is the link move itself; the lift is valid iff tau' is not
-a face of the 3-sphere.  Once the link is the boundary of a tetrahedron, the
-move ((v), link vertices) removes v.  The vertices are tried in seeded order
-of ascending degree, each lift is the one of least energy (sum of squared
-vertex degrees) with seeded ties, and the first unblocked vertex is
-eliminated.  A vertex is blocked when no decreasing link move lifts or when
-its elimination needs more than ``budget`` moves.
-
-2-spheres, 4-spheres and a 3-sphere whose vertices are all blocked use
-greedy descent on (vertex count, for 2-spheres the complexity, sum of
-squared vertex degrees) with seeded random tie-breaking and random plateau
-walks as escapes.  A move is scored without building the resulting complex,
-from ``BistellarMove.result_degrees()``.  Each plateau state is the cached
-``result`` of the move that reached it, so a found path is not applied
-again.
+One search serves every dimension (``_search``): breadth-first over the
+vertex-count plateau of a state, in seeded order, up to the first state
+that has its next step.  On a 2-sphere that is a complexity-decreasing move
+(``moves.decreasing_moves``); one exists above the tetrahedron, so the
+plateau is never entered.  On a d-sphere, d >= 3, it is the elimination of
+a vertex v.  A move (sigma', tau') of link(v) lifts to the move
+(sigma' + v, tau'), whose induced move at v is the link move itself; the
+lift is valid iff tau' is not a face of the sphere.  A 2-sphere link takes
+the decreasing move whose lift has the least sum of squared vertex
+degrees, with seeded ties; a larger link takes its own next step from the
+search, every move of which must lift.  Once the link is the boundary of a
+simplex, the move ((v), link vertices) removes v.  The vertices are tried
+in seeded order of ascending degree; v is blocked when a link move does not
+lift, the link's search fails or the elimination needs more than
+``budget`` moves.  Moves are scored from ``BistellarMove.result_degrees()``
+and only the picked ones are applied.
 
 The result is a replay-verified ``MoveSequence`` recorded in the
 coordinates of the canonical representative of the start class, so the
@@ -83,69 +80,45 @@ def replay(seq: MoveSequence) -> tuple[OrientedComplex, list[OrientedComplex]]:
     return state, states
 
 
-def _energy_from_degrees(dim: int, degs: dict[int, int]) -> tuple[int, int, int]:
-    vals = degs.values()
-    # for 2-spheres the complexity orders states within a vertex count; a
-    # complexity-decreasing move always exists, so greedy descent never stalls
-    return (len(degs), complexity_thirds(vals) if dim == 2 else 0, sum(d * d for d in vals))
+def _sq(mv: BistellarMove) -> int:
+    """The sum of squared vertex degrees after the move."""
+    return sum(d * d for d in mv.result_degrees().values())
 
 
-def _find_descent(state: OrientedComplex, rng: random.Random, cap: int):
-    """Search the vertex-count plateau of ``state`` for a path ending in a
-    vertex-reducing move (for 2-spheres, a complexity-reducing move).
+def _pick(rng: random.Random, scored: list[tuple]) -> list:
+    """[the item of least score, seeded among ties], or [] for no items."""
+    top = min((e for e, _ in scored), default=None)
+    pool = [x for e, x in scored if e == top]
+    return pool and [pool[rng.randrange(len(pool))]]
 
-    Breadth-first over canonical classes in seeded order, each queued once
-    by its ``ukey``; returns the move path or None when the plateau is
-    exhausted or the cap is hit.
-    """
-    cur = _energy_from_degrees(state.dim, state.degrees)
-    frontier = deque([(state, [])])
-    visited = {ukey(state)}
-    expanded = 0
-    while frontier:
-        st, path = frontier.popleft()
-        expanded += 1
-        if expanded > cap:
-            return None
-        scored = [(_energy_from_degrees(st.dim, mv.result_degrees()), mv) for mv in enumerate_moves(st)]
-        reducing = [x for x in scored if x[0][:2] < cur[:2]]
-        if reducing:
-            top = min(x[0] for x in reducing)
-            pool = sorted((m for e, m in reducing if e == top), key=lambda m: m.describe())
-            return path + [pool[rng.randrange(len(pool))]]
-        level = [x for x in scored if x[0][0] == cur[0]]
-        rng.shuffle(level)
-        # low-energy neighbors first makes short descents likely
-        level.sort(key=lambda x: x[0])
-        for _, mv in level:
-            k = ukey(mv.result)
-            if k not in visited:
-                visited.add(k)
-                frontier.append((mv.result, path + [mv]))
-    return None
+
+def _lift(state: OrientedComplex, v: int, lm: BistellarMove) -> BistellarMove | None:
+    """The move (sigma' + v, tau') of ``state`` for the move (sigma', tau')
+    of link(v), or None when tau' is a face of ``state``."""
+    sig = tuple(sorted(lm.sigma + (v,)))
+    return BistellarMove(state, sig, lm.tau) if move_tau(state, sig) == lm.tau else None
 
 
 def _eliminate(state: OrientedComplex, v: int, rng: random.Random, cap: int) -> list[BistellarMove] | None:
-    """Moves of the 3-sphere ``state`` that remove v: lifts of a complexity
-    descent of link(v), then the removal of v.  None when v is blocked: no
-    decreasing link move lifts, or the elimination needs more than ``cap``
-    moves."""
+    """Moves of the sphere ``state`` that remove v: lifts of moves reducing
+    link(v), then the removal of v.  None when v is blocked: a link move
+    does not lift, the link's search fails, or the elimination needs more
+    than ``cap`` moves."""
     link = state.link((v,))
     path: list[BistellarMove] = []
-    while len(link.vertices) > 4:
-        lifts = []
-        for lm in decreasing_moves(link):
-            sig = tuple(sorted(lm.sigma + (v,)))
-            if move_tau(state, sig) == lm.tau:
-                mv = BistellarMove(state, sig, lm.tau)
-                lifts.append((_energy_from_degrees(3, mv.result_degrees()), lm, mv))
-        if not lifts:
+    while len(link.vertices) > state.dim + 1:
+        if link.dim == 2:
+            steps = _pick(rng, [(_sq(mv), lm) for lm in decreasing_moves(link) if (mv := _lift(state, v, lm))])
+        else:
+            steps = _search(link, rng, cap)
+        if not steps:
             return None
-        top = min(e for e, _, _ in lifts)
-        pool = [(lm, mv) for e, lm, mv in lifts if e == top]
-        lm, mv = pool[rng.randrange(len(pool))]
-        path.append(mv)
-        state, link = mv.result, lm.result
+        for lm in steps:
+            mv = _lift(state, v, lm)
+            if mv is None:
+                return None
+            path.append(mv)
+            state, link = mv.result, lm.result
     tau = move_tau(state, (v,))
     if tau is None or len(path) >= cap:
         return None
@@ -153,35 +126,61 @@ def _eliminate(state: OrientedComplex, v: int, rng: random.Random, cap: int) -> 
     return path
 
 
-def _eliminate_some_vertex(state: OrientedComplex, rng: random.Random, cap: int) -> list[BistellarMove] | None:
-    """The elimination of the first vertex, in seeded order of ascending
-    degree, that is not blocked; None when every vertex is blocked."""
+def _step(state: OrientedComplex, rng: random.Random, cap: int) -> list[BistellarMove] | None:
+    """The next step of ``state``, if it has one: on a 2-sphere the
+    decreasing move of least (complexity, sum of squared degrees), with
+    seeded ties in ``describe`` order; otherwise the elimination of the
+    first unblocked vertex in seeded order of ascending degree."""
+    if state.dim == 2:
+        moves = sorted(decreasing_moves(state), key=BistellarMove.describe)
+        return _pick(rng, [((complexity_thirds(mv.result_degrees().values()), _sq(mv)), mv) for mv in moves])
     order = list(state.vertices)
     rng.shuffle(order)
     order.sort(key=state.degrees.__getitem__)
     return next(filter(None, (_eliminate(state, v, rng, cap) for v in order)), None)
 
 
+def _search(state: OrientedComplex, rng: random.Random, cap: int) -> list[BistellarMove] | None:
+    """The moves from ``state`` to the end of its next step (``_step``).
+
+    Breadth-first over the vertex-count plateau of ``state`` in seeded
+    order, from ``state`` itself: each state taken from the queue counts
+    against ``cap`` and is tested for a step; one without is labelled by
+    its ``ukey`` and expanded the first time its class is met.  None when
+    the plateau is exhausted or ``cap`` states have been taken.
+    """
+    frontier = deque([[]])
+    seen = set()
+    for _ in range(cap):
+        if not frontier:
+            break
+        path = frontier.popleft()
+        st = path[-1].result if path else state
+        step = _step(st, rng, cap)
+        if step:
+            return path + step
+        if (k := ukey(st)) not in seen:
+            seen.add(k)
+            level = [mv for mv in enumerate_moves(st) if 0 < mv.k < st.dim]
+            rng.shuffle(level)
+            frontier.extend(path + [mv] for mv in level)
+    return None
+
+
 def reduce_to_boundary(L: OrientedComplex, budget: int = 4000, seed: int = 0) -> MoveSequence:
     """A verified move sequence from L's class to the boundary of a simplex.
 
-    Deterministic given the seed.  A 3-sphere is reduced by vertex
-    elimination, with the plateau search as the fallback when every vertex
-    is blocked.  Raises BudgetExhausted (with the best partial state) if the
-    plateau search does not finish within ``budget`` expanded plateau
-    states; with ``budget`` 0 it is raised before any move.
+    Deterministic given the seed.  Each step comes from ``_search``.
+    Raises BudgetExhausted (with the best partial state) if a search takes
+    ``budget`` plateau states without finding a step; with ``budget`` 0 it
+    is raised before any move.
     """
-    n = L.dim
-    target_nv = n + 2
     start_key = okey(L)
-    rep = materialize(start_key)
+    state = materialize(start_key)
     rng = random.Random(repr((seed, start_key.encode())))
-    state = rep
     trail: list[tuple[Simplex, Simplex]] = []
-    while len(state.vertices) > target_nv:
-        path = _eliminate_some_vertex(state, rng, budget) if n == 3 else None
-        if path is None:
-            path = _find_descent(state, rng, cap=budget)
+    while len(state.vertices) > L.dim + 2:
+        path = _search(state, rng, budget)
         if path is None:
             raise BudgetExhausted(
                 f"reduction plateau cap {budget} exhausted (seed {seed})",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -44,6 +46,26 @@ def suspension(K: Complex) -> Complex:
     return join(K, boundary_of_simplex(1))[0]
 
 
+def product(A: Complex, B: Complex) -> Complex:
+    """The staircase triangulation of |A| x |B| under the vertex orders of A
+    and B: each facet pair s x t gives one facet per monotone lattice path
+    from (s[0], t[0]) to (s[-1], t[-1]), on the vertices (a, b) numbered in
+    lexicographic order."""
+    ids = {ab: i for i, ab in enumerate(itertools.product(sorted(A.vertices), sorted(B.vertices)))}
+    facets = []
+    for s in A.facets:
+        for t in B.facets:
+            p, q = len(s) - 1, len(t) - 1
+            for ups in itertools.combinations(range(p + q), p):
+                i = j = 0
+                f = [ids[s[0], t[0]]]
+                for step in range(p + q):
+                    i, j = (i + 1, j) if step in ups else (i, j + 1)
+                    f.append(ids[s[i], t[j]])
+                facets.append(f)
+    return build_complex(facets)
+
+
 def perturbed_cp2(seed: int, steps: int = 5) -> OrientedComplex:
     """The bundled CP^2 after ``steps`` seeded random Pachner moves (the moves
     sorted first, so the walk does not depend on the enumeration order)."""
@@ -55,17 +77,26 @@ def perturbed_cp2(seed: int, steps: int = 5) -> OrientedComplex:
     return state
 
 
-def random_three_sphere(rng: random.Random, nverts: int, grow: float = 0.3) -> OrientedComplex:
-    """A random oriented 3-sphere with ``nverts`` vertices: a walk from the
-    boundary of the 4-simplex that subdivides a random facet with
-    probability ``grow`` and otherwise makes a random edge or triangle flip."""
-    state = orient(boundary_of_simplex(4))
+def random_sphere(rng: random.Random, nverts: int, grow: float = 0.3, dim: int = 3) -> OrientedComplex:
+    """A random oriented ``dim``-sphere with ``nverts`` vertices: a walk from
+    the boundary of the (dim+1)-simplex that subdivides a random facet with
+    probability ``grow`` and otherwise makes a random move that keeps the
+    vertex count (for dim 3, an edge or triangle flip)."""
+    state = orient(boundary_of_simplex(dim + 1))
     while len(state.vertices) < nverts:
         moves = enumerate_moves(state)
-        flips = [m for m in moves if m.k in (1, 2)]
-        pool = flips if flips and rng.random() >= grow else [m for m in moves if m.k == 3]
+        flips = [m for m in moves if 0 < m.k < dim]
+        pool = flips if flips and rng.random() >= grow else [m for m in moves if m.k == dim]
         state = apply_move(pool[rng.randrange(len(pool))])
     return state
+
+
+@functools.cache
+def blocked_spheres() -> tuple[OrientedComplex, OrientedComplex]:
+    """Two flip-heavy 3-spheres on which vertex elimination blocks: at 12
+    and 24 vertices every vertex of the state is blocked, so their
+    reductions pass through the plateau.  Built once (about 4 s)."""
+    return tuple(random_sphere(random.Random(tag), n, grow=0.05) for tag, n in (("3:30:0.05:10", 30), ("3:45:0.05:4", 45)))
 
 
 def random_walk_sphere(rng: random.Random, steps: int = 6, max_cx: Fraction = Fraction(9)) -> OrientedComplex:
@@ -145,7 +176,7 @@ def walk_certificate(rng: random.Random, nverts: int = 10) -> MoveSequence:
     inside the star of f adds g, and g and then f are removed; the next
     subdivision takes f's id for its new vertex, and one more subdivision
     changes that vertex's link; then three more flips."""
-    start = materialize(okey(random_three_sphere(rng, nverts)))
+    start = materialize(okey(random_sphere(rng, nverts)))
     flips = [2, 3] * 3
     rng.shuffle(flips)
     state, moves = start, []

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,7 @@ import bistellar
 from bistellar.cli import main
 from bistellar.library import RP2_6_FACETS, write_facet_file
 from bistellar.simplicial import build_complex
-from helpers import torus_7
+from helpers import random_sphere, suspension, torus_7
 
 
 @pytest.fixture()
@@ -90,18 +91,25 @@ def test_sw_report_cp2_pinned(capsys):
 
 
 def test_sw_report_cp2_default_format_pinned(capsys):
-    """The default-format report: its ``is_cycle`` flags come from the
-    brute-force ``Mod2Chain.boundary``, and W_1 bounds."""
+    """The default-format report: every W_k is a cycle, and W_1 bounds."""
     code = main(["sw", str(Path(bistellar.__file__).parent / "data" / "cp2_9.facets")])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (0, _CP2_SW_REPORT, "")
 
 
+def test_sw_report_takes_its_cycles_from_sw_duals(capsys, data_dir, monkeypatch):
+    """The report does not recount the W_k boundaries on the subdivision:
+    ``sw_duals`` has checked them on the face poset of K."""
+    from bistellar.sw import Mod2Chain
+
+    monkeypatch.setattr(Mod2Chain, "boundary", lambda self: pytest.fail("boundary recounted"))
+    code, out = _run(capsys, ["sw", str(data_dir / "rp2.facets")])
+    assert code == 0 and all(c["is_cycle"] for c in json.loads(out)["chains"])
+
+
 def test_sw_of_a_pseudomanifold_that_is_no_euler_space(capsys, tmp_path):
     """The suspension of RP^2_6 is a closed pseudomanifold whose apexes have
     an odd number of cofaces: a typed error naming W_1, nothing on stderr."""
-    from helpers import suspension
-
     path = str(tmp_path / "suspended_rp2.facets")
     write_facet_file(path, suspension(build_complex(RP2_6_FACETS)))
     code = main(["sw", path])
@@ -222,6 +230,24 @@ def test_check_five_sphere(capsys, data_dir):
     code, out = _run(capsys, ["check", str(data_dir / "boundary_delta_6.facets")])
     assert code == 0
     assert json.loads(out)["manifold"] == "yes"
+
+
+def test_check_random_five_sphere(capsys, tmp_path):
+    path = str(tmp_path / "five_sphere.facets")
+    write_facet_file(path, random_sphere(random.Random(5), 14, dim=5))
+    code, out = _run(capsys, ["check", path])
+    rep = json.loads(out)
+    assert code == 0 and rep["dimension"] == 5 and "sphere" not in rep
+    assert rep["manifold"] == "yes"
+
+
+def test_check_suspended_torus(capsys, tmp_path):
+    path = str(tmp_path / "suspended_torus.facets")
+    write_facet_file(path, suspension(torus_7()))
+    code, out = _run(capsys, ["check", path])
+    rep = json.loads(out)
+    assert code == 0 and rep["manifold"] == "no" and rep["sphere"] == "no"
+    assert rep["manifold_reason"] == "link of vertex 7: Euler characteristic 0 != 2"
 
 
 @pytest.mark.parametrize("procedure", ["local", "direct"])

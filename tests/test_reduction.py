@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -8,7 +9,8 @@ from bistellar.errors import BudgetExhausted
 from bistellar.moves import apply_move, enumerate_moves
 from bistellar.reduction import MoveSequence, reduce_to_boundary, replay
 from bistellar.simplicial import boundary_of_simplex, join, orient
-from helpers import icosahedron, octahedron, perturbed_cp2, random_three_sphere
+from bistellar.spheres import is_combinatorial_sphere
+from helpers import blocked_spheres, icosahedron, octahedron, perturbed_cp2, random_sphere
 
 
 def _cross_polytope():
@@ -123,62 +125,6 @@ def test_certificate_bytes_pinned():
         assert reduce_to_boundary(link, seed=seed).dumps() == expected
 
 
-# the same link reduced by the plateau search alone, as every 3-sphere was
-# before vertex elimination
-PINNED_PLATEAU_CERTIFICATES = {
-    0: (
-        '{"end_key": "0;0,1,2,3|0,1,2,4|0,1,3,4|0,2,3,4|1,2,3,4", '
-        '"moves": ['
-        '{"sigma": [1], "tau": [6, 8, 9, 10]}, '
-        '{"sigma": [0], "tau": [2, 7, 9, 10]}, '
-        '{"sigma": [2], "tau": [7, 8, 9, 10]}, '
-        '{"sigma": [6, 8], "tau": [5, 9, 10]}, '
-        '{"sigma": [4, 6], "tau": [3, 7, 10]}, '
-        '{"sigma": [6, 9], "tau": [3, 5, 10]}, '
-        '{"sigma": [6], "tau": [3, 5, 7, 10]}, '
-        '{"sigma": [5, 7], "tau": [3, 8, 10]}, '
-        '{"sigma": [4, 5], "tau": [3, 8, 9]}, '
-        '{"sigma": [5], "tau": [3, 8, 9, 10]}, '
-        '{"sigma": [3, 7], "tau": [4, 8, 10]}, '
-        '{"sigma": [3], "tau": [4, 8, 9, 10]}], "start_key": "+;0,2,7,9|0,2,7,10|'
-        '0,2,9,10|0,7,9,10|1,6,8,9|1,6,8,10|1,6,9,10|1,8,9,10|2,7,8,9|2,7,8,10|'
-        '2,8,9,10|3,4,5,8|3,4,5,9|3,4,6,7|3,4,6,10|3,4,7,8|3,4,9,10|3,5,6,7|'
-        '3,5,6,9|3,5,7,8|3,6,9,10|4,5,8,9|4,6,7,10|4,7,8,9|4,7,9,10|5,6,7,10|'
-        '5,6,8,9|5,6,8,10|5,7,8,10"}'
-    ),
-    1: (
-        '{"end_key": "0;0,1,2,3|0,1,2,4|0,1,3,4|0,2,3,4|1,2,3,4", '
-        '"moves": ['
-        '{"sigma": [1], "tau": [6, 8, 9, 10]}, '
-        '{"sigma": [0], "tau": [2, 7, 9, 10]}, '
-        '{"sigma": [2], "tau": [7, 8, 9, 10]}, '
-        '{"sigma": [6, 8], "tau": [5, 9, 10]}, '
-        '{"sigma": [4, 6], "tau": [3, 7, 10]}, '
-        '{"sigma": [6, 7], "tau": [3, 5, 10]}, '
-        '{"sigma": [6], "tau": [3, 5, 9, 10]}, '
-        '{"sigma": [4, 5], "tau": [3, 8, 9]}, '
-        '{"sigma": [4, 8], "tau": [3, 7, 9]}, '
-        '{"sigma": [4], "tau": [3, 7, 9, 10]}, '
-        '{"sigma": [3, 10], "tau": [5, 7, 9]}, '
-        '{"sigma": [10], "tau": [5, 7, 8, 9]}], "start_key": "+;0,2,7,9|0,2,7,10|'
-        '0,2,9,10|0,7,9,10|1,6,8,9|1,6,8,10|1,6,9,10|1,8,9,10|2,7,8,9|2,7,8,10|'
-        '2,8,9,10|3,4,5,8|3,4,5,9|3,4,6,7|3,4,6,10|3,4,7,8|3,4,9,10|3,5,6,7|'
-        '3,5,6,9|3,5,7,8|3,6,9,10|4,5,8,9|4,6,7,10|4,7,8,9|4,7,9,10|5,6,7,10|'
-        '5,6,8,9|5,6,8,10|5,7,8,10"}'
-    ),
-}
-
-
-
-def test_plateau_certificate_bytes_pinned(monkeypatch):
-    """The fallback search keeps its exact bytes: its class deduplication and
-    seeded plateau walks feed them."""
-    monkeypatch.setattr(reduction, "_eliminate_some_vertex", lambda state, rng, cap: None)
-    link = perturbed_cp2(seed=4).link((2,))
-    for seed, expected in PINNED_PLATEAU_CERTIFICATES.items():
-        assert reduce_to_boundary(link, seed=seed).dumps() == expected
-
-
 def _spy(monkeypatch, name: str) -> list:
     calls = []
     real = getattr(reduction, name)
@@ -186,31 +132,80 @@ def _spy(monkeypatch, name: str) -> list:
     return calls
 
 
+# sha256 of reduce_to_boundary(...).dumps() on the 30-vertex blocked sphere,
+# with the certificate's length; both certificates contain plateau moves
+PINNED_PLATEAU_CERTIFICATES = {
+    0: (128, "33d37576558264a1e89415c56da9f138881322f1188c91c297b6b2d384f15519"),
+    1: (130, "10431844fe9f21a4b503a56c01ba796eaf2f3caae522c65d41d858bb0f460894"),
+}
+
+
+def _digest(seq: MoveSequence) -> tuple[int, str]:
+    return len(seq.moves), hashlib.sha256(seq.dumps().encode()).hexdigest()
+
+
+def test_plateau_certificate_bytes_pinned(monkeypatch):
+    """Certificates through the plateau keep their exact bytes: the seeded
+    order of the breadth-first walk, its class deduplication and the
+    eliminations tested on each state feed them."""
+    K = blocked_spheres()[0]
+    expanded = _spy(monkeypatch, "enumerate_moves")
+    for seed, expected in PINNED_PLATEAU_CERTIFICATES.items():
+        expanded.clear()
+        assert _digest(reduce_to_boundary(K, seed=seed)) == expected
+        assert expanded
+
+
+def test_four_sphere_certificate_bytes_pinned():
+    """A 4-sphere is reduced by eliminating vertices whose 3-sphere links
+    take their own steps from the search; its certificate keeps its bytes."""
+    K = random_sphere(random.Random(4), 16, dim=4)
+    expected = (19, "e96992938a8987629690ae61cc084a62b49f5339a24d494bc7d865bcb4b87178")
+    assert _digest(reduce_to_boundary(K)) == expected
+
+
 @pytest.mark.parametrize("seed, nverts", [(0, 16), (1, 22), (2, 28), (3, 34), (4, 40)])
 def test_random_three_spheres_reduce_by_elimination_alone(monkeypatch, seed, nverts):
-    K = random_three_sphere(random.Random(seed), nverts)
-    fallback = _spy(monkeypatch, "_find_descent")
+    K = random_sphere(random.Random(seed), nverts)
+    expanded = _spy(monkeypatch, "enumerate_moves")
     seq = reduce_to_boundary(K, seed=seed)
-    assert not fallback
+    assert not expanded
     final, _ = replay(seq)
     assert len(final.vertices) == 5 and seq.end == okey(orient(boundary_of_simplex(4)))
 
 
 def test_blocked_vertices_fall_back_to_the_plateau_search(monkeypatch):
-    monkeypatch.setattr(reduction, "_eliminate", lambda state, v, rng, cap: None)
-    fallback = _spy(monkeypatch, "_find_descent")
-    for K in (_cross_polytope(), random_three_sphere(random.Random(5), 10)):
+    """Where every vertex of a state is blocked the search expands plateau
+    states until one has an unblocked vertex; both blocked spheres reduce
+    within the default budget."""
+    expanded = _spy(monkeypatch, "enumerate_moves")
+    for K in blocked_spheres():
+        expanded.clear()
         seq = reduce_to_boundary(K, seed=1)
         final, _ = replay(seq)
         assert len(final.vertices) == 5
-    assert fallback
+        assert expanded
+
+
+@pytest.mark.parametrize("dim, nverts", [(4, 20), (4, 30), (5, 20), (5, 30)])
+def test_random_high_dimensional_spheres_are_recognised(dim, nverts):
+    K = random_sphere(random.Random(f"{dim}:{nverts}"), nverts, dim=dim)
+    verdict = is_combinatorial_sphere(K)
+    assert verdict.verdict is True and verdict.certificate.end == okey(orient(boundary_of_simplex(dim + 1)))
+
+
+def test_budget_zero_raises_before_any_move_on_a_four_sphere():
+    K = random_sphere(random.Random(1), 12, dim=4)
+    with pytest.raises(BudgetExhausted) as exc:
+        reduce_to_boundary(K, budget=0)
+    assert exc.value.moves_done == [] and len(exc.value.best_state.vertices) == 12
 
 
 def test_tracked_link_is_the_vertex_link(monkeypatch):
     """Each link state of an elimination is the oriented link of v in the
     3-sphere state its move lifts to; v goes once its link is a
     tetrahedron boundary."""
-    K = random_three_sphere(random.Random(7), 14)
+    K = random_sphere(random.Random(7), 14)
     links = _spy(monkeypatch, "decreasing_moves")
     rng = random.Random(0)
     eliminated = 0

@@ -27,7 +27,7 @@ from bistellar.simplicial import (
     orient,
     perm_parity,
 )
-from helpers import octahedron, random_three_sphere, random_walk_sphere, torus_7
+from helpers import octahedron, random_sphere, random_walk_sphere, torus_7
 
 RP2_6 = [[1, 2, 3], [1, 2, 4], [1, 3, 5], [1, 4, 6], [1, 5, 6],
          [2, 3, 6], [2, 4, 5], [2, 5, 6], [3, 4, 5], [3, 4, 6]]
@@ -195,7 +195,7 @@ def test_oriented_complex_equality_compares_facets_and_signs():
 
 def test_recognition_reads_an_oriented_complex_as_its_complex():
     rng = random.Random(2)
-    for OC in (octahedron(), orient(torus_7()), random_three_sphere(rng, 7)):
+    for OC in (octahedron(), orient(torus_7()), random_sphere(rng, 7)):
         K = OC.complex
         assert is_combinatorial_sphere(OC) == is_combinatorial_sphere(K)
         assert is_combinatorial_manifold(OC) == is_combinatorial_manifold(K)

@@ -5,7 +5,7 @@ import pytest
 from bistellar.library import RP2_6_FACETS, cp2_9
 from bistellar.simplicial import Complex, boundary_of_simplex, build_complex, orient
 from bistellar.spheres import is_combinatorial_manifold, is_combinatorial_sphere
-from helpers import icosahedron, torus_7
+from helpers import icosahedron, product, suspension, torus_7
 
 
 def _disjoint(K: Complex, shift: int) -> Complex:
@@ -68,3 +68,18 @@ def test_manifold_check_computes_no_link_signs(monkeypatch):
     monkeypatch.setattr(OrientedComplex, "link", lambda self, sigma: asked.append(self is OC) or real(self, sigma))
     assert is_combinatorial_manifold(OC) == want and want.verdict is True
     assert not any(asked)
+
+
+def test_suspended_torus_is_no_manifold():
+    """The apexes 7 and 8 of the suspended torus have the torus as link."""
+    v = is_combinatorial_manifold(suspension(torus_7()))
+    assert v.verdict is False and v.reason == "link of vertex 7: Euler characteristic 0 != 2"
+
+
+def test_cp2_times_circle_is_a_manifold():
+    """The staircase CP^2 x S^1 (27 vertices, dimension 5): every vertex
+    link is a 4-sphere, each reduced by eliminating vertices whose links
+    are 3-spheres."""
+    K = product(cp2_9(), boundary_of_simplex(2))
+    assert (len(K.vertices), K.dim) == (27, 5)
+    assert is_combinatorial_manifold(K).verdict is True

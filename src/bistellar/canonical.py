@@ -2,7 +2,10 @@
 
 The canonical labeling is computed by iterative color refinement on the
 facet hypergraph plus backtracking over individualization choices, taking the
-lexicographically least facet-set image.  All optimal labelings are collected
+lexicographically least facet-set image.  Refinement rounds split cells (the
+vertices of one color) in place and build signatures only in cells that can
+split, and the search individualizes the vertices of the first cell of two
+or more.  All optimal labelings are collected
 so marked simplices and orientations can be canonicalized as well; any two
 differ by an automorphism, so they also give the orbits of Aut(K).
 
@@ -96,30 +99,84 @@ class CanonicalForm:
 # ---------------------------------------------------------------------------
 
 
-def _refine(facets, star, colors, count):
+def _refine(facets, star, colors, count, tri):
     """Refine a dense coloring of the positions 0..n-1 with ``count`` colors
-    until stable; return it and its color count.
+    until stable; return it, its color count and its cells (the positions of
+    each color in increasing order, color by color; None when the coloring
+    was discrete on entry).
 
     ``star[p]`` indexes the facets (position tuples) containing p.  The
     signature of p is its color plus the sorted tuple of its facets' sorted
-    color tuples, and the new colors rank the signatures.  The textbook
+    color tuples, and each round's colors rank the signatures.  The textbook
     signature drops one copy of p's color c from each tuple; on a pure
     complex those tuples have one length and all contain c, and dropping
     one c from them is injective and keeps their order, so the ranks are
     the same (on any complex the signature is invariant, so keys stay
-    canonical).  The signature starts with the old color, so a round that
-    adds no color changes nothing.
+    canonical).
+
+    A round works cell by cell (a cell is the positions of one color).  The
+    signature starts with the old color, so the new color of p is the number
+    of colors the earlier cells end with plus the rank of p's signature
+    inside its own cell, and a cell of one position cannot split: signatures
+    are built for the other cells only.  When every facet is a triangle
+    (``tri``) a facet's color tuple is read as one integer
+    (``_triangle_codes``) that orders like the tuple, so a sorted list of
+    codes orders like the sorted list of tuples; facets of other or mixed
+    sizes keep the tuples, as a shorter tuple orders before the longer ones
+    it begins.  A round that splits no cell changes nothing and ends the
+    refinement.
     """
     n = len(colors)
-    while count < n:
-        facet_colors = [tuple(sorted(map(colors.__getitem__, f))) for f in facets]
-        sig = [(c, tuple(sorted(map(facet_colors.__getitem__, s)))) for c, s in zip(colors, star)]
-        distinct = set(sig)
-        if len(distinct) == count:
-            break
-        ranking = {s: i for i, s in enumerate(sorted(distinct))}
-        colors, count = [ranking[s] for s in sig], len(ranking)
-    return colors, count
+    if count == n:
+        return colors, count, None
+    cells: list[list[int]] = [[] for _ in range(count)]
+    for p, c in enumerate(colors):
+        cells[c].append(p)
+    while True:
+        if tri:
+            code = _triangle_codes(facets, colors)
+        else:
+            code = [tuple(sorted(map(colors.__getitem__, f))) for f in facets]
+        split = []
+        for cell in cells:
+            if len(cell) > 1:
+                sigs = [sorted(map(code.__getitem__, star[p])) for p in cell]
+                if sigs.count(sigs[0]) < len(sigs):
+                    last = None
+                    for sig, p in sorted(zip(sigs, cell)):
+                        if sig == last:
+                            split[-1].append(p)
+                        else:
+                            split.append([p])
+                            last = sig
+                    continue
+            split.append(cell)
+        if len(split) == count:
+            return colors, count, cells
+        cells, count, colors = split, len(split), [0] * n
+        for c, cell in enumerate(cells):
+            for p in cell:
+                colors[p] = c
+        if count == n:
+            return colors, count, cells
+
+
+def _triangle_codes(facets, colors) -> list[int]:
+    """Each triangle's sorted color triple (a, b, c), sorted by three
+    compare-swaps, as the integer with base-2^s digits a, b, c, where 2^s
+    exceeds the number of positions: the codes order like the triples."""
+    s = len(colors).bit_length()
+    out = []
+    for a, b, c in facets:
+        a, b, c = colors[a], colors[b], colors[c]
+        if a > b:
+            a, b = b, a
+        if b > c:
+            b, c = c, b
+            if a > b:
+                a, b = b, a
+        out.append((a << s | b) << s | c)
+    return out
 
 
 class _UCanon(NamedTuple):
@@ -173,15 +230,16 @@ def _ucanon(facet_set: frozenset) -> _UCanon:
     if image in table:
         # a filed canonical image T is its own first leaf, beta = identity
         return _UCanon(image, [dict(zip(vertices, lab)) for lab in _by_path(table[image], list(range(n)))])
+    tri = all(len(f) == 3 for f in facets)
     best: list[FacetTuple] = []
     leaves: list[tuple[list[int], tuple[int, ...]]] = []  # each optimal leaf and its path
 
     def search(colors, count, path):
         """Walk the subtree; return the image and coloring of the first leaf
         on a known class, or None."""
-        colors, count = _refine(facets, star, colors, count)
+        colors, count, cells = _refine(facets, star, colors, count, tri)
         if count == n:
-            image = tuple(sorted([tuple(sorted(map(colors.__getitem__, f))) for f in facets]))
+            image = _image(facets, colors, tri)
             if image in table:
                 return image, colors
             if not best or image < best[0]:
@@ -189,11 +247,11 @@ def _ucanon(facet_set: frozenset) -> _UCanon:
             if image == best[0]:
                 leaves.append((colors, path))
             return None
-        # individualize each vertex of the least color shared by two or more:
-        # give it a fresh color strictly below the rest of its cell, keeping
-        # the coloring dense
-        cell = min(c for c, k in Counter(colors).items() if k > 1)
-        for p in [p for p, c in enumerate(colors) if c == cell]:
+        # individualize each vertex of the first cell of two or more: give it
+        # a fresh color strictly below the rest of its cell, keeping the
+        # coloring dense
+        cell = next(c for c, ps in enumerate(cells) if len(ps) > 1)
+        for p in cells[cell]:
             child = [x if x < cell else x + 1 for x in colors]
             child[p] = cell
             hit = search(child, count + 1, (*path, p))
@@ -216,6 +274,25 @@ def _ucanon(facet_set: frozenset) -> _UCanon:
         table[image] = [([lab[p] for p in inv0], tuple(map(lam0.__getitem__, path))) for lab, path in leaves]
         labels = [lab for lab, _ in leaves]
     return _UCanon(image, [dict(zip(vertices, colors)) for colors in labels])
+
+
+def _image(facets, labels, tri) -> FacetTuple:
+    """The sorted facet tuple of the image of ``facets`` under ``labels``."""
+    if not tri:
+        return tuple(sorted([tuple(sorted(map(labels.__getitem__, f))) for f in facets]))
+    # the compare-swaps of _triangle_codes; decoding sorted codes costs more
+    out = []
+    for a, b, c in facets:
+        a, b, c = labels[a], labels[b], labels[c]
+        if a > b:
+            a, b = b, a
+        if b > c:
+            b, c = c, b
+            if a > b:
+                a, b = b, a
+        out.append((a, b, c))
+    out.sort()
+    return tuple(out)
 
 
 def _by_path(entries: list[tuple[list[int], tuple[int, ...]]], beta: list[int]) -> list[list[int]]:

@@ -108,8 +108,9 @@ class MalformedInput(BistellarError):
 
 @contextmanager
 def parsing(source: str):
-    """Turn a parse failure of ``source`` inside the block into MalformedInput."""
+    """Turn a parse failure of ``source`` inside the block into MalformedInput;
+    a zero denominator is one."""
     try:
         yield
-    except (ValueError, KeyError, IndexError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, IndexError, TypeError, AttributeError, ZeroDivisionError) as exc:
         raise MalformedInput(f"{source}: {exc}") from exc

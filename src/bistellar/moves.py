@@ -254,9 +254,16 @@ class GammaEdgeKey(NamedTuple):
 
     @staticmethod
     def decode(text: str) -> "GammaEdgeKey":
-        t, h, o = text.split("  ")
-        orbit = tuple(int(x) for x in o.split(",")) if o else ()
-        return GammaEdgeKey(OKey.decode(t), OKey.decode(h), orbit)
+        return _decode_edge_key(text)
+
+
+@functools.cache
+def _decode_edge_key(text: str) -> GammaEdgeKey:
+    """``GammaEdgeKey.decode`` memoized on the text: a cache file repeats
+    each edge in many chains."""
+    t, h, o = text.split("  ")
+    orbit = tuple(int(x) for x in o.split(",")) if o else ()
+    return GammaEdgeKey(OKey.decode(t), OKey.decode(h), orbit)
 
 
 class SignedEdge(NamedTuple):

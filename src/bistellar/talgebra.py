@@ -64,7 +64,8 @@ class Chain:
     def add(self, key, coeff):
         if not isinstance(coeff, (int, Fraction)):
             coeff = Fraction(coeff)
-        c = self.terms.get(key, 0) + coeff
+        old = self.terms.get(key)
+        c = coeff if old is None else old + coeff
         if c:
             self.terms[key] = c
         else:

@@ -265,6 +265,8 @@ def _write(path, text: str) -> str:
 # the class of the boundary of the 4-simplex and its (empty) certificate
 D4 = "0;0,1,2,3|0,1,2,4|0,1,3,4|0,2,3,4|1,2,3,4"
 D4_CERT = {"start_key": D4, "end_key": D4, "moves": []}
+# an edge of the tetrahedron boundary's class to itself
+D3_LOOP = "+;0,1,2|0,1,3|0,2,3|1,2,3  +;0,1,2|0,1,3|0,2,3|1,2,3  0,1"
 
 
 def _p1_with_cache(d, data: dict, facets: str = "boundary_delta_5") -> list[str]:
@@ -313,10 +315,13 @@ def _perturbed_with_swapped_xi(d) -> list[str]:
         lambda d: _cp2_with_certificate(d, lambda key: {"start_key": key, "end_key": key, "moves": []}),
         lambda d: _cp2_with_certificate(d, lambda key: {"start_key": key, "end_key": D4, "moves": []}),
         _perturbed_with_swapped_xi,
+        lambda d: ["gamma2", "decompose", _write(d / "chain.json", json.dumps([[D3_LOOP, "1", "0"]]))],
+        lambda d: _p1_with_cache(d, {"xi": {D4: [[D3_LOOP, "1", "0"]]}}),
     ],
     ids=[
         "facet-text", "facet-json", "xi-cache", "chain", "json-vertex", "json-facets", "eta-without-certificate",
         "eta-chain", "certificate-start", "certificate-end", "certificate-short", "xi-swapped",
+        "chain-zero-denominator", "xi-zero-denominator",
     ],
 )
 def test_malformed_input_is_a_typed_error(capsys, data_dir, argv_of):

@@ -24,7 +24,7 @@ from bistellar.gamma2 import (
     special_cycle_c,
 )
 from bistellar.moves import BistellarMove, apply_move, edge_key, enumerate_moves, move_tau, sphere_complexity
-from bistellar.simplicial import boundary_of_simplex, orient
+from bistellar.simplicial import boundary_of_simplex, build_complex, orient
 from helpers import icosahedron, octahedron, perturbed_cp2, random_loop_cycle, random_walk_sphere
 
 
@@ -535,6 +535,31 @@ def test_pentagon_cycle_on_icosahedron():
     kinds = {p.kind for _, p in decompose_cycle(g.chain)}
     assert "spec-b" in kinds and all(k == "spec-b" or k.startswith("comm-") for k in kinds)
     assert c_of_cycle(g.chain) == g.value
+
+
+# a 14-vertex 2-sphere whose one vertex of degree 4, 13, is opposite the edge {0, 7}
+_LONE_DEGREE_FOUR = [
+    (0, 1, 2), (0, 1, 12), (0, 2, 13), (0, 7, 12), (0, 7, 13), (1, 2, 3), (1, 3, 4), (1, 4, 5),
+    (1, 5, 12), (2, 3, 8), (2, 8, 13), (3, 4, 9), (3, 8, 9), (4, 5, 10), (4, 9, 10), (5, 6, 10),
+    (5, 6, 12), (6, 7, 11), (6, 7, 12), (6, 10, 11), (7, 8, 11), (7, 8, 13), (8, 9, 11), (9, 10, 11),
+]
+
+
+def test_odd_stratum_flip_needs_a_pentagon():
+    """The flip of {0, 7} trades the degree-4 vertex 13 for 0 (degree 5),
+    so both ends have complexity 14 + 1/3 and the edge lies alone in the
+    odd stratum 87/6 of its pentagon.  No vertex has degree 3, and each
+    commutation with a complexity-decreasing flip fails or leaves a second
+    edge at the top, so ``_candidates_single`` gets past them and spec-a to
+    the pentagons, and the pentagon decomposes into itself.  No sphere of 12
+    or fewer vertices has such a flip."""
+    S = orient(build_complex(_LONE_DEGREE_FOUR))
+    key = BistellarMove(S, (0, 7), move_tau(S, (0, 7))).edge.key
+    pentagon = special_cycle_c(S, (0, 7), (0, 13))
+    assert [e for e in pentagon.chain.terms if _edge_order(e)[0] >= 87] == [key] and _edge_order(key)[0] == 87
+    parts = decompose_cycle(pentagon.chain)
+    assert [(n, g.kind, g.params) for n, g in parts] == [(1, "spec-c", (2, 4, 4, 2, 4))]
+    assert parts[0][1].chain == pentagon.chain
 
 
 def test_special_cycle_a_pinned_on_every_flip():

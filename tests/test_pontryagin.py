@@ -357,7 +357,7 @@ def test_memo_tables_never_change_an_answer():
     tables = {id(o): o for m in mods for o in vars(m).values() if hasattr(o, "cache_clear")}.values()
     assert {t.__name__ for t in tables} >= {
         "_ucanon", "_class_table", "_ocanon", "_rep_signs", "complexity_of_key", "_rep_moves",
-        "simplex_boundary_key", "_commute", "_edge_order", "_decode_okey",
+        "simplex_boundary_key", "_commute", "_edge_order", "_decode_okey", "_decode_edge_key",
     }
     assert all(t.cache_info().currsize for t in tables)
     for t in tables:

@@ -19,6 +19,20 @@ def _pinched_icosahedron() -> Complex:
     return build_complex([[0 if v == 9 else v for v in f] for f in icosahedron().facets])
 
 
+def _klein_bottle() -> Complex:
+    """The 3 x 3 grid of squares on Z_3 x Z_3, each cut by a diagonal, whose
+    columns close up mirrored: a closed non-orientable surface, chi = 0."""
+
+    def v(x, y):
+        return (x if y < 3 else -x) % 3 * 3 + y % 3
+
+    squares = [(i, j) for i in range(3) for j in range(3)]
+    return build_complex(
+        [(v(i, j), v(i + 1, j), v(i + 1, j + 1)) for i, j in squares]
+        + [(v(i, j), v(i, j + 1), v(i + 1, j + 1)) for i, j in squares]
+    )
+
+
 @pytest.mark.parametrize(
     "K, reason",
     [
@@ -34,10 +48,19 @@ def _pinched_icosahedron() -> Complex:
         (_disjoint(boundary_of_simplex(4), 5), "not a closed connected pseudomanifold"),
         (build_complex([(0, 1, 2), (2, 3)]), "not a closed connected pseudomanifold"),
         (build_complex([(0, 1, 2, 3), (3, 4)]), "not a closed connected pseudomanifold"),
+        # chi = 0 as for a 3-sphere; vertex 0, the pinch vertex times the
+        # circle's first vertex, has the suspension of two pentagons as link
+        (
+            product(_pinched_icosahedron(), boundary_of_simplex(2)),
+            "link of vertex 0: not a closed connected pseudomanifold",
+        ),
+        # chi = 0 and every vertex link a 2-sphere
+        (product(_klein_bottle(), boundary_of_simplex(2)), "not orientable"),
     ],
     ids=[
         "three-points", "path", "two-triangles", "figure-eight", "torus", "rp2", "cp2", "pinched-icosahedron",
-        "two-tetrahedra", "two-4-simplices", "nonpure-2", "nonpure-3",
+        "two-tetrahedra", "two-4-simplices", "nonpure-2", "nonpure-3", "pinched-torus-x-circle",
+        "klein-bottle-x-circle",
     ],
 )
 def test_not_a_sphere(K, reason):

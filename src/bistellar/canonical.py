@@ -208,9 +208,6 @@ def _ucanon(facet_set: frozenset) -> _UCanon:
     docstring)."""
     deg = Counter(chain.from_iterable(facet_set))
     vertices = sorted(deg)
-    if not vertices:
-        # the empty complex {()} canonicalizes trivially
-        return _UCanon(tuple(facet_set), [{}])
     n = len(vertices)
     if len(facet_set) == n and all(len(f) == n - 1 for f in facet_set):
         # the boundary of a simplex: the search individualizes the vertices

@@ -347,7 +347,9 @@ def commutation_cycle(L: OrientedComplex, sigma1, sigma2) -> ElementaryCycle:
     It is classified on its walk, which visits L, L.m1, L.m1.m2 and L.m2: a
     removal is re-anchored as the insertion undoing it, which negates the
     sign.  Raises NotApplicable when the paper's three conditions fail, and
-    ClosureFailure if the constructed chain is not a cycle.
+    ClosureFailure if the walk does not return to L; a closed walk is a
+    cycle, its chain telescoping to {L} - {L} (an inessential move joins a
+    class to itself).
     """
     sigma1, sigma2 = tuple(sorted(sigma1)), tuple(sorted(sigma2))
     tau1 = move_tau(L, sigma1)
@@ -364,8 +366,6 @@ def commutation_cycle(L: OrientedComplex, sigma1, sigma2) -> ElementaryCycle:
     if not _closed(states[0], states[-1]):
         raise ClosureFailure("commutation did not return to the start complex")
     chain = _chain(moves)
-    if not chain.is_cycle():
-        raise ClosureFailure("commutation chain has nonzero boundary")
     # classify on the representative of the state past the removals and before
     # the insertions, a removal re-anchored as the insertion undoing it; a
     # vertex the state lacks gets an id past the representative's 0 .. n-1
@@ -393,53 +393,34 @@ def classify_elementary(L: OrientedComplex, sigma1: Simplex, sigma2: Simplex):
 
 
 def special_cycle_a(move: BistellarMove) -> ElementaryCycle | None:
-    """The 3-edge cycle (insert, flip, remove) across a flip that trades a
-    degree-3 vertex for another; None if the move lacks the pattern."""
+    """The 3-edge cycle (insert, flip, remove) across a flip {b, Rv} ->
+    {a, Lap} of X with deg a = 3 and deg b = 4; None for any other move.
+    Then a's link is b-Rv-T and b's is Rv-a-T-Lap, so the walk is available,
+    and it closes: swapping a and b maps X - a onto X' - b."""
     X = move.host
-    if len(move.sigma) != 2:
-        return None
     sig, tau = move.sigma, move.tau
-    cands = [
-        (a, b)
-        for a in tau
-        if X.degree(a) == 3
-        for b in sig
-        if X.degree(b) == 4
-    ]
-    for a, b in cands:
-        nbrs_a = {v for f in X.facets_containing((a,)) for v in f} - {a}
-        if not set(sig) <= nbrs_a:
-            continue
-        (T,) = nbrs_a - set(sig)
-        Lap = next(v for v in tau if v != a)
-        Rv = next(v for v in sig if v != b)
-        link_tri = tuple(sorted((b, Rv, T)))
-        # remove a from X, then walk the cycle from that T-sphere
-        got = _carried_walk(X, [((a,), link_tri), (link_tri, (a,)), (sig, tau), ((b,), (Lap, a, T))])
-        if got is None:
-            continue
-        chain = _chain(got[0][1:])
-        if not chain.is_cycle():
-            continue
-        # a's link is the triangle b-Rv-T and b's the 4-cycle Rv-a-T-Lap, so these are facets
-        patch = [
-            tuple(sorted(t))
-            for t in ((Lap, b, T), (b, a, T), (a, Rv, T), (Lap, b, Rv), (b, a, Rv))
-        ]
-        params = tuple(_outside(X, v, patch) for v in (Lap, T, Rv))
-        s_or = X.sign_of((b, a, T))
-        return ElementaryCycle("spec-a", params, chain, s_or)
-    return None
+    a = next((a for a in tau if X.degree(a) == 3), None)
+    b = next((b for b in sig if X.degree(b) == 4), None)
+    if a is None or b is None:
+        return None
+    (T,) = {v for f in X.facets_containing((a,)) for v in f} - {a, *sig}
+    Lap = next(v for v in tau if v != a)
+    Rv = next(v for v in sig if v != b)
+    link_tri = tuple(sorted((b, Rv, T)))
+    # remove a from X, then walk the cycle from that T-sphere
+    moves, _ = _carried_walk(X, [((a,), link_tri), (link_tri, (a,)), (sig, tau), ((b,), (Lap, a, T))])
+    # the links of a and b make these facets
+    patch = [tuple(sorted(t)) for t in ((Lap, b, T), (b, a, T), (a, Rv, T), (Lap, b, Rv), (b, a, Rv))]
+    params = tuple(_outside(X, v, patch) for v in (Lap, T, Rv))
+    return ElementaryCycle("spec-a", params, _chain(moves[1:]), X.sign_of((b, a, T)))
 
 
 def special_cycle_b(R: OrientedComplex, e: int, D: int, C: int) -> ElementaryCycle | None:
     """The 5-edge cycle through removing a degree-4 vertex e; kills the pair
-    of flips at {e,D} and {e,C} for adjacent link corners D, C."""
-    if R.degree(e) != 4:
-        return None
+    of flips at {e,D} and {e,C} for adjacent link corners D, C.  e must have
+    degree 4 and D, C be its neighbours; None when D, C are not adjacent or
+    the walk is unavailable or open."""
     cycle = R.link_cycle(e)
-    if D not in cycle or C not in cycle:
-        return None
     i, d = cycle.index(D), len(cycle)
     if C not in (cycle[i - 1], cycle[(i + 1) % d]):
         return None  # not adjacent corners
@@ -460,33 +441,26 @@ def special_cycle_b(R: OrientedComplex, e: int, D: int, C: int) -> ElementaryCyc
     )
     if got is None or not _closed(got[1][2], got[1][-1]):
         return None
-    chain = _chain(got[0][2:])
-    if not chain.is_cycle():
-        return None
     around = {tuple(sorted((e, cycle[j], cycle[(j + 1) % d]))) for j in range(d)}
     params = tuple(_outside(R, v, around) for v in (A, D, C, B))
     # orientation read on the state TM where {A,B,e} is a facet; it already
     # is one in R (a triangle around e), with the same sign
     s_or = R.sign_of((A, B, e))
-    return ElementaryCycle("spec-b", params, chain, s_or)
+    return ElementaryCycle("spec-b", params, _chain(got[0][2:]), s_or)
 
 
 def special_cycle_c(L: OrientedComplex, sigma1: Simplex, sigma2: Simplex) -> ElementaryCycle | None:
     """The pentagon 5-flip cycle; kills the pair of fan diagonals sigma1 =
-    {A,D}, sigma2 = {A,C} sharing the apex A."""
-    s1, s2 = set(sigma1), set(sigma2)
-    if len(s1) != 2 or len(s2) != 2 or len(s1 & s2) != 1:
-        return None
-    (A,) = s1 & s2
-    (Dv,) = s1 - {A}
-    (Cv,) = s2 - {A}
+    {A,D}, sigma2 = {A,C}, two edges that must share just the apex A.  None
+    when the flips or the walk are unavailable or the walk is open."""
+    (A,) = set(sigma1) & set(sigma2)
+    (Dv,) = set(sigma1) - {A}
+    (Cv,) = set(sigma2) - {A}
     tau1, tau2 = move_tau(L, tuple(sorted(sigma1))), move_tau(L, tuple(sorted(sigma2)))
     if tau1 is None or tau2 is None or Cv not in tau1 or Dv not in tau2:
         return None
     (E,) = set(tau1) - {Cv}
-    (B,) = set(tau2) - {Dv}
-    if len({A, B, Cv, Dv, E}) != 5:
-        return None
+    (B,) = set(tau2) - {Dv}  # not E: A's link would be C-D-E, and tau1 a face
     got = _carried_walk(
         L,
         [
@@ -499,14 +473,11 @@ def special_cycle_c(L: OrientedComplex, sigma1: Simplex, sigma2: Simplex) -> Ele
     )
     if got is None or not _closed(got[1][0], got[1][-1]):
         return None
-    chain = _chain(got[0])
-    if not chain.is_cycle():
-        return None
     # the two taus checked above make (A, Cv, Dv), (A, Dv, E) and (A, Cv, B) facets
     fan = [tuple(sorted(t)) for t in ((A, B, Cv), (A, Cv, Dv), (A, Dv, E))]
     params = tuple(_outside(L, v, fan) for v in (A, E, Dv, Cv, B))
     s_or = L.sign_of((A, B, Cv))
-    return ElementaryCycle("spec-c", params, chain, s_or)
+    return ElementaryCycle("spec-c", params, _chain(got[0]), s_or)
 
 
 # ---------------------------------------------------------------------------
@@ -674,15 +645,9 @@ def decompose_cycle(zeta: Gamma2Chain, order_seed: int | None = None) -> list[tu
 
 
 def c_of_cycle(zeta: Gamma2Chain) -> Fraction:
-    """Evaluate the catalogued cocycle on a (rational) cycle by decomposing
-    an integer multiple and scaling back."""
-    if not zeta.is_cycle():
-        raise NotACycle("c is defined on cycles only")
-    if not zeta.terms:
-        return Fraction(0)
-    den = 1
-    for v in zeta.terms.values():
-        den = math.lcm(den, v.denominator)
+    """Evaluate the catalogued cocycle on a rational cycle by decomposing an
+    integer multiple and scaling back.  ``decompose_cycle`` raises NotACycle
+    on a chain that is no cycle; the zero chain has no pieces, value 0."""
+    den = math.lcm(*(v.denominator for v in zeta.terms.values()))
     parts = decompose_cycle(zeta.scaled(den))
-    total = sum((n * g.value for n, g in parts), Fraction(0))
-    return total / den
+    return sum((n * g.value for n, g in parts), Fraction(0)) / den

@@ -36,9 +36,8 @@ from itertools import chain, combinations
 from typing import Collection, NamedTuple
 
 from .canonical import OKey, designated_labelings, marked_encoding, materialize, okey, transported_labeling
-from .errors import InvalidMove, SphereCheckFailed
+from .errors import InvalidMove
 from .simplicial import Complex, OrientedComplex, Simplex, faces, orient, perm_parity
-from .spheres import is_combinatorial_sphere
 
 
 @dataclass(frozen=True)
@@ -206,7 +205,7 @@ def induced_vertex_moves(move: BistellarMove) -> list[tuple[int, BistellarMove |
     return out
 
 
-def sphere_from_move(move: BistellarMove, check_sphere: bool = True) -> OrientedComplex:
+def sphere_from_move(move: BistellarMove) -> OrientedComplex:
     """The sphere L_beta on V(beta) + {u1, u2} associated to a move of spheres.
 
     Facets: rho + {u1} for rho a facet of L1, rho + {u2} for rho a facet of
@@ -224,10 +223,6 @@ def sphere_from_move(move: BistellarMove, check_sphere: bool = True) -> Oriented
     f = next(iter(L2.facets))
     if out.facet_signs[tuple(sorted(f + (u2,)))] != L2.facet_signs[f] * perm_parity((u2,) + f):
         out = -out
-    if check_sphere:
-        verdict = is_combinatorial_sphere(out)
-        if verdict.verdict is not True:
-            raise SphereCheckFailed(f"L_beta is not a combinatorial sphere: {verdict}")
     return out
 
 

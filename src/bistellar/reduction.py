@@ -110,7 +110,7 @@ def _eliminate(state: OrientedComplex, v: int, rng: random.Random, cap: int) -> 
         if link.dim == 2:
             steps = _pick(rng, [(_sq(mv), lm) for lm in decreasing_moves(link) if (mv := _lift(state, v, lm))])
         else:
-            steps = _search(link, rng, cap)
+            steps = _search(link, rng, cap)[0]
         if not steps:
             return None
         for lm in steps:
@@ -140,31 +140,32 @@ def _step(state: OrientedComplex, rng: random.Random, cap: int) -> list[Bistella
     return next(filter(None, (_eliminate(state, v, rng, cap) for v in order)), None)
 
 
-def _search(state: OrientedComplex, rng: random.Random, cap: int) -> list[BistellarMove] | None:
-    """The moves from ``state`` to the end of its next step (``_step``).
+def _search(state: OrientedComplex, rng: random.Random, cap: int) -> tuple[list[BistellarMove] | None, int]:
+    """The moves from ``state`` to the end of its next step (``_step``), and
+    the number of plateau states taken.
 
     Breadth-first over the vertex-count plateau of ``state`` in seeded
     order, from ``state`` itself: each state taken from the queue counts
     against ``cap`` and is tested for a step; one without is labelled by
-    its ``ukey`` and expanded the first time its class is met.  None when
-    the plateau is exhausted or ``cap`` states have been taken.
+    its ``ukey`` and expanded the first time its class is met.  The moves
+    are None when the plateau runs out or ``cap`` states have been taken.
     """
     frontier = deque([[]])
     seen = set()
-    for _ in range(cap):
-        if not frontier:
-            break
+    taken = 0
+    while frontier and taken < cap:
+        taken += 1
         path = frontier.popleft()
         st = path[-1].result if path else state
         step = _step(st, rng, cap)
         if step:
-            return path + step
+            return path + step, taken
         if (k := ukey(st)) not in seen:
             seen.add(k)
             level = [mv for mv in enumerate_moves(st) if 0 < mv.k < st.dim]
             rng.shuffle(level)
             frontier.extend(path + [mv] for mv in level)
-    return None
+    return None, taken
 
 
 def reduce_to_boundary(L: OrientedComplex, budget: int = 4000, seed: int = 0) -> MoveSequence:
@@ -172,18 +173,20 @@ def reduce_to_boundary(L: OrientedComplex, budget: int = 4000, seed: int = 0) ->
 
     Deterministic given the seed.  Each step comes from ``_search``.
     Raises BudgetExhausted (with the best partial state) if a search takes
-    ``budget`` plateau states without finding a step; with ``budget`` 0 it
-    is raised before any move.
+    ``budget`` plateau states, or runs out of plateau, without finding a
+    step; its message says which and how many states were taken.  With
+    ``budget`` 0 it is raised before any move.
     """
     start_key = okey(L)
     state = materialize(start_key)
     rng = random.Random(repr((seed, start_key.encode())))
     trail: list[tuple[Simplex, Simplex]] = []
     while len(state.vertices) > L.dim + 2:
-        path = _search(state, rng, budget)
+        path, taken = _search(state, rng, budget)
         if path is None:
+            end = "cap reached" if taken == budget else "ran out"
             raise BudgetExhausted(
-                f"reduction plateau cap {budget} exhausted (seed {seed})",
+                f"reduction plateau {end} after {taken} of at most {budget} states (seed {seed})",
                 best_state=state,
                 moves_done=trail,
             )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import reduction
 from .errors import BudgetExhausted, NonOrientable
 from .simplicial import Complex, orient
 
@@ -50,13 +51,10 @@ def is_combinatorial_sphere(K: Complex, budget: int = 20000, seed: int = 0) -> S
         oc = orient(K)
     except NonOrientable:
         return SphereVerdict(False, "not orientable")
-    # deferred: reduction imports moves, which imports this module
-    from .reduction import reduce_to_boundary
-
     try:
-        cert = reduce_to_boundary(oc, budget=budget, seed=seed)
-    except BudgetExhausted:
-        return SphereVerdict(None, f"reduction search exhausted budget {budget}")
+        cert = reduction.reduce_to_boundary(oc, budget=budget, seed=seed)
+    except BudgetExhausted as exc:
+        return SphereVerdict(None, str(exc))
     return SphereVerdict(True, f"reduced to the boundary of the {d + 1}-simplex", certificate=cert)
 
 

@@ -195,7 +195,7 @@ def s_eval(f: LocalCochain, move: BistellarMove) -> Fraction:
     where f has grade n+1 in this library's indexing."""
     if move.host.dim != f.grade - 2:
         raise DimensionTooSmall("s(f) eats moves of spheres of dimension grade-2")
-    val = f(sphere_from_move(move, check_sphere=False))
+    val = f(sphere_from_move(move))
     return val if f.grade % 2 == 0 else -val
 
 

@@ -199,7 +199,7 @@ def test_criterion_5_algebraic_identities():
             f.set(s, Fraction(rng.randrange(-6, 7), rng.randrange(1, 4)))
         lhs = d_edge(f, mv)
         term1 = delta_edge(lambda m: s_eval(f, m), mv)
-        Lb = sphere_from_move(mv, check_sphere=False)
+        Lb = sphere_from_move(mv)
         s_delta = delta_eval(f, Lb) if (f.grade + 1) % 2 == 0 else -delta_eval(f, Lb)
         assert lhs == term1 - s_delta
         nontrivial += lhs != 0
@@ -209,7 +209,7 @@ def test_criterion_5_algebraic_identities():
         f = LocalCochain(3)
         for _ in range(3):
             f.set(random_walk_sphere(rng, steps=rng.randrange(0, 4)), Fraction(rng.randrange(-6, 7)))
-        M = sphere_from_move(enumerate_moves(_random_3sphere(rng, steps=rng.randrange(0, 3)))[0], check_sphere=False)
+        M = sphere_from_move(enumerate_moves(_random_3sphere(rng, steps=rng.randrange(0, 3)))[0])
         total = sum((delta_eval(f, M.link((v,))) for v in M.vertices), Fraction(0))
         assert total == 0
     elapsed = time.time() - t0

@@ -6,6 +6,7 @@ from itertools import permutations
 import pytest
 
 from bistellar.canonical import (
+    _ucanon,
     canonical_form,
     marked_encoding,
     materialize,
@@ -14,6 +15,7 @@ from bistellar.canonical import (
     relabel,
     relabel_oriented,
     ukey,
+    unoriented_canon,
 )
 from bistellar.enumeration import oriented_sphere_classes, spheres_by_expansion
 from bistellar.errors import NotPseudomanifold
@@ -103,6 +105,18 @@ def test_oriented_isomorphism_and_marked_encoding():
     # marked encodings are relabeling-invariant
     edge = sorted(oc.complex.faces_of_dim(1))[0]
     assert marked_encoding(oc, edge) == marked_encoding(other, tuple(sorted(perm[v] for v in edge)))
+
+
+def test_empty_complex_goes_through_the_general_search():
+    """{()} has no vertices: one leaf, the image ((),) and the empty labelling,
+    on the first search and on the class-table exit alike."""
+    assert unoriented_canon(Complex([()])) == (((),), [{}])
+    assert _ucanon.__wrapped__(frozenset({()})) == (((),), [{}])
+
+
+def test_oriented_isomorphism_is_none_between_two_classes():
+    assert oriented_isomorphism(octahedron(), orient(boundary_of_simplex(3))) is None
+    assert oriented_isomorphism(octahedron(), -octahedron()) is not None  # achiral
 
 
 def test_no_sphere_below_four_vertices():

@@ -4,7 +4,14 @@ from fractions import Fraction
 import pytest
 
 from bistellar.canonical import okey
-from bistellar.errors import BistellarError, ClosureFailure, InvalidParams, NotApplicable, UnrecognizedConfiguration
+from bistellar.errors import (
+    BistellarError,
+    ClosureFailure,
+    InvalidParams,
+    NotACycle,
+    NotApplicable,
+    UnrecognizedConfiguration,
+)
 from bistellar.gamma2 import (
     Gamma2Chain,
     _accept,
@@ -482,6 +489,37 @@ def test_accept_matches_whole_chain_measure():
                         assert got is None or got == s
                         seen[want] += 1
     assert seen[True] and seen[False]
+
+
+def test_accept_refuses_a_candidate_with_coefficient_two_on_the_target():
+    """Twice a commutation cycle, against a work chain that weighs 1 on the
+    target and twice the candidate elsewhere at the top: the scale read off
+    the target, s = 2, would lower the weight at the top but leave the
+    target at 1 - 2 * 2 = -3, so the candidate is refused."""
+    g = commutation_cycle(icosahedron(), (0, 1, 2), (0, 5, 6)).chain
+    top = max(_edge_order(e)[0] for e in g.terms)
+    key, *rest = sorted((e for e in g.terms if _edge_order(e)[0] == top), key=_edge_order)
+    assert rest
+    chain = g.scaled(2 * g.coeff(key))  # coefficient 2 on the target
+    work = {key: 1, **{e: 2 * chain.coeff(e) for e in rest}}
+    assert sum(abs(w - 2 * chain.coeff(e)) - abs(w) for e, w in work.items()) < 0
+    assert _accept(work, top, key, chain) is None
+    assert _accept(work, top, key, chain.scaled(Fraction(1, 2))) == 1
+
+
+def test_c_of_cycle_rejects_chains_that_are_no_cycles():
+    """``decompose_cycle``'s cycle test is the one on the way to a value:
+    c_of_cycle raises NotACycle on an integer chain and on a rational chain
+    with nonzero boundary, and the zero chain has value 0."""
+    comm = commutation_cycle(icosahedron(), (0, 1, 2), (0, 5, 6))
+    half = comm.chain.scaled(Fraction(1, 2))
+    key = next(k for k in half.terms if k.head != k.tail)
+    with pytest.raises(NotACycle):
+        c_of_cycle(Gamma2Chain({key: 1}))
+    with pytest.raises(NotACycle):
+        c_of_cycle(half.plus(Gamma2Chain({key: Fraction(1, 3)})))
+    assert c_of_cycle(half) == comm.value / 2
+    assert c_of_cycle(Gamma2Chain()) == 0
 
 
 def _outcome(f, *args):

@@ -231,6 +231,7 @@ def test_sphere_from_move_subdivision():
     d3 = orient(boundary_of_simplex(3))
     mv = enumerate_moves(d3)[0]
     Lb = sphere_from_move(mv)
+    assert is_combinatorial_sphere(Lb)
     assert len(Lb.vertices) == 7  # 4 + 1 fresh + u1, u2
     assert Lb.dim == 3
     u1, u2 = sorted(Lb.vertices)[-2:]
@@ -246,6 +247,7 @@ def test_sphere_from_move_octahedron_flip():
     octa = octahedron()
     fl = [m for m in enumerate_moves(octa) if len(m.sigma) == 2][0]
     Lb = sphere_from_move(fl)
+    assert is_combinatorial_sphere(Lb)
     assert len(Lb.vertices) == 8
     assert Lb.dim == 3
 
@@ -255,7 +257,7 @@ def test_sphere_from_move_vertex_set():
     for _ in range(5):
         L = random_walk_sphere(rng, steps=rng.randrange(0, 3), max_cx=8)
         mv = enumerate_moves(L)[rng.randrange(len(enumerate_moves(L)))]
-        Lb = sphere_from_move(mv, check_sphere=False)
+        Lb = sphere_from_move(mv)
         expected = set(L.vertices) | set(mv.tau)
         assert len(Lb.vertices) == len(expected) + 2
 
@@ -301,7 +303,7 @@ def test_orientation_transport_matches_orient(n):
         eps = res.facet_signs[kept] * ref.facet_signs[kept]
         assert res.facet_signs == {f: eps * s for f, s in ref.facet_signs.items()}
         OrientedComplex(res.complex, res.facet_signs, check=True)
-        Lb = sphere_from_move(mv, check_sphere=False)
+        Lb = sphere_from_move(mv)
         u1, u2 = sorted(Lb.vertices)[-2:]
         assert Lb.link((u2,)) == res
         assert Lb.link((u1,)) == -state

@@ -10,6 +10,7 @@ from bistellar.moves import apply_move, enumerate_moves
 from bistellar.reduction import MoveSequence, reduce_to_boundary, replay
 from bistellar.simplicial import boundary_of_simplex, join, orient
 from bistellar.spheres import is_combinatorial_sphere
+from bistellar.library import cp2_9
 from helpers import blocked_spheres, icosahedron, octahedron, perturbed_cp2, random_sphere
 
 
@@ -199,6 +200,23 @@ def test_budget_zero_raises_before_any_move_on_a_four_sphere():
     with pytest.raises(BudgetExhausted) as exc:
         reduce_to_boundary(K, budget=0)
     assert exc.value.moves_done == [] and len(exc.value.best_state.vertices) == 12
+
+
+def test_the_plateau_of_cp2_runs_out_after_one_state():
+    """CP² is 3-neighbourly: it has no move with 0 < k < 4 and no eliminable
+    vertex, so the search takes its first state and has no plateau left,
+    far below the cap; the error says which limit ended it."""
+    with pytest.raises(BudgetExhausted) as exc:
+        reduce_to_boundary(orient(cp2_9()), budget=100000)
+    assert exc.value.moves_done == [] and len(exc.value.best_state.vertices) == 9
+    assert str(exc.value) == "reduction plateau ran out after 1 of at most 100000 states (seed 0)"
+
+
+def test_unknown_sphere_verdict_names_the_cap():
+    K = random_sphere(random.Random(1), 12, dim=4)
+    verdict = is_combinatorial_sphere(K, budget=0)
+    assert verdict.verdict is None
+    assert verdict.reason == "reduction plateau cap reached after 0 of at most 0 states (seed 0)"
 
 
 def test_tracked_link_is_the_vertex_link(monkeypatch):

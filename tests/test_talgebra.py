@@ -125,7 +125,7 @@ def test_delta_squared_zero():
     for _ in range(20):
         L = _random_3sphere(rng, steps=rng.randrange(0, 4))
         mv = enumerate_moves(L)[0]
-        M = sphere_from_move(mv, check_sphere=False)  # a 4-sphere
+        M = sphere_from_move(mv)  # a 4-sphere
 
         def delta_f(sph):  # (delta f)(<sph>) for a 3-sphere
             return delta_eval(f, sph)
@@ -199,7 +199,7 @@ def test_chain_homotopy_identity_grade3():
         f = _random_cochain(rng, support, 3)
         lhs = d_edge(f, mv)
         term1 = delta_edge(lambda m: s_eval(f, m), mv)
-        Lb = sphere_from_move(mv, check_sphere=False)
+        Lb = sphere_from_move(mv)
         s_delta = delta_eval(f, Lb) if (f.grade + 1) % 2 == 0 else -delta_eval(f, Lb)
         assert lhs == term1 - s_delta
         if lhs != 0:
@@ -212,7 +212,7 @@ def test_s_equivariance_through_edge_sign():
     for _ in range(10):
         L = random_walk_sphere(rng, steps=rng.randrange(1, 4))
         mv = enumerate_moves(L)[0]
-        f = _random_cochain(rng, [sphere_from_move(mv, check_sphere=False)], 4)
+        f = _random_cochain(rng, [sphere_from_move(mv)], 4)
         v1 = s_eval(f, mv)
         mirrored = type(mv)(-mv.host, mv.sigma, mv.tau)
         assert s_eval(f, mirrored) == -v1

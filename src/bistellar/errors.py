@@ -75,10 +75,6 @@ class NotApplicable(BistellarError):
     """Commutation-cycle preconditions fail for the requested pair."""
 
 
-class ClosureFailure(BistellarError):
-    pass
-
-
 class UnrecognizedConfiguration(BistellarError):
     """A candidate cycle matches none of the catalogued local configurations."""
 

@@ -37,7 +37,10 @@ from ``BistellarMove.result``; face tests use ``facets_containing`` or the
 facet signs.  One walker, ``_carried_walk``, takes the moves of every
 elementary cycle on class representatives (``moves.carry``) and builds no
 state but the first; a commutation cycle is classified on the
-representative of a state of its own walk.
+representative of a state of its own walk.  Walks close by construction: a
+move (sigma, tau) toggles the triangles of d(sigma + tau), which cancel in
+pairs on a commutation walk and in d(d Delta^4) on a spec-b or pentagon
+loop; an untouched facet, found from 7 or 8 vertices on, keeps its sign.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ from fractions import Fraction
 
 from .canonical import OKey, designated_labelings, okey
 from .errors import (
-    ClosureFailure,
     DecompositionStuck,
     InvalidMove,
     InvalidParams,
@@ -231,17 +233,6 @@ def _carried_walk(L: OrientedComplex, plan) -> tuple[list[BistellarMove], list[t
     return moves, states
 
 
-def _closed(start, end) -> bool:
-    """True iff two walk states (class, labelling) are one complex."""
-    (key, lab0), (k1, lab1) = start, end
-    if k1 != key or lab1.keys() != lab0.keys():
-        return False
-    if lab1 == lab0:
-        return True
-    back = {c: v for v, c in lab0.items()}
-    return {tuple(sorted(lab1[back[c]] for c in f)) for f in key.facets} == set(key.facets)
-
-
 def _chain(moves: list[BistellarMove]) -> Gamma2Chain:
     """The sum of the Gamma_2 edges of a walk's representative moves."""
     out = Gamma2Chain()
@@ -346,10 +337,8 @@ def commutation_cycle(L: OrientedComplex, sigma1, sigma2) -> ElementaryCycle:
 
     It is classified on its walk, which visits L, L.m1, L.m1.m2 and L.m2: a
     removal is re-anchored as the insertion undoing it, which negates the
-    sign.  Raises NotApplicable when the paper's three conditions fail, and
-    ClosureFailure if the walk does not return to L; a closed walk is a
-    cycle, its chain telescoping to {L} - {L} (an inessential move joins a
-    class to itself).
+    sign.  Raises NotApplicable when the paper's three conditions fail.  The
+    walk closes into a cycle (module docstring; tested below 7 vertices).
     """
     sigma1, sigma2 = tuple(sorted(sigma1)), tuple(sorted(sigma2))
     tau1 = move_tau(L, sigma1)
@@ -363,9 +352,6 @@ def commutation_cycle(L: OrientedComplex, sigma1, sigma2) -> ElementaryCycle:
     if got is None:
         raise NotApplicable(f"the moves at {sigma1} and {sigma2} are not available in turn")
     moves, states = got
-    if not _closed(states[0], states[-1]):
-        raise ClosureFailure("commutation did not return to the start complex")
-    chain = _chain(moves)
     # classify on the representative of the state past the removals and before
     # the insertions, a removal re-anchored as the insertion undoing it; a
     # vertex the state lacks gets an id past the representative's 0 .. n-1
@@ -377,7 +363,7 @@ def commutation_cycle(L: OrientedComplex, sigma1, sigma2) -> ElementaryCycle:
         lab[x] = len(lab)
     on_rep = [[tuple(sorted(lab[x] for x in m)) for m in p] for p in pairs]
     kind, params, sign = _classify_pair(host, *[(s, t, BistellarMove(host, s, t).removed) for s, t in on_rep])
-    return ElementaryCycle(kind, params, chain, (-1) ** (r1 + r2) * sign)
+    return ElementaryCycle(kind, params, _chain(moves), (-1) ** (r1 + r2) * sign)
 
 
 def classify_elementary(L: OrientedComplex, sigma1: Simplex, sigma2: Simplex):
@@ -419,7 +405,7 @@ def special_cycle_b(R: OrientedComplex, e: int, D: int, C: int) -> ElementaryCyc
     """The 5-edge cycle through removing a degree-4 vertex e; kills the pair
     of flips at {e,D} and {e,C} for adjacent link corners D, C.  e must have
     degree 4 and D, C be its neighbours; None when D, C are not adjacent or
-    the walk is unavailable or open."""
+    the walk is unavailable.  Its last five moves close (module docstring)."""
     cycle = R.link_cycle(e)
     i, d = cycle.index(D), len(cycle)
     if C not in (cycle[i - 1], cycle[(i + 1) % d]):
@@ -439,7 +425,7 @@ def special_cycle_b(R: OrientedComplex, e: int, D: int, C: int) -> ElementaryCyc
             ((B, D), (A, C)),
         ],
     )
-    if got is None or not _closed(got[1][2], got[1][-1]):
+    if got is None:
         return None
     around = {tuple(sorted((e, cycle[j], cycle[(j + 1) % d]))) for j in range(d)}
     params = tuple(_outside(R, v, around) for v in (A, D, C, B))
@@ -452,7 +438,7 @@ def special_cycle_b(R: OrientedComplex, e: int, D: int, C: int) -> ElementaryCyc
 def special_cycle_c(L: OrientedComplex, sigma1: Simplex, sigma2: Simplex) -> ElementaryCycle | None:
     """The pentagon 5-flip cycle; kills the pair of fan diagonals sigma1 =
     {A,D}, sigma2 = {A,C}, two edges that must share just the apex A.  None
-    when the flips or the walk are unavailable or the walk is open."""
+    when the flips or the walk are unavailable; it closes by construction."""
     (A,) = set(sigma1) & set(sigma2)
     (Dv,) = set(sigma1) - {A}
     (Cv,) = set(sigma2) - {A}
@@ -471,7 +457,7 @@ def special_cycle_c(L: OrientedComplex, sigma1: Simplex, sigma2: Simplex) -> Ele
             ((Dv, B), (A, Cv)),
         ],
     )
-    if got is None or not _closed(got[1][0], got[1][-1]):
+    if got is None:
         return None
     # the two taus checked above make (A, Cv, Dv), (A, Dv, E) and (A, Cv, B) facets
     fan = [tuple(sorted(t)) for t in ((A, B, Cv), (A, Cv, Dv), (A, Dv, E))]
@@ -495,7 +481,7 @@ def _commute(L: OrientedComplex, sigma1, sigma2) -> ElementaryCycle | None:
     """
     try:
         return commutation_cycle(L, sigma1, sigma2)
-    except (NotApplicable, ClosureFailure, UnrecognizedConfiguration):
+    except (NotApplicable, UnrecognizedConfiguration):
         return None
 
 

@@ -145,7 +145,7 @@ def catalog() -> dict[str, ComplexLibraryEntry]:
             len(list(combinations(range(n + 1), k + 1))) for k in range(n)
         )
         out[f"boundary_delta_{n}"] = ComplexLibraryEntry.checked(
-            f"boundary_delta_{n}", K, fv, K.euler_characteristic, True
+            f"boundary_delta_{n}", K, fv, 1 + (-1) ** (n - 1), True  # chi(S^(n-1))
         )
     out["octahedron"] = ComplexLibraryEntry.checked(
         "octahedron", build_complex(OCTAHEDRON_FACETS), (6, 12, 8), 2, True

@@ -126,10 +126,8 @@ def move_tau(K: OrientedComplex, sigma: Simplex, used=(), star=None) -> Simplex 
         return (next(v for v in range(len(taken) + 1) if v not in taken),)
     if len(stars) != m:
         return None
-    tau = set(chain.from_iterable(stars)).difference(sigma)
-    if len(tau) != m:
-        return None
-    tau = tuple(sorted(tau))
+    # K is a pure closed pseudomanifold: m link facets span just m vertices
+    tau = tuple(sorted(set(chain.from_iterable(stars)).difference(sigma)))
     if (tau in star) if star is not None else K.facets_containing(tau):
         return None  # tau is a face of K, not an empty simplex
     return tau

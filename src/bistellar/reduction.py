@@ -17,9 +17,9 @@ lift, the link's search fails or the elimination needs more than
 ``budget`` moves.  Moves are scored from ``BistellarMove.result_degrees()``
 and only the picked ones are applied.
 
-The result is a replay-verified ``MoveSequence`` recorded in the
-coordinates of the canonical representative of the start class, so the
-certificate is self-contained and deterministic for a fixed seed.
+The result is a ``MoveSequence`` on the canonical representative of the
+start class: self-contained, deterministic per seed, and valid as built
+(``apply_move`` checked each move; ``pontryagin._carry_eta`` replays it).
 """
 
 from __future__ import annotations
@@ -169,13 +169,13 @@ def _search(state: OrientedComplex, rng: random.Random, cap: int) -> tuple[list[
 
 
 def reduce_to_boundary(L: OrientedComplex, budget: int = 4000, seed: int = 0) -> MoveSequence:
-    """A verified move sequence from L's class to the boundary of a simplex.
+    """A move sequence from L's class to the boundary of a simplex.
 
-    Deterministic given the seed.  Each step comes from ``_search``.
-    Raises BudgetExhausted (with the best partial state) if a search takes
-    ``budget`` plateau states, or runs out of plateau, without finding a
-    step; its message says which and how many states were taken.  With
-    ``budget`` 0 it is raised before any move.
+    Deterministic given the seed, and valid by construction.  Each step
+    comes from ``_search``.  Raises BudgetExhausted (with the best partial
+    state) if a search takes ``budget`` plateau states, or runs out of
+    plateau, without finding a step; its message says which and how many
+    states were taken.  With ``budget`` 0 it is raised before any move.
     """
     start_key = okey(L)
     state = materialize(start_key)
@@ -192,6 +192,4 @@ def reduce_to_boundary(L: OrientedComplex, budget: int = 4000, seed: int = 0) ->
             )
         state = path[-1].result
         trail.extend((mv.sigma, mv.tau) for mv in path)
-    seq = MoveSequence(start_key, tuple(trail), okey(state))
-    replay(seq)
-    return seq
+    return MoveSequence(start_key, tuple(trail), okey(state))

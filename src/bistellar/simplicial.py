@@ -221,6 +221,8 @@ class OrientedComplex(Complex):
         self.__dict__.update(complex.__dict__)
         self.facet_signs = dict(facet_signs)
         if check:
+            if not self.is_pure:
+                raise NotPseudomanifold("complex is not pure")
             if set(self.facet_signs) != set(self.facets):
                 raise NotPseudomanifold("facet_signs must cover exactly the facets")
             if any(s not in (1, -1) for s in self.facet_signs.values()):

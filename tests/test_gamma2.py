@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from bistellar.canonical import okey
 from bistellar.errors import (
     BistellarError,
-    ClosureFailure,
     InvalidParams,
     NotACycle,
     NotApplicable,
@@ -30,6 +30,7 @@ from bistellar.gamma2 import (
     special_cycle_b,
     special_cycle_c,
 )
+from bistellar.enumeration import spheres_by_expansion
 from bistellar.moves import BistellarMove, apply_move, edge_key, enumerate_moves, move_tau, sphere_complexity
 from bistellar.simplicial import boundary_of_simplex, build_complex, orient
 from helpers import icosahedron, octahedron, perturbed_cp2, random_loop_cycle, random_walk_sphere
@@ -203,7 +204,7 @@ def test_classification_matches_reapplied_removals():
                     got = classify_elementary(L, s1, s2)
                 except UnrecognizedConfiguration:
                     got = "unrecognized"
-                except (NotApplicable, ClosureFailure):
+                except NotApplicable:
                     continue
                 assert got == _reference_classification(L, s1, s2)
                 cases.add((len(s1) == 1, len(s2) == 1))
@@ -254,6 +255,56 @@ def test_elementary_cycles_have_zero_boundary():
         except NotApplicable:
             continue
         assert g.chain.is_cycle()
+
+
+def test_every_built_walk_closes_on_small_spheres(monkeypatch):
+    """On every oriented 2-sphere class of at most 8 vertices, in both
+    orientations, each commutation, spec-b and spec-c cycle the builders
+    return re-applies with ``apply_move`` to a closed walk: its end equals
+    its start in facets and signs (spec-b's loop starts after its first two
+    moves), and its chain is a cycle.  The builders test no walk for
+    closure; on larger spheres a facet no move touches keeps its sign."""
+    import bistellar.gamma2 as gamma2
+
+    real, walks = gamma2._carried_walk, []
+
+    def spy(L, plan):
+        walks.append((L, plan))
+        return real(L, plan)
+
+    monkeypatch.setattr(gamma2, "_carried_walk", spy)
+    built = Counter()
+
+    def check(kind, g, start=0):
+        if g is None:
+            return
+        L, plan = walks[-1]
+        states = [L]
+        for s, t in plan:
+            states.append(apply_move(BistellarMove(states[-1], tuple(sorted(s)), tuple(sorted(t)))))
+        assert states[-1] == states[start] and g.chain.is_cycle()
+        built[kind] += 1
+
+    for facets in (k for keys in spheres_by_expansion(8).values() for k in keys):
+        L0 = orient(build_complex(facets))
+        for L in (L0, -L0):
+            sigmas = sorted({m.sigma for m in enumerate_moves(L)})
+            for i, s1 in enumerate(sigmas):
+                for s2 in sigmas[i + 1 :]:  # the swapped pair walks the same loop
+                    try:
+                        check("comm", commutation_cycle(L, s1, s2))
+                    except (NotApplicable, UnrecognizedConfiguration):
+                        pass
+                    if len(s1) == len(s2) == 2 and len(set(s1) & set(s2)) == 1:
+                        check("spec-c", special_cycle_c(L, s1, s2))
+                        check("spec-c", special_cycle_c(L, s2, s1))
+            for e in L.vertices:
+                if L.degree(e) == 4:
+                    for D in L.link_cycle(e):
+                        for C in L.link_cycle(e):
+                            if C != D:
+                                check("spec-b", special_cycle_b(L, e, D, C), start=2)
+    assert built == {"comm": 9280, "spec-b": 528, "spec-c": 584}
 
 
 def test_chain_serialization_round_trip():
@@ -354,9 +405,8 @@ def test_walk_chains_are_their_edge_keys(monkeypatch):
     representatives, and agrees with the same plan applied to concrete
     copies, each move labelled on its own: the walk is rejected exactly
     when a concrete move is not available; otherwise each representative
-    move has the concrete move's ``edge_key``, each state's class and
-    labelling are its concrete complex's, and two states close up exactly
-    when their concrete complexes are equal."""
+    move has the concrete move's ``edge_key``, and each state's class and
+    labelling are its concrete complex's."""
     import bistellar.gamma2 as gamma2
     from bistellar.canonical import designated_labelings
     from bistellar.errors import InvalidMove
@@ -379,14 +429,7 @@ def test_walk_chains_are_their_edge_keys(monkeypatch):
                 ok = got[0][i - 1].edge == edge_key(mv)
                 key, lab = got[1][i]
                 checked.append(ok and key == okey(state) and lab in designated_labelings(state))
-        if got is None:
-            checked.append(False)
-            return got
-        states = got[1]
-        checked.append(all(
-            gamma2._closed(states[i], states[j]) == (concrete[i].facets == concrete[j].facets)
-            for i in range(len(states)) for j in range(i + 1, len(states))
-        ))
+        checked.append(got is not None)
         return got
 
     monkeypatch.setattr(gamma2, "_carried_walk", spy)

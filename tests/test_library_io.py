@@ -20,11 +20,18 @@ def test_catalog_entries_validate():
     assert {"boundary_delta_2", "octahedron", "icosahedron", "rp2_6", "cross_3", "cross_4"} <= set(entries)
     for e in entries.values():
         assert e.complex.f_vector == e.f_vector
+    # the boundary of the n-simplex is checked against chi(S^(n-1))
+    assert [entries[f"boundary_delta_{n}"].euler for n in range(2, 7)] == [0, 2, 0, 2, 0]
 
 
 def test_checked_rejects_wrong_data():
-    with pytest.raises(NotClosedManifold):
+    """A wrong f-vector, Euler characteristic or orientability each fail."""
+    with pytest.raises(NotClosedManifold, match="f-vector"):
         ComplexLibraryEntry.checked("bad", simplex_boundary(3), (4, 6, 5), 2, True)
+    with pytest.raises(NotClosedManifold, match="Euler characteristic"):
+        ComplexLibraryEntry.checked("bad", simplex_boundary(3), (4, 6, 4), 0, True)
+    with pytest.raises(NotClosedManifold, match="orientability"):
+        ComplexLibraryEntry.checked("bad", simplex_boundary(3), (4, 6, 4), 2, False)
 
 
 def test_cross_polytopes():

@@ -172,6 +172,12 @@ def test_induced_moves_facet_subdivision():
         assert ukey(apply_move(m).complex) == ukey(res.link((v,)).complex)
 
 
+def test_induced_moves_on_a_circle_are_identities():
+    circle = orient(boundary_of_simplex(2))
+    mv = next(m for m in enumerate_moves(circle) if m.sigma == (0, 1))  # an edge subdivision
+    assert induced_vertex_moves(mv) == [(0, None), (1, None)]
+
+
 def test_induced_moves_edge_flip():
     octa = octahedron()
     fl = [m for m in enumerate_moves(octa) if len(m.sigma) == 2][0]

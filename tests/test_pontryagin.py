@@ -252,7 +252,7 @@ def test_p1_disjoint_union_componentwise():
     assert comp_sums.get(True, 0) == 0
 
 
-def test_xi_cache_persistence(tmp_path):
+def test_xi_cache_persistence(tmp_path, monkeypatch):
     path = str(tmp_path / "xi.json")
     cache = XiCache(path)
     octa = octahedron()
@@ -263,6 +263,11 @@ def test_xi_cache_persistence(tmp_path):
     assert okey(octa) in reloaded.chains or okey(octa).mirror() in reloaded.chains
     assert xi_chain(octa, reloaded) == xi
     assert reloaded.certs
+    monkeypatch.chdir(tmp_path)
+    unsaved = XiCache()
+    xi_chain(octa, unsaved)
+    unsaved.save()  # a cache without a path writes nothing
+    assert [p.name for p in tmp_path.iterdir()] == ["xi.json"]
 
 
 @pytest.mark.parametrize("fn", [p1_dual_local, p1_dual_direct, p1_number])

@@ -185,6 +185,21 @@ def test_oriented_complex_view_forgets_the_orientation():
     assert OC != view and view != OC
 
 
+def test_oriented_complex_checks_its_input():
+    """One sign, +1 or -1, per facet of a pure complex.  A complex with
+    facets of two sizes is refused even when each part is coherently
+    signed: ``move_tau`` reads a pure closed pseudomanifold."""
+    tet = orient(boundary_of_simplex(3))
+    K, signs = tet.complex, tet.facet_signs
+    with pytest.raises(NotPseudomanifold, match="cover exactly"):
+        OrientedComplex(K, {f: s for f, s in signs.items() if f != min(signs)})
+    with pytest.raises(NotPseudomanifold, match="must be"):
+        OrientedComplex(K, {**signs, min(signs): 2})
+    both = {**signs, **orient(build_complex([(4, 5), (5, 6), (4, 6)])).facet_signs}
+    with pytest.raises(NotPseudomanifold, match="not pure"):
+        OrientedComplex(Complex(both), both)
+
+
 def test_oriented_complex_equality_compares_facets_and_signs():
     L = _chiral_sphere()
     copy = OrientedComplex(Complex(sorted(L.facets)), {f: L.facet_signs[f] for f in sorted(L.facets, reverse=True)})

@@ -78,6 +78,11 @@ def test_manifold_verdicts_no_and_unknown():
     assert is_combinatorial_manifold(cp2_9()).verdict is True
 
 
+def test_a_0_dimensional_complex_is_a_manifold():
+    v = is_combinatorial_manifold(Complex([(0,), (1,), (2,)]))
+    assert v.verdict is True and v.reason == "0-dimensional"
+
+
 def test_manifold_check_computes_no_link_signs(monkeypatch):
     """On the oriented CP^2 the vertex links are read as plain complexes:
     the verdict is the unoriented one, and ``OrientedComplex.link`` is never

@@ -40,6 +40,10 @@ def test_all_wk_are_cycles_on_3_sphere():
         assert ch.is_cycle(), k
 
 
+def test_the_empty_chain_bounds():
+    assert is_mod2_boundary(Mod2Chain(boundary_of_simplex(3), 1, frozenset()))
+
+
 def test_rejects_open_complexes():
     with pytest.raises(NotClosedManifold):
         sw_duals(build_complex([[0, 1, 2]]))

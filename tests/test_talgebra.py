@@ -218,6 +218,13 @@ def test_s_equivariance_through_edge_sign():
         assert s_eval(f, mirrored) == -v1
 
 
+def test_s_eval_needs_moves_two_grades_down():
+    mv = enumerate_moves(octahedron())[0]  # a move of 2-spheres
+    assert s_eval(LocalCochain(4), mv) == 0
+    with pytest.raises(DimensionTooSmall):
+        s_eval(LocalCochain(5), mv)
+
+
 def test_alpha_cycle_examples():
     d4 = orient(boundary_of_simplex(4))
     assert not alpha_cycle(d4).terms

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, combinations, permutations
 from typing import NamedTuple
 
@@ -85,8 +84,7 @@ def _decode_okey(text: str) -> OKey:
     return OKey(facets, sign)
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     """Result of ``canonical_form``: labeling plus class keys."""
 
     labeling: dict

@@ -49,8 +49,8 @@ import functools
 import math
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .canonical import OKey, designated_labelings, okey
 from .errors import (
@@ -198,8 +198,7 @@ def c_value(kind: str, params: tuple[int, ...]) -> Fraction:
     raise InvalidParams(f"unknown kind {kind}")
 
 
-@dataclass(frozen=True)
-class ElementaryCycle:
+class ElementaryCycle(NamedTuple):
     """A catalogued cycle: ``<c, chain> = sign * c_value(kind, params)``."""
 
     kind: str

@@ -10,18 +10,17 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import MalformedInput, NotClosedManifold, parsing
 from .simplicial import Complex, Simplex, boundary_of_simplex, build_complex, is_orientable, perm_parity, simplex
-from .spheres import is_combinatorial_sphere
+from .spheres import is_combinatorial_manifold
 
 _DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 
-@dataclass(frozen=True)
-class ComplexLibraryEntry:
+class ComplexLibraryEntry(NamedTuple):
     name: str
     complex: Complex
     f_vector: tuple[int, ...]
@@ -125,14 +124,12 @@ def cp2_9() -> Complex:
 
     Loaded from the bundled facet list and revalidated: 9 vertices, 36
     facets, Euler characteristic 3, and every vertex link an 8-vertex
-    combinatorial 3-sphere.
+    combinatorial 3-sphere (one reduction search per link class).
     """
     K, _ = read_facet_file(os.path.join(_DATA_DIR, "cp2_9.facets"))
     entry = ComplexLibraryEntry.checked("cp2_9", K, (9, 36, 84, 90, 36), 3, True)
-    for v in K.vertices:
-        lk = K.link((v,))
-        if len(lk.vertices) != 8 or not is_combinatorial_sphere(lk):
-            raise NotClosedManifold(f"cp2_9: link of vertex {v} is not an 8-vertex 3-sphere")
+    if not (links := is_combinatorial_manifold(K)) or any(len(K.link((v,)).vertices) != 8 for v in K.vertices):
+        raise NotClosedManifold(f"cp2_9: vertex links are not all 8-vertex 3-spheres ({links.reason})")
     return entry.complex
 
 

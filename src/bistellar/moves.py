@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from typing import Collection, NamedTuple
@@ -40,17 +39,22 @@ from .errors import InvalidMove
 from .simplicial import Complex, OrientedComplex, Simplex, faces, orient, perm_parity
 
 
-@dataclass(frozen=True)
 class BistellarMove:
     """The move (host, sigma, tau); tau may contain one fresh vertex (k = n)."""
 
-    host: OrientedComplex
-    sigma: Simplex
-    tau: Simplex
+    __slots__ = ("host", "sigma", "tau", "__dict__")  # the cached properties need a __dict__
 
-    def __post_init__(self):
-        object.__setattr__(self, "sigma", tuple(self.sigma))
-        object.__setattr__(self, "tau", tuple(self.tau))
+    def __init__(self, host: OrientedComplex, sigma: Simplex, tau: Simplex):
+        self.host, self.sigma, self.tau = host, tuple(sigma), tuple(tau)
+
+    def __eq__(self, o) -> bool:
+        return isinstance(o, BistellarMove) and (self.host, self.sigma, self.tau) == (o.host, o.sigma, o.tau)
+
+    def __hash__(self) -> int:
+        return hash((self.host, self.sigma, self.tau))
+
+    def __repr__(self) -> str:
+        return f"BistellarMove(host={self.host!r}, sigma={self.sigma!r}, tau={self.tau!r})"
 
     @property
     def k(self) -> int:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import random
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .canonical import OKey, materialize, okey, ukey
 from .errors import BudgetExhausted, MalformedInput
@@ -35,8 +35,7 @@ from .moves import BistellarMove, apply_move, complexity_thirds, decreasing_move
 from .simplicial import OrientedComplex, Simplex
 
 
-@dataclass(frozen=True)
-class MoveSequence:
+class MoveSequence(NamedTuple):
     """Replayable reduction certificate.
 
     Moves are (sigma, tau) pairs valid on the canonical representative of

@@ -7,15 +7,15 @@ certificate, and a failed search within budget yields Unknown, never No.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import reduction
+from .canonical import ukey
 from .errors import BudgetExhausted, NonOrientable
 from .simplicial import Complex, orient
 
 
-@dataclass(frozen=True)
-class SphereVerdict:
+class SphereVerdict(NamedTuple):
     verdict: bool | None  # True / False / None = Unknown
     reason: str
     certificate: object | None = None  # MoveSequence for a Yes in dim >= 3
@@ -60,14 +60,19 @@ def is_combinatorial_sphere(K: Complex, budget: int = 20000, seed: int = 0) -> S
 
 def is_combinatorial_manifold(K: Complex, budget: int = 20000, seed: int = 0) -> SphereVerdict:
     """Every vertex link must be a combinatorial sphere (of dimension dim-1,
-    as every vertex link of a pure complex is), read without signs."""
+    as every vertex link of a pure complex is), read without signs; a link
+    of dimension >= 3 is searched once per class (``ukey``)."""
     if not K.is_pure:
         return SphereVerdict(False, "not pure")
     if K.dim == 0:
         return SphereVerdict(True, "0-dimensional")
     unknown = False
+    verdicts: dict = {}  # by ukey, or by vertex below dimension 3
     for v in K.vertices:
-        sub = is_combinatorial_sphere(Complex.link(K, (v,)), budget=budget, seed=seed)
+        lk = Complex.link(K, (v,))
+        if (k := ukey(lk) if lk.dim >= 3 else v) not in verdicts:
+            verdicts[k] = is_combinatorial_sphere(lk, budget=budget, seed=seed)
+        sub = verdicts[k]
         if sub.verdict is False:
             return SphereVerdict(False, f"link of vertex {v}: {sub.reason}")
         if sub.verdict is None:

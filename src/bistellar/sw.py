@@ -17,18 +17,17 @@ space (Halperin and Toledo, Ann. of Math. 96, 1972).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import NotClosedManifold
 from .simplicial import Complex, Simplex, barycentric_subdivision, faces
 
 
-@dataclass
-class Mod2Chain:
+class Mod2Chain(NamedTuple):
     ambient: Complex
     degree: int
-    simplices: frozenset[Simplex] = field(default_factory=frozenset)
+    simplices: frozenset[Simplex] = frozenset()
 
     def boundary(self) -> "Mod2Chain":
         # not simplicial.faces: the signs are not needed (callers: the CLI sw report, the tests)

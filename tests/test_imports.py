@@ -22,6 +22,22 @@ importlib.import_module("bistellar." + sys.argv[2])
 """
 
 
+# modules that ``dataclasses`` pulls in, which the package's records do not need
+_SLOW = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+_LOADED = "import sys; sys.path.insert(0, sys.argv[1]); import bistellar; print(*sorted(set(sys.argv[2:]) & set(sys.modules)))"
+
+
+def test_package_import_loads_no_dataclasses():
+    """``import bistellar`` in a fresh interpreter without ``site`` loads
+    neither ``dataclasses`` nor ``inspect``: its records are named tuples
+    and small classes."""
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _LOADED, str(PKG.parent), *_SLOW], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_module_imports_alone(module):
     done = subprocess.run(

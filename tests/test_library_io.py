@@ -34,6 +34,18 @@ def test_checked_rejects_wrong_data():
         ComplexLibraryEntry.checked("bad", simplex_boundary(3), (4, 6, 4), 2, False)
 
 
+def test_cp2_names_the_failing_link(monkeypatch):
+    """A link verdict other than Yes stops the load, and its reason names
+    the vertex."""
+    import bistellar.library as library
+    from bistellar.spheres import SphereVerdict
+
+    no = SphereVerdict(False, "link of vertex 4: Euler characteristic 1 != 0")
+    monkeypatch.setattr(library, "is_combinatorial_manifold", lambda K: no)
+    with pytest.raises(NotClosedManifold, match="cp2_9: .*link of vertex 4: Euler characteristic 1 != 0"):
+        cp2_9()
+
+
 def test_cross_polytopes():
     assert cross_polytope_boundary(3).f_vector == (6, 12, 8)
     assert cross_polytope_boundary(4).f_vector == (8, 24, 32, 16)

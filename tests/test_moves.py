@@ -109,7 +109,25 @@ def test_four_sphere_search_budget_reaches_links(monkeypatch):
     # links that exhaust the budget are Unknown, and Unknown is never No
     starved = is_combinatorial_sphere(K.complex, budget=0)
     assert starved.verdict is None
-    assert len(budgets) == len(K.vertices) + 1 and set(budgets) == {0}
+    # one search per vertex-link class, then one on K itself
+    classes = {ukey(K.complex.link((v,))) for v in K.vertices}
+    assert len(budgets) == len(classes) + 1 and set(budgets) == {0}
+
+
+def test_a_move_is_its_host_sigma_and_tau(monkeypatch):
+    import bistellar.moves as moves
+
+    d3 = orient(boundary_of_simplex(3))
+    a = BistellarMove(d3, [0, 1, 2], [4])
+    b = BistellarMove(orient(boundary_of_simplex(3)), (0, 1, 2), (4,))
+    assert (a.sigma, a.tau) == ((0, 1, 2), (4,))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != BistellarMove(d3, (0, 1, 3), (4,)) and a != BistellarMove(d3, (0, 1, 2), (5,))
+    assert a != BistellarMove(apply_move(b), (0, 1, 2), (4,)) and a != (d3, (0, 1, 2), (4,))
+    assert repr(a) == f"BistellarMove(host={d3!r}, sigma=(0, 1, 2), tau=(4,))"
+    applied, real = [], moves.apply_move
+    monkeypatch.setattr(moves, "apply_move", lambda mv: applied.append(mv) or real(mv))
+    assert a.result is a.result and applied == [a]
 
 
 def test_invalid_move_rejected():

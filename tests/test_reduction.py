@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 
 import pytest
@@ -69,6 +70,13 @@ def test_certificate_json_round_trip():
     again = MoveSequence.from_json(seq.to_json())
     assert again == seq
     replay(again)
+
+
+def test_certificate_is_a_dict_key_through_json():
+    seq = reduce_to_boundary(octahedron(), seed=1)
+    again = MoveSequence.from_json(json.loads(seq.dumps()))
+    assert {seq: "octahedron"}[again] == "octahedron" and hash(again) == hash(seq)
+    assert again.dumps() == seq.dumps()
 
 
 # reduce_to_boundary(...).dumps() of the link of vertex 2 of perturbed_cp2(4):

@@ -2,10 +2,12 @@
 
 import pytest
 
+import bistellar.reduction as reduction
+from bistellar.canonical import ukey
 from bistellar.library import RP2_6_FACETS, cp2_9
 from bistellar.simplicial import Complex, boundary_of_simplex, build_complex, orient
-from bistellar.spheres import is_combinatorial_manifold, is_combinatorial_sphere
-from helpers import icosahedron, product, suspension, torus_7
+from bistellar.spheres import SphereVerdict, is_combinatorial_manifold, is_combinatorial_sphere
+from helpers import icosahedron, perturbed_cp2, product, suspension, torus_7
 
 
 def _disjoint(K: Complex, shift: int) -> Complex:
@@ -102,6 +104,65 @@ def test_suspended_torus_is_no_manifold():
     """The apexes 7 and 8 of the suspended torus have the torus as link."""
     v = is_combinatorial_manifold(suspension(torus_7()))
     assert v.verdict is False and v.reason == "link of vertex 7: Euler characteristic 0 != 2"
+
+
+def _per_vertex_manifold(K: Complex, budget: int) -> tuple[bool | None, str]:
+    """The manifold check as a plain loop: one sphere test per vertex link,
+    in vertex order, with no grouping by class."""
+    unknown = False
+    for v in K.vertices:
+        sub = is_combinatorial_sphere(Complex.link(K, (v,)), budget=budget)
+        if sub.verdict is False:
+            return False, f"link of vertex {v}: {sub.reason}"
+        unknown = unknown or sub.verdict is None
+    if unknown:
+        return None, "some link verdicts unknown within budget"
+    return True, "all vertex links are combinatorial spheres"
+
+
+@pytest.mark.parametrize(
+    "make, budget",
+    [
+        (cp2_9, 20000),
+        (lambda: perturbed_cp2(1, 5), 20000),
+        (lambda: perturbed_cp2(3, 5), 20000),
+        (lambda: suspension(torus_7()), 20000),
+        (cp2_9, 0),
+    ],
+    ids=["cp2", "perturbed-1", "perturbed-3", "suspended-torus", "cp2-budget-0"],
+)
+def test_one_test_per_link_class_keeps_the_verdict(make, budget):
+    K = make()
+    v = is_combinatorial_manifold(K, budget=budget)
+    assert (v.verdict, v.reason) == _per_vertex_manifold(K, budget) and v.certificate is None
+
+
+def _searches(monkeypatch) -> list:
+    calls = []
+    real = reduction.reduce_to_boundary
+    monkeypatch.setattr(reduction, "reduce_to_boundary", lambda L, **kw: calls.append(L) or real(L, **kw))
+    return calls
+
+
+def test_cp2_links_take_one_search(monkeypatch):
+    """The nine vertex links of the vertex-transitive CP^2 are one class."""
+    calls = _searches(monkeypatch)
+    K = cp2_9()  # its loader checks the links through is_combinatorial_manifold
+    assert len(calls) == 1
+    assert is_combinatorial_manifold(K).verdict is True and len(calls) == 2
+
+
+def test_perturbed_links_take_one_search_per_class(monkeypatch):
+    K = perturbed_cp2(1, 5)
+    classes = {ukey(Complex.link(K, (v,))) for v in K.vertices}
+    calls = _searches(monkeypatch)
+    assert is_combinatorial_manifold(K).verdict is True
+    assert len(calls) == len(classes) < len(K.vertices)
+
+
+def test_a_verdict_is_truthy_only_for_yes():
+    assert SphereVerdict(True, "yes") and SphereVerdict(True, "yes").certificate is None
+    assert not SphereVerdict(False, "no") and not SphereVerdict(None, "unknown")
 
 
 def test_cp2_times_circle_is_a_manifold():

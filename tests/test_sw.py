@@ -44,6 +44,11 @@ def test_the_empty_chain_bounds():
     assert is_mod2_boundary(Mod2Chain(boundary_of_simplex(3), 1, frozenset()))
 
 
+def test_a_chain_has_no_simplices_by_default():
+    empty = Mod2Chain(boundary_of_simplex(3), 1)
+    assert empty.simplices == frozenset() and empty == Mod2Chain(boundary_of_simplex(3), 1, frozenset())
+
+
 def test_rejects_open_complexes():
     with pytest.raises(NotClosedManifold):
         sw_duals(build_complex([[0, 1, 2]]))

@@ -20,7 +20,7 @@ from bistellar.talgebra import (
     s_eval,
     sphere_chain,
 )
-from helpers import octahedron, random_walk_sphere
+from helpers import octahedron, perturbed_cp2, random_walk_sphere
 
 
 def _random_3sphere(rng, steps=6, cap=9):
@@ -240,6 +240,15 @@ def test_alpha_cycle_on_cp2():
     a = alpha_cycle(K)
     total = sum(abs(v) for v in a.terms.values())
     assert total == 9  # nine links, all in one chiral class
+    assert not boundary_t(a)
+
+
+def test_alpha_cycle_is_a_cycle_on_perturbed_input():
+    """The links of an edge vw, seen from v and from w, carry opposite
+    orientations, so the sum of vertex links is a cycle on any oriented
+    manifold, not only on a vertex-transitive one."""
+    a = alpha_cycle(perturbed_cp2(1, 5))
+    assert a.terms and not boundary_t(a)
 
 
 def test_integer_chains_equal_their_fraction_twins():

@@ -122,13 +122,13 @@ def write_facet_file(path: str, K: Complex, header: str | None = None) -> None:
 def cp2_9() -> Complex:
     """The 9-vertex triangulation of the complex projective plane.
 
-    Loaded from the bundled facet list and revalidated: 9 vertices, 36
-    facets, Euler characteristic 3, and every vertex link an 8-vertex
-    combinatorial 3-sphere (one reduction search per link class).
+    Loaded from the bundled facet list and revalidated: its f-vector (36
+    edges on 9 vertices give each vertex link all 8 others), Euler
+    characteristic 3, and every vertex link a combinatorial 3-sphere.
     """
     K, _ = read_facet_file(os.path.join(_DATA_DIR, "cp2_9.facets"))
     entry = ComplexLibraryEntry.checked("cp2_9", K, (9, 36, 84, 90, 36), 3, True)
-    if not (links := is_combinatorial_manifold(K)) or any(len(K.link((v,)).vertices) != 8 for v in K.vertices):
+    if not (links := is_combinatorial_manifold(K)):
         raise NotClosedManifold(f"cp2_9: vertex links are not all 8-vertex 3-spheres ({links.reason})")
     return entry.complex
 

@@ -42,10 +42,11 @@ from .simplicial import Complex, OrientedComplex, Simplex, faces, orient, perm_p
 class BistellarMove:
     """The move (host, sigma, tau); tau may contain one fresh vertex (k = n)."""
 
-    __slots__ = ("host", "sigma", "tau", "__dict__")  # the cached properties need a __dict__
-
     def __init__(self, host: OrientedComplex, sigma: Simplex, tau: Simplex):
-        self.host, self.sigma, self.tau = host, tuple(sigma), tuple(tau)
+        self.__dict__.update(host=host, sigma=tuple(sigma), tau=tuple(tau))
+
+    def __setattr__(self, name: str, value) -> None:  # (host, sigma, tau) is its hash
+        raise AttributeError(f"cannot assign to BistellarMove.{name}")
 
     def __eq__(self, o) -> bool:
         return isinstance(o, BistellarMove) and (self.host, self.sigma, self.tau) == (o.host, o.sigma, o.tau)

@@ -60,23 +60,22 @@ def is_combinatorial_sphere(K: Complex, budget: int = 20000, seed: int = 0) -> S
 
 def is_combinatorial_manifold(K: Complex, budget: int = 20000, seed: int = 0) -> SphereVerdict:
     """Every vertex link must be a combinatorial sphere (of dimension dim-1,
-    as every vertex link of a pure complex is), read without signs; a link
-    of dimension >= 3 is searched once per class (``ukey``)."""
+    as every vertex link of a pure complex is), read without signs.  Links of
+    dimension >= 3 that are closed pseudomanifolds (few automorphisms, so a
+    cheap ``ukey``) are tested once per class; other links only cheaply."""
     if not K.is_pure:
         return SphereVerdict(False, "not pure")
     if K.dim == 0:
         return SphereVerdict(True, "0-dimensional")
     unknown = False
-    verdicts: dict = {}  # by ukey, or by vertex below dimension 3
+    verdicts: dict = {}  # by ukey, or by vertex where no search runs
     for v in K.vertices:
         lk = Complex.link(K, (v,))
-        if (k := ukey(lk) if lk.dim >= 3 else v) not in verdicts:
+        if (k := ukey(lk) if lk.dim >= 3 and lk.is_closed_pseudomanifold else v) not in verdicts:
             verdicts[k] = is_combinatorial_sphere(lk, budget=budget, seed=seed)
-        sub = verdicts[k]
-        if sub.verdict is False:
+        if (sub := verdicts[k]).verdict is False:
             return SphereVerdict(False, f"link of vertex {v}: {sub.reason}")
-        if sub.verdict is None:
-            unknown = True
+        unknown = unknown or sub.verdict is None
     if unknown:
         return SphereVerdict(None, "some link verdicts unknown within budget")
     return SphereVerdict(True, "all vertex links are combinatorial spheres")

@@ -125,6 +125,9 @@ def test_a_move_is_its_host_sigma_and_tau(monkeypatch):
     assert a != BistellarMove(d3, (0, 1, 3), (4,)) and a != BistellarMove(d3, (0, 1, 2), (5,))
     assert a != BistellarMove(apply_move(b), (0, 1, 2), (4,)) and a != (d3, (0, 1, 2), (4,))
     assert repr(a) == f"BistellarMove(host={d3!r}, sigma=(0, 1, 2), tau=(4,))"
+    with pytest.raises(AttributeError, match="cannot assign to BistellarMove.sigma"):
+        a.sigma = (0, 1, 3)
+    assert a.sigma == (0, 1, 2) and hash(a) == hash(b)
     applied, real = [], moves.apply_move
     monkeypatch.setattr(moves, "apply_move", lambda mv: applied.append(mv) or real(mv))
     assert a.result is a.result and applied == [a]

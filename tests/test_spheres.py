@@ -1,5 +1,7 @@
 """The negative and unknown verdicts of sphere and manifold recognition."""
 
+from itertools import combinations
+
 import pytest
 
 import bistellar.reduction as reduction
@@ -158,6 +160,19 @@ def test_perturbed_links_take_one_search_per_class(monkeypatch):
     calls = _searches(monkeypatch)
     assert is_combinatorial_manifold(K).verdict is True
     assert len(calls) == len(classes) < len(K.vertices)
+
+
+def test_a_wedge_link_fails_before_any_class_key(monkeypatch):
+    """Three boundaries of the 5-simplex glued at vertex 0: the link of 0 is
+    three disjoint 3-spheres with 120**3 * 3! automorphisms, far too many to
+    canonize, and the cheap pseudomanifold test rejects it unkeyed."""
+    import bistellar.spheres as spheres
+
+    K = build_complex(f for c in range(3) for f in combinations([0, *range(5 * c + 1, 5 * c + 6)], 5))
+    assert (len(K.vertices), len(K.facets)) == (16, 18)
+    monkeypatch.setattr(spheres, "ukey", lambda L: pytest.fail("a link was put in canonical form"))
+    v = is_combinatorial_manifold(K)
+    assert (v.verdict, v.reason) == (False, "link of vertex 0: not a closed connected pseudomanifold")
 
 
 def test_a_verdict_is_truthy_only_for_yes():

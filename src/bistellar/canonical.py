@@ -22,7 +22,7 @@ by path (``_by_path``) returns the same labelings in the same order as a
 full search.  Any isomorphism onto T serves as beta: T itself takes the
 identity, and ``transported_labeling`` takes a known one.  The boundary of
 a simplex is not searched: every labeling is optimal, in the order of the
-permutations that individualize its vertices.
+permutations that individualize its vertices (``_simplex_perms``).
 
 Keys:
 
@@ -41,7 +41,7 @@ from itertools import chain, combinations, permutations
 from typing import NamedTuple
 
 from .errors import NotPseudomanifold
-from .simplicial import Complex, OrientedComplex, Simplex, boundary_of_simplex, orient, perm_parity
+from .simplicial import Complex, OrientedComplex, Simplex, boundary_of_simplex, coherent_signs, orient, perm_parity
 
 # ---------------------------------------------------------------------------
 # keys
@@ -210,10 +210,7 @@ def _ucanon(facet_set: frozenset) -> _UCanon:
     if len(facet_set) == n and all(len(f) == n - 1 for f in facet_set):
         # the boundary of a simplex: the search individualizes the vertices
         # one by one in every order, and every leaf is optimal
-        return _UCanon(
-            tuple(combinations(range(n), n - 1)),
-            [dict(sorted(zip(perm, range(n)))) for perm in permutations(vertices)],
-        )
+        return _UCanon(tuple(combinations(range(n), n - 1)), [dict(zip(vertices, a)) for a, _, _ in _simplex_perms(n)])
     pos = {v: p for p, v in enumerate(vertices)}
     facets = sorted([tuple(map(pos.__getitem__, f)) for f in facet_set])
     star: list[list[int]] = [[] for _ in vertices]
@@ -298,17 +295,37 @@ def _by_path(entries: list[tuple[list[int], tuple[int, ...]]], beta: list[int]) 
     return [[a[b] for b in beta] for _, a in ranked]
 
 
-def transported_labeling(key: OKey, psi: dict[int, int]) -> dict[int, int] | None:
+@functools.cache
+def _simplex_perms(n: int) -> list[tuple[list[int], tuple[int, ...], int]]:
+    """The labelings of the boundary of a simplex on n vertices in search
+    order: for each order p in which the search individualizes the sorted
+    vertices, their labels p^-1, the leaf's path p and p's parity."""
+    return [(_inverse(p), p, perm_parity(p)) for p in permutations(range(n))]
+
+
+@functools.cache
+def _kept(facets: FacetTuple) -> list[tuple[list[int], tuple[int, ...]]]:
+    """The entries (a, a^-1(P_T)) of T in ``_class_table`` whose a keeps T's
+    orientation; a complex with designated labeling lab has a o lab over them.
+    A simplex boundary, never filed, keeps the even permutations; a class
+    emptied from the table is searched again."""
+    rep, f = _rep_signs(facets), facets[0]
+    if len(facets) == len(f) + 1:  # the boundary of a simplex, as in _ocanon
+        return [(a, p) for a, p, parity in _simplex_perms(len(facets)) if parity == 1]
+    if facets not in _class_table():
+        _ucanon.__wrapped__(frozenset(facets))
+    entries = _class_table()[facets]
+    return [(a, q) for a, q in entries if perm_parity(i := [a[v] for v in f]) * rep[tuple(sorted(i))] == rep[f]]
+
+
+def transported_labeling(key: OKey, psi: dict[int, int]) -> dict[int, int]:
     """The first designated labeling of a complex that ``psi`` maps onto
-    ``materialize(key)`` keeping the orientation: a o psi over the a in
-    Aut(T) that keep it, by ``_by_path``; None when T is not filed."""
-    entries = _class_table().get(key.facets)
-    if entries is None:
-        return None
-    rep, f = _rep_signs(key.facets), key.facets[0]
-    kept = [(a, q) for a, q in entries if perm_parity(img := [a[v] for v in f]) * rep[tuple(sorted(img))] == rep[f]]
+    ``materialize(key)`` keeping the orientation: a o psi for the a in
+    ``_kept`` of least path psi^-1(a^-1(P_T)) (``_by_path``)."""
     vertices = sorted(psi)
-    return dict(zip(vertices, _by_path(kept, [psi[v] for v in vertices])[0]))
+    inv = _inverse([psi[v] for v in vertices])
+    a = min(_kept(key.facets), key=lambda e: [inv[x] for x in e[1]])[0]
+    return {v: a[psi[v]] for v in vertices}
 
 
 def _inverse(perm: list[int]) -> list[int]:
@@ -321,10 +338,10 @@ def _inverse(perm: list[int]) -> list[int]:
 @functools.cache
 def _rep_signs(facets: FacetTuple) -> dict[Simplex, int]:
     """Coherent facet signs of the canonical representative (seed +1), which
-    must be strongly connected: then the sign of one facet fixes them all."""
-    K = Complex(facets, _validated=True)
-    signs = orient(K).facet_signs
-    if not K.is_strongly_connected:
+    must be strongly connected (one component): then the sign of one facet
+    fixes them all."""
+    signs, parts = coherent_signs(facets)
+    if parts > 1:
         raise NotPseudomanifold("an oriented class key needs a strongly connected complex")
     return signs
 
@@ -340,9 +357,16 @@ def oriented_canon(OC: OrientedComplex) -> tuple[OKey, list[dict[int, int]]]:
 def _ocanon(facet_set: frozenset, facet: Simplex, facet_sign: int) -> tuple[OKey, list[dict[int, int]]]:
     """``oriented_canon`` memoized on the facet set and one facet's sign.
     On a strongly connected closed pseudomanifold a labeling keeps the sign
-    of every facet or flips them all, so one facet's image classifies it."""
+    of every facet or flips them all, so one facet's image classifies it.
+    A closed pseudomanifold of dimension d with d + 2 facets is the boundary
+    of a simplex: its labelings follow ``_simplex_perms``, and one keeps the
+    signs iff its parity is s, +1 iff the first does."""
     u = _ucanon(facet_set)
     rep = _rep_signs(u.facets)
+    if len(u.facets) == len(facet) + 1:  # d + 2 facets: the boundary of a simplex
+        img = [u.labelings[0][v] for v in facet]
+        s = facet_sign * perm_parity(img) * rep[tuple(sorted(img))]
+        return OKey(u.facets, 0), [lab for lab, (_, _, p) in zip(u.labelings, _simplex_perms(len(u.facets))) if p == s]
     pres: list[dict[int, int]] = []
     rev: list[dict[int, int]] = []
     for lab in u.labelings:

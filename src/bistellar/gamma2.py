@@ -41,6 +41,8 @@ representative of a state of its own walk.  Walks close by construction: a
 move (sigma, tau) toggles the triangles of d(sigma + tau), which cancel in
 pairs on a commutation walk and in d(d Delta^4) on a spec-b or pentagon
 loop; an untouched facet, found from 7 or 8 vertices on, keeps its sign.
+So a walk's closing step, and a commutation's third step (ending at L.m2),
+end at a state the walk holds, and their moves take its class by transport.
 """
 
 from __future__ import annotations
@@ -137,12 +139,14 @@ class Gamma2Chain(Chain):
 
     def mirror(self) -> "Gamma2Chain":
         """Image under orientation reversal of all spheres: each edge's move on
-        the negated tail representative, carried onto the mirror class's."""
+        the negated tail representative, carried onto the mirror class's, by
+        transport when the head is chiral (-result keeps its labelling)."""
         out = Gamma2Chain()
         for k, c in self.terms.items():
             mv = materialize_edge(k)
             lab = designated_labelings(-mv.host)[0]
-            out.add_move(carry(k.tail.mirror(), lab, mv.sigma, mv.tau)[0], c)
+            end = (k.head.mirror(), mv.result_class[1]) if k.head.sign else None
+            out.add_move(carry(k.tail.mirror(), lab, mv.sigma, mv.tau, end)[0], c)
         return out
 
     @staticmethod
@@ -216,15 +220,20 @@ class ElementaryCycle(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _carried_walk(L: OrientedComplex, plan) -> tuple[list[BistellarMove], list[tuple[OKey, dict]]] | None:
+def _carried_walk(L: OrientedComplex, plan, ends: dict) -> tuple[list[BistellarMove], list[tuple[OKey, dict]]] | None:
     """The ``moves.carry`` images of the (sigma, tau) pairs of ``plan`` taken
     in turn from L, and each state's class and labelling; None when a move
-    is not available."""
+    is not available.  ``ends`` maps the index of a step whose end the walk
+    knows to the pairs that carry the start there; that step's move gets its
+    result class by transport from that state."""
     state = okey(L), designated_labelings(L)[0]
     moves, states = [], [state]
-    for s, t in plan:
+    for i, (s, t) in enumerate(plan):
         try:
-            mv, state = carry(*state, s, t)
+            end = states[0] if i in ends else None
+            for pair in ends.get(i, ()):
+                end = carry(*end, *pair)[1]
+            mv, state = carry(*state, s, t, end)
         except InvalidMove:
             return None
         moves.append(mv)
@@ -347,7 +356,8 @@ def commutation_cycle(L: OrientedComplex, sigma1, sigma2) -> ElementaryCycle:
     union = tuple(sorted(set(sigma1) | set(sigma2)))
     if L.facets_containing(union):
         raise NotApplicable("a simplex contains both sigma1 and sigma2")
-    got = _carried_walk(L, [(sigma1, tau1), (sigma2, tau2), (tau1, sigma1), (tau2, sigma2)])
+    plan = [(sigma1, tau1), (sigma2, tau2), (tau1, sigma1), (tau2, sigma2)]
+    got = _carried_walk(L, plan, {2: [(sigma2, tau2)], 3: []})
     if got is None:
         raise NotApplicable(f"the moves at {sigma1} and {sigma2} are not available in turn")
     moves, states = got
@@ -393,7 +403,7 @@ def special_cycle_a(move: BistellarMove) -> ElementaryCycle | None:
     Rv = next(v for v in sig if v != b)
     link_tri = tuple(sorted((b, Rv, T)))
     # remove a from X, then walk the cycle from that T-sphere
-    moves, _ = _carried_walk(X, [((a,), link_tri), (link_tri, (a,)), (sig, tau), ((b,), (Lap, a, T))])
+    moves, _ = _carried_walk(X, [((a,), link_tri), (link_tri, (a,)), (sig, tau), ((b,), (Lap, a, T))], {})
     # the links of a and b make these facets
     patch = [tuple(sorted(t)) for t in ((Lap, b, T), (b, a, T), (a, Rv, T), (Lap, b, Rv), (b, a, Rv))]
     params = tuple(_outside(X, v, patch) for v in (Lap, T, Rv))
@@ -412,18 +422,9 @@ def special_cycle_b(R: OrientedComplex, e: int, D: int, C: int) -> ElementaryCyc
     A = cycle[(i + 1) % d] if C == cycle[i - 1] else cycle[i - 1]
     B = cycle[i - 2]  # the corner opposite D, as d = 4
     # states: R --flip {e,D}->{A,C}--> TM --remove e--> TL; then the cycle from TL
-    got = _carried_walk(
-        R,
-        [
-            ((e, D), (A, C)),
-            ((e,), (A, B, C)),
-            ((A, B, C), (e,)),
-            ((A, C), (D, e)),
-            ((e, C), (B, D)),
-            ((e,), (A, B, D)),
-            ((B, D), (A, C)),
-        ],
-    )
+    plan = [((e, D), (A, C)), ((e,), (A, B, C)), ((A, B, C), (e,)), ((A, C), (D, e))]
+    plan += [((e, C), (B, D)), ((e,), (A, B, D)), ((B, D), (A, C))]
+    got = _carried_walk(R, plan, {6: plan[:2]})
     if got is None:
         return None
     around = {tuple(sorted((e, cycle[j], cycle[(j + 1) % d]))) for j in range(d)}
@@ -446,16 +447,8 @@ def special_cycle_c(L: OrientedComplex, sigma1: Simplex, sigma2: Simplex) -> Ele
         return None
     (E,) = set(tau1) - {Cv}
     (B,) = set(tau2) - {Dv}  # not E: A's link would be C-D-E, and tau1 a face
-    got = _carried_walk(
-        L,
-        [
-            ((A, Dv), (E, Cv)),
-            ((A, Cv), (E, B)),
-            ((E, Cv), (Dv, B)),
-            ((E, B), (A, Dv)),
-            ((Dv, B), (A, Cv)),
-        ],
-    )
+    plan = [((A, Dv), (E, Cv)), ((A, Cv), (E, B)), ((E, Cv), (Dv, B)), ((E, B), (A, Dv)), ((Dv, B), (A, Cv))]
+    got = _carried_walk(L, plan, {4: []})
     if got is None:
         return None
     # the two taus checked above make (A, Cv, Dv), (A, Dv, E) and (A, Cv, B) facets

@@ -23,7 +23,15 @@ preserving isomorphism carrying sigma to sigma'); the essential classes are
 the edges of the graph Gamma_n, identified here by ``GammaEdgeKey``.  Its
 2-sphere vertices are ordered by complexity (``complexity_thirds``), and
 ``decreasing_moves`` and ``increasing_moves`` find the moves that lower or
-raise it.
+raise it.  An edge is read off ``result_class`` and the automorphisms that
+keep the orientation of each endpoint's representative (``edge_key``).
+
+Transport: a move whose result is known up to an isomorphism psi onto the
+representative of a class (the inverse of a classified representative
+move, or a step whose end state ``carry`` is handed) gets its result class
+and first designated labelling as a o psi, a the automorphism of least
+path (``canonical.transported_labeling``): it is neither applied nor
+searched.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from typing import Collection, NamedTuple
 
-from .canonical import OKey, designated_labelings, marked_encoding, materialize, okey, transported_labeling
+from .canonical import OKey, _kept, designated_labelings, marked_encoding, materialize, okey, transported_labeling
 from .errors import InvalidMove
 from .simplicial import Complex, OrientedComplex, Simplex, faces, orient, perm_parity
 
@@ -352,11 +360,11 @@ def is_inessential(move: BistellarMove) -> bool:
 
 def edge_key(move: BistellarMove) -> SignedEdge | None:
     """The Gamma_n edge of an essential move, with its sign relative to the
-    canonical direction; None for inessential moves."""
-    result = move.result
-    tail_key, head_key = okey(move.host), okey(result)
+    canonical direction; None for inessential moves.  The result's encoding
+    is the least image of tau under its designated labellings, a o lab."""
+    tail_key, (head_key, lab) = okey(move.host), move.result_class
     enc_fwd = marked_encoding(move.host, move.sigma)
-    enc_bwd = marked_encoding(result, move.tau)
+    enc_bwd = min(tuple(sorted(a[lab[v]] for v in move.tau)) for a, _ in _kept(head_key.facets))
     if tail_key == head_key:
         if enc_fwd == enc_bwd:
             return None  # inessential
@@ -388,13 +396,17 @@ def rep_move(key: OKey, sigma: Simplex) -> BistellarMove:
     return mv
 
 
-def carry(key: OKey, lab: dict[int, int], sigma: Simplex, tau: Simplex) -> tuple[BistellarMove, tuple[OKey, dict]]:
+def carry(
+    key: OKey, lab: dict[int, int], sigma: Simplex, tau: Simplex, end: tuple[OKey, dict] | None = None
+) -> tuple[BistellarMove, tuple[OKey, dict]]:
     """The move (sigma, tau) on a complex of class ``key`` with designated
     labelling ``lab``, read off the representative: the ``rep_move`` it maps
     to (whose cached ``edge`` is its edge), and the class of its result with
     the result's labelling, ``lab`` composed with the representative's.  A
     removal drops sigma's vertex; a subdivision sends tau's vertex to the
     representative's fresh one.  No state of a sequence is labelled again.
+    ``end``, the class and a designated labelling of the complex after the
+    move if the caller knows them, gives the move its result by transport.
     InvalidMove when (sigma, tau) is no move of the complex."""
     if not lab.keys() >= set(sigma):
         raise InvalidMove(f"{sigma} is not a simplex of the complex")
@@ -405,31 +417,33 @@ def carry(key: OKey, lab: dict[int, int], sigma: Simplex, tau: Simplex) -> tuple
         ok = {lab.get(x) for x in tau} == set(mv.tau)
     if not ok:
         raise InvalidMove(f"the move at {sigma} has no tau {tau}")
-    head, after = _result_class(key, mv)
+    if end is not None and "result_class" not in vars(mv):
+        psi = {lab[x]: y for x, y in end[1].items() if x in lab}
+        if len(tau) == 1:
+            psi[mv.tau[0]] = end[1][tau[0]]
+        vars(mv)["result_class"] = end[0], transported_labeling(end[0], psi)
+    head, after, _ = _result_class(key, mv)
     out = {x: after[y] for x, y in lab.items() if y in after}
     if len(tau) == 1:
         out[tau[0]] = after[mv.tau[0]]
     return mv, (head, out)
 
 
-def _result_class(key: OKey, mv: BistellarMove) -> tuple[OKey, dict[int, int]]:
-    """``mv.result_class`` for a move on the representative of ``key``.  When
-    it is first computed, the inverse on the head representative inherits
-    its result class through psi, its result onto mv's host, and mv's edge
-    reversed; its result is never built."""
-    if "result_class" in vars(mv):
-        return mv.result_class
+def _result_class(key: OKey, mv: BistellarMove) -> tuple[OKey, dict[int, int], BistellarMove]:
+    """``mv.result_class`` for a move on the representative of ``key``, and
+    the inverse on the head representative, which mv keeps.  The inverse
+    inherits its result class through psi, its result onto mv's host, and
+    mv's edge reversed; its result is never built."""
     head, after = mv.result_class
-    inv = rep_move(head, tuple(sorted(after[x] for x in mv.tau)))
-    if "result_class" not in vars(inv):
-        psi = {y: x for x, y in after.items() if x in mv.host.degrees}
-        if inv.k == inv.host.dim:
-            psi[inv.tau[0]] = mv.sigma[0]
-        lab = transported_labeling(key, psi)
-        if lab is not None:
-            se = mv.edge
+    if "inverse" not in vars(mv):
+        inv = vars(mv)["inverse"] = rep_move(head, tuple(sorted(after[x] for x in mv.tau)))
+        if "result_class" not in vars(inv):
+            psi = {y: x for x, y in after.items() if x in mv.host.degrees}
+            if inv.k == inv.host.dim:
+                psi[inv.tau[0]] = mv.sigma[0]
+            se, lab = mv.edge, transported_labeling(key, psi)
             vars(inv).update(result_class=(key, lab), edge=se and SignedEdge(se.key, -se.sign))
-    return head, after
+    return head, after, vars(mv)["inverse"]
 
 
 def materialize_edge(key: GammaEdgeKey) -> BistellarMove:
@@ -442,7 +456,8 @@ def move_from_endpoint(key: GammaEdgeKey, endpoint: str) -> BistellarMove:
     representative of the chosen endpoint.
 
     ``endpoint='tail'`` gives the canonical-direction move; ``'head'`` gives
-    its inverse carried onto the head representative.
+    its inverse on the head representative, which ``_result_class`` keeps on
+    the tail move (so ``_rep_moves`` owns it).
     """
     mv = materialize_edge(key)
-    return mv if endpoint == "tail" else carry(*_result_class(key.tail, mv), mv.tau, mv.sigma)[0]
+    return mv if endpoint == "tail" else _result_class(key.tail, mv)[2]

@@ -214,7 +214,7 @@ class OrientedComplex(Complex):
     ``Complex`` plus ``facet_signs``.  It starts from what ``complex`` has
     already computed (degrees, vertex index, faces)."""
 
-    __slots__ = ("facet_signs",)
+    __slots__ = ("facet_signs", "_hash")
 
     def __init__(self, complex: Complex, facet_signs: Mapping[Simplex, int], check: bool = True):
         self.facets = complex.facets
@@ -251,8 +251,10 @@ class OrientedComplex(Complex):
             and self.facet_signs == other.facet_signs
         )
 
-    def __hash__(self) -> int:
-        return hash((self.facets, tuple(sorted(self.facet_signs.items()))))
+    def __hash__(self) -> int:  # computed once, in a slot a copy does not inherit
+        if not hasattr(self, "_hash"):
+            self._hash = hash((self.facets, tuple(sorted(self.facet_signs.items()))))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"OrientedComplex(dim={self.dim}, f={self.f_vector})"
@@ -297,39 +299,45 @@ class OrientedComplex(Complex):
 
 
 def orient(K: Complex) -> OrientedComplex:
-    """Propagate coherent facet signs from the lexicographically least facet.
+    """Propagate coherent facet signs from the lexicographically least facet
+    of each strongly connected component (``coherent_signs``)."""
+    return OrientedComplex(K, coherent_signs(K.facets)[0], check=False)
 
-    Raises ``NotPseudomanifold`` if K is not a closed pure pseudomanifold and
-    ``NonOrientable`` on a sign conflict.
-    """
-    if not K.is_pure:
+
+def coherent_signs(facets: Iterable[Simplex]) -> tuple[dict[Simplex, int], int]:
+    """Coherent signs of ``facets``, +1 on the least facet of each strongly
+    connected component, and the number of components, from one pass over
+    each ridge's two facets with its boundary sign b in each: a facet g
+    sharing ridge r with f has sign -sign(f) * b_f(r) * b_g(r).  Raises
+    ``NotPseudomanifold`` unless the facets are pure and every ridge lies in
+    exactly two, and ``NonOrientable`` on a sign conflict."""
+    facets = sorted(facets)
+    if len({len(f) for f in facets}) != 1:
         raise NotPseudomanifold("complex is not pure")
-    if K.dim < 0 or any(len(fs) != 2 for fs in K.ridges.values()):
+    ridges: dict[Simplex, list[tuple[Simplex, int]]] = {}
+    for f in facets:
+        for r, b in faces(f):
+            ridges.setdefault(r, []).append((f, b))
+    if not ridges or any(len(fs) != 2 for fs in ridges.values()):
         raise NotPseudomanifold("every ridge must lie in exactly two facets")
     signs: dict[Simplex, int] = {}
-
-    def propagate(seed: Simplex) -> None:
-        signs[seed] = 1
-        stack = [seed]
-        while stack:
-            f = stack.pop()
-            for r, sign in faces(f):
-                induced = signs[f] * sign
-                (g,) = [x for x in K.ridges[r] if x != f]
-                (w,) = set(g) - set(r)
-                need = -induced * (-1) ** g.index(w)
-                if g in signs:
-                    if signs[g] != need:
+    parts = 0
+    for seed in facets:
+        if seed not in signs:
+            parts += 1
+            signs[seed], stack = 1, [seed]
+            while stack:
+                f = stack.pop()
+                for r, b in faces(f):
+                    (g, c), (h, d) = ridges[r]
+                    g, c = (h, d) if g == f else (g, c)
+                    need = -signs[f] * b * c
+                    if g not in signs:
+                        signs[g] = need
+                        stack.append(g)
+                    elif signs[g] != need:
                         raise NonOrientable("sign propagation conflict")
-                else:
-                    signs[g] = need
-                    stack.append(g)
-
-    # each connected component is seeded with +1 on its least facet
-    for f in sorted(K.facets):
-        if f not in signs:
-            propagate(f)
-    return OrientedComplex(K, signs, check=False)
+    return signs, parts
 
 
 def is_orientable(K: Complex) -> bool:

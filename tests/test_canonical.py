@@ -19,7 +19,7 @@ from bistellar.canonical import (
 )
 from bistellar.enumeration import oriented_sphere_classes, spheres_by_expansion
 from bistellar.errors import NotPseudomanifold
-from bistellar.simplicial import Complex, OrientedComplex, boundary_of_simplex, build_complex, orient
+from bistellar.simplicial import Complex, OrientedComplex, boundary_of_simplex, build_complex, orient, perm_parity
 from helpers import octahedron
 
 
@@ -161,3 +161,25 @@ def test_disconnected_oriented_input_is_rejected():
             with pytest.raises(NotPseudomanifold):
                 fn(union)
     assert okey(A).sign == -okey(-A).sign != 0
+
+
+def test_kept_automorphisms_after_an_emptied_class_table():
+    """The orientation-keeping automorphisms of a class, with their paths, are
+    the same when the class table was emptied since the class was labelled:
+    the class is searched again.  On a simplex boundary, which is never
+    filed, they are the even permutations; the transported labeling of a
+    relabelled copy is its first designated labeling either way."""
+    from bistellar import canonical
+
+    rng = random.Random(3)
+    for L in (octahedron(), orient(boundary_of_simplex(4))):
+        key = okey(L)
+        want = sorted(canonical._kept(key.facets))
+        M = relabel_oriented(L, dict(zip(L.vertices, rng.sample(range(50), len(L.vertices)))))
+        psi = oriented_isomorphism(M, materialize(key))
+        first = canonical.designated_labelings(M)[0]
+        canonical._kept.cache_clear()
+        canonical._class_table.cache_clear()
+        assert sorted(canonical._kept(key.facets)) == want
+        assert canonical.transported_labeling(key, psi) == first
+    assert len(want) == 60 and all(perm_parity(a) == 1 for a, _ in want)

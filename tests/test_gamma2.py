@@ -268,9 +268,9 @@ def test_every_built_walk_closes_on_small_spheres(monkeypatch):
 
     real, walks = gamma2._carried_walk, []
 
-    def spy(L, plan):
+    def spy(L, plan, ends):
         walks.append((L, plan))
-        return real(L, plan)
+        return real(L, plan, ends)
 
     monkeypatch.setattr(gamma2, "_carried_walk", spy)
     built = Counter()
@@ -413,8 +413,8 @@ def test_walk_chains_are_their_edge_keys(monkeypatch):
 
     real, checked = gamma2._carried_walk, []
 
-    def spy(L, plan):
-        got = real(L, plan)
+    def spy(L, plan, ends):
+        got = real(L, plan, ends)
         concrete, state = [L], L
         for s, t in plan:
             mv = BistellarMove(state, tuple(sorted(s)), tuple(sorted(t)))
@@ -450,7 +450,7 @@ def _cold():
 
 
 def test_decompositions_apply_moves_on_representatives_only(monkeypatch):
-    """Cold decompositions of the pinned cycles apply 85 moves, each on a
+    """Cold decompositions of the pinned cycles apply 54 moves, each on a
     class representative and each representative move once: the cycles
     are walked on representatives, and an inverse whose result is known by
     transport is not applied (264 applications when every walk was also
@@ -466,7 +466,7 @@ def test_decompositions_apply_moves_on_representatives_only(monkeypatch):
         decompose_cycle(cycle, order_seed=order_seed)
     monkeypatch.undo()
     assert all(mv.host == materialize(okey(mv.host)) for mv in applied)
-    assert len({(okey(mv.host), mv.sigma) for mv in applied}) == len(applied) == 85
+    assert len({(okey(mv.host), mv.sigma) for mv in applied}) == len(applied) == 54
 
 
 def test_transported_inverses_match_a_fresh_search(monkeypatch):
@@ -496,6 +496,98 @@ def test_transported_inverses_match_a_fresh_search(monkeypatch):
     want = [((okey(mv.result), canonical.designated_labelings(mv.result)[0]), edge_key(mv)) for mv in carried]
     assert len(carried) > 100 and got == want
     assert ident == {key: canonical.designated_labelings(rep) for key, rep in reps.items()}
+
+
+def _spy_end_states(monkeypatch, ctx: dict) -> list:
+    """The representative moves that ``gamma2`` hands a result class by an end
+    state and never applies, each with the site in ``ctx`` (``comm-3`` and
+    ``comm-4`` for a commutation walk's third and fourth steps)."""
+    import bistellar.gamma2 as gamma2
+
+    real, handed = gamma2.carry, []
+
+    def spy(key, lab, sigma, tau, end=None):
+        got = real(key, lab, sigma, tau, end)
+        if end is not None:
+            ctx["n"] = ctx.get("n", 0) + 1
+            if "result" not in vars(got[0]):
+                site = ctx.get("site", "p1")
+                handed.append((f"comm-{ctx['n'] + 2}" if site == "comm" else site, got[0]))
+        return got
+
+    monkeypatch.setattr(gamma2, "carry", spy)
+    return handed
+
+
+def _check_handed(handed: list) -> set:
+    """Each handed move's class, first designated labelling and edge are those
+    of the same move built afresh, applied and searched with cold tables;
+    returns the sites seen."""
+    from bistellar.canonical import designated_labelings
+
+    got = [(mv, mv.result_class, mv.edge) for _, mv in handed]
+    _cold()
+    for mv, rc, edge in got:
+        fresh = BistellarMove(mv.host, mv.sigma, mv.tau)
+        assert rc == (okey(fresh.result), designated_labelings(fresh.result)[0]) and edge == edge_key(fresh)
+    return {site for site, _ in handed}
+
+
+def test_end_states_hand_over_a_fresh_search_on_small_spheres(monkeypatch):
+    """On every oriented 2-sphere class of at most 8 vertices, in both
+    orientations, every move that a commutation walk's third or fourth step,
+    a spec-b or spec-c closing step, or the mirror of a chiral head takes by
+    transport from a known end state has its fresh result's class, first
+    designated labelling and edge."""
+    ctx: dict = {}
+    handed = _spy_end_states(monkeypatch, ctx)
+    edges = Gamma2Chain()
+
+    def build(site, f, *args):
+        ctx.update(site=site, n=0)
+        try:
+            g = f(*args)
+        except (NotApplicable, UnrecognizedConfiguration):
+            g = None
+        for k in g.chain.terms if g is not None else ():
+            edges.add(k, 1)
+
+    _cold()
+    for facets in (k for keys in spheres_by_expansion(8).values() for k in keys):
+        L0 = orient(build_complex(facets))
+        for L in (L0, -L0):
+            sigmas = sorted({m.sigma for m in enumerate_moves(L)})
+            for i, s1 in enumerate(sigmas):
+                for s2 in sigmas[i + 1 :]:
+                    build("comm", commutation_cycle, L, s1, s2)
+                    if len(s1) == len(s2) == 2 and len(set(s1) & set(s2)) == 1:
+                        build("spec-c", special_cycle_c, L, s1, s2)
+            for e in L.vertices:
+                if L.degree(e) == 4:
+                    for D in L.link_cycle(e):
+                        for C in L.link_cycle(e):
+                            if C != D:
+                                build("spec-b", special_cycle_b, L, e, D, C)
+    ctx.update(site="mirror")
+    edges.mirror()
+    assert len(handed) > 1000
+    assert _check_handed(handed) == {"comm-3", "comm-4", "spec-b", "spec-c", "mirror"}
+
+
+def test_end_states_hand_over_a_fresh_search_in_p1(monkeypatch):
+    """In cold local and direct p1 on an asymmetric input, every move handed
+    its result class by a known end state (commutation walks, closing steps
+    and mirrored chains) has its fresh result's class, first designated
+    labelling and edge."""
+    from bistellar.pontryagin import XiCache, p1_dual_direct, p1_dual_local
+
+    handed = _spy_end_states(monkeypatch, {})
+    _cold()
+    K = perturbed_cp2(1, 5)
+    p1_dual_local(K, cache=XiCache())
+    p1_dual_direct(K, cache=XiCache())
+    assert len(handed) > 100
+    assert _check_handed(handed) == {"p1"}
 
 
 def _measure(chain: Gamma2Chain):

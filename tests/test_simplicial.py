@@ -343,3 +343,52 @@ def test_facet_index_matches_whole_facet_scans():
             K.link(non_face)
     with pytest.raises(SimplexNotInComplex):
         orient(boundary_of_simplex(3)).link((0, 9))
+
+
+def test_equal_oriented_complexes_hash_equal():
+    """An oriented complex computes its hash once; a copy built from a
+    complex whose hash is cached does not inherit it, so equal complexes
+    hash equal and a mirror keeps its own hash."""
+    L = orient(boundary_of_simplex(4))
+    h = hash(L)
+    copy = OrientedComplex(Complex(L.facets), dict(L.facet_signs))
+    assert copy == L and hash(copy) == h == hash(L)
+    neg = -L  # built from L, which holds its hash
+    fresh = OrientedComplex(Complex(sorted(L.facets)), {f: -s for f, s in L.facet_signs.items()})
+    assert neg == fresh and neg != L and hash(neg) == hash(fresh)
+    assert hash(OrientedComplex(L.complex, dict(L.facet_signs))) == h
+    assert len({L, copy, neg, fresh}) == 2
+
+
+def _orientation_error(f):
+    try:
+        f()
+    except (NotPseudomanifold, NonOrientable) as e:
+        return type(e), str(e)
+    return None
+
+
+def test_one_sign_propagation_raises_as_before():
+    """``orient`` and the representative signs of an oriented class key share
+    one propagation (``coherent_signs``), which raises as the separate passes
+    did: two disjoint tetrahedron boundaries orient (two components) but have
+    no oriented key; a ridge in three facets and ``rp2_6`` raise on both."""
+    from bistellar.library import catalog
+    from bistellar.simplicial import coherent_signs
+
+    two = Complex(list(combinations(range(4), 3)) + list(combinations(range(4, 8), 3)))
+    OC = orient(two)
+    assert coherent_signs(two.facets) == (OC.facet_signs, 2)
+    assert _orientation_error(lambda: okey(OC)) == (
+        NotPseudomanifold, "an oriented class key needs a strongly connected complex"
+    )
+    three = Complex([(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 2, 3), (1, 2, 3), (0, 2, 4), (1, 2, 4), (0, 3, 4), (1, 3, 4)])
+    rp2 = catalog()["rp2_6"].complex
+    cases = [
+        (three, (NotPseudomanifold, "every ridge must lie in exactly two facets")),
+        (rp2, (NonOrientable, "sign propagation conflict")),
+        (Complex([(0, 1, 2), (2, 3)]), (NotPseudomanifold, "complex is not pure")),
+    ]
+    for K, want in cases:
+        assert _orientation_error(lambda: orient(K)) == want
+        assert _orientation_error(lambda: okey(OrientedComplex(K, {f: 1 for f in K.facets}, check=False))) == want

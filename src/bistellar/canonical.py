@@ -66,12 +66,19 @@ class OKey(NamedTuple):
         return len(self.facets[0]) - 1
 
     def encode(self) -> str:
-        s = {1: "+", -1: "-", 0: "0"}[self.sign]
-        return s + ";" + "|".join(",".join(map(str, f)) for f in self.facets)
+        return _encode_okey(self)
 
     @staticmethod
     def decode(text: str) -> "OKey":
         return _decode_okey(text)
+
+
+@functools.cache
+def _encode_okey(key: OKey) -> str:
+    """``OKey.encode`` memoized on the key: keys are ordered and filed by
+    their text, so each is encoded many times."""
+    s = {1: "+", -1: "-", 0: "0"}[key.sign]
+    return s + ";" + "|".join(",".join(map(str, f)) for f in key.facets)
 
 
 @functools.cache

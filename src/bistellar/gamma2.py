@@ -27,8 +27,10 @@ A target edge with both endpoints lower (odd strata) tries commutations
 with untouched degree-3 removals and decreasing flips, spec-a and the
 pentagons; otherwise it is paired with each edge sharing its head (the
 endpoint of higher complexity): commutation, spec-b, pentagon, then routes
-through a decreasing move.  Each pair is tried in one order only, as the
-swapped pair walks the same loop backwards (chain -g, value -v).
+through a decreasing move, first by two commutations and last by any two
+of those paired cycles.  Each pair is tried in one order only, as the
+swapped pair walks the same loop backwards (chain -g, value -v).  The
+target is the least top edge in ``_edge_order``.
 
 Moves read what they need from the objects that own it: a vertex degree
 from the cached ``Complex.degrees``, the support of a move (the triangles
@@ -140,13 +142,16 @@ class Gamma2Chain(Chain):
     def mirror(self) -> "Gamma2Chain":
         """Image under orientation reversal of all spheres: each edge's move on
         the negated tail representative, carried onto the mirror class's, by
-        transport when the head is chiral (-result keeps its labelling)."""
+        transport when the head is chiral (-result keeps its labelling).  The
+        representative move keeps the mirrored move, as it keeps its inverse."""
         out = Gamma2Chain()
         for k, c in self.terms.items():
             mv = materialize_edge(k)
-            lab = designated_labelings(-mv.host)[0]
-            end = (k.head.mirror(), mv.result_class[1]) if k.head.sign else None
-            out.add_move(carry(k.tail.mirror(), lab, mv.sigma, mv.tau, end)[0], c)
+            if "mirror" not in vars(mv):
+                lab = designated_labelings(-mv.host)[0]
+                end = (k.head.mirror(), mv.result_class[1]) if k.head.sign else None
+                vars(mv)["mirror"] = carry(k.tail.mirror(), lab, mv.sigma, mv.tau, end)[0]
+            out.add_move(vars(mv)["mirror"], c)
         return out
 
     @staticmethod
@@ -501,10 +506,30 @@ def _candidates_single(key: GammaEdgeKey):
                     yield [special_cycle_c(H, mv.sigma, tuple(sorted((a, Cv))))]
 
 
+def _legs(S: OrientedComplex, s1: Simplex, s2: Simplex):
+    """The elementary cycles on S that leave by the move at s1 and return by
+    the move at s2 (chain {s1} - {s2} on S's side): their commutation, then
+    for two flips sharing one vertex e, spec-b when e has degree 4, built
+    from s2's side as its walk returns by its first flip, and the pentagon.
+    Each may be None."""
+    yield _commute(S, s1, s2)
+    common = set(s1) & set(s2)
+    if len(s1) == len(s2) == 2 and len(common) == 1:
+        (e,) = common
+        if S.degree(e) == 4:
+            (P,), (Q,) = set(s1) - common, set(s2) - common
+            yield special_cycle_b(S, e, Q, P)
+        yield special_cycle_c(S, s1, s2)
+
+
 def _candidates_paired(key: GammaEdgeKey, partners: list[GammaEdgeKey]):
     """Elementary cycles pairing the target edge with each partner sharing
     its head; then, for each partner, the two commutations of the route
-    through a third, complexity-decreasing move from that sphere."""
+    through a third, complexity-decreasing move from that sphere; last, the
+    same routes with any two legs (``_legs``).  A route's legs cancel the
+    third move's edge, so it peels the pair as one cycle would.  The last
+    routes decompose a square of flips at opposite corners of a degree-4
+    vertex, which no single cycle and no pair of commutations kills."""
     mt = move_from_endpoint(key, "head")
     S = mt.host
     for kp in partners:
@@ -529,6 +554,14 @@ def _candidates_paired(key: GammaEdgeKey, partners: list[GammaEdgeKey]):
                 first = _commute(S, mt.sigma, m3.sigma)
                 if first is not None:
                     yield [first, _commute(S, m3.sigma, mp.sigma)]
+    for kp in partners:
+        mp = move_from_endpoint(kp, "head")
+        for m3 in inter:
+            if m3.sigma != mp.sigma:
+                for i, first in enumerate(_legs(S, mt.sigma, m3.sigma)):
+                    for j, second in enumerate(_legs(S, m3.sigma, mp.sigma)):
+                        if i or j:  # two commutations were tried above
+                            yield [first, second]
 
 
 def _accept(work: dict, top: int, key: GammaEdgeKey, chain: Gamma2Chain) -> int | None:
@@ -555,11 +588,21 @@ def _accept(work: dict, top: int, key: GammaEdgeKey, chain: Gamma2Chain) -> int 
     return s if delta < 0 else None
 
 
-def _top_stratum(strata: dict[int, dict]) -> tuple[int, list[GammaEdgeKey]]:
-    """Six times the top complexity of a stratified work chain and its
-    edges there, in ``_edge_order``."""
+def _target(strata: dict[int, dict], rng: random.Random | None) -> tuple[int, GammaEdgeKey, list[GammaEdgeKey]]:
+    """Six times the top complexity of a stratified work chain, the edge to
+    peel there, and on an even stratum its partners, the other top edges
+    with its head.  Without ``rng`` the edge is the least in ``_edge_order``
+    and only its partners are sorted; with it, the first of the top edges
+    in that order shuffled by ``rng``, and the partners keep that order."""
     top = max(strata)
-    return top, sorted(strata[top], key=_edge_order)
+    if rng is None:
+        key = min(strata[top], key=_edge_order)
+        edges = sorted((k for k in strata[top] if k.head == key.head), key=_edge_order)
+    else:
+        edges = sorted(strata[top], key=_edge_order)
+        rng.shuffle(edges)
+        key = edges[0]
+    return top, key, [] if top % 2 else [k for k in edges if k != key and k.head == key.head]
 
 
 def decompose_cycle(zeta: Gamma2Chain, order_seed: int | None = None) -> list[tuple[int, ElementaryCycle]]:
@@ -582,15 +625,8 @@ def decompose_cycle(zeta: Gamma2Chain, order_seed: int | None = None) -> list[tu
         strata.setdefault(_edge_order(k)[0], {})[k] = int(v)
     out: list[tuple[int, ElementaryCycle]] = []
     while strata:
-        top, top_edges = _top_stratum(strata)
-        if rng is not None:
-            rng.shuffle(top_edges)
-        key = top_edges[0]
-        if top % 2:
-            candidates = _candidates_single(key)
-        else:
-            partners = [k for k in top_edges if k != key and k.head == key.head]
-            candidates = _candidates_paired(key, partners)
+        top, key, partners = _target(strata, rng)
+        candidates = _candidates_single(key) if top % 2 else _candidates_paired(key, partners)
         for pieces in candidates:
             if None in pieces:
                 continue

@@ -32,9 +32,9 @@ from fractions import Fraction
 from .canonical import OKey, designated_labelings, materialize, okey, simplex_boundary_key
 from .errors import DimensionTooSmall, InvalidMove, MalformedInput, NotACycle, SphereCheckFailed, parsing
 from .gamma2 import Gamma2Chain, c_of_cycle
-from .moves import BistellarMove, _rep_moves, _result_class, carry, decreasing_moves, is_inessential, rep_move, u_set
+from .moves import BistellarMove, _rep_moves, _result_class, carry, decreasing_moves, is_inessential, rep_move
 from .reduction import MoveSequence, reduce_to_boundary, replay
-from .simplicial import OrientedComplex
+from .simplicial import Complex, OrientedComplex, faces
 from .talgebra import LocalCochain, SimplicialChain, f_sharp
 
 
@@ -47,9 +47,11 @@ class XiCache:
     one representative per unoriented class is ever computed; a loaded one
     is checked by ``_descent`` on its first use.  The file keeps eta under
     the class of its certificate; a loaded eta is keyed by the certificate
-    read with it and is used only after that certificate has replayed to
-    its recorded end key.  ``paths`` holds the descent paths of the direct
-    procedure in memory only; they are not saved.
+    read with it.  Only a loaded certificate is replayed: once, to its
+    recorded end key, before it or its eta is first used, whether the file
+    holds its eta or not.  A certificate this process computed is valid as
+    built and is never replayed.  ``paths`` holds the descent paths of the
+    direct procedure in memory only; they are not saved.
     """
 
     def __init__(self, path: str | None = None):
@@ -57,7 +59,7 @@ class XiCache:
         self.chains: dict[OKey, Gamma2Chain] = {}
         self.certs: dict[OKey, MoveSequence] = {}
         self._eta: dict[MoveSequence, Gamma2Chain] = {}
-        self._unreplayed: set[MoveSequence] = set()  # certificates of loaded eta chains
+        self._unreplayed: set[MoveSequence] = set()  # loaded certificates
         self._unchecked: set[OKey] = set()  # classes of loaded xi chains
         self.paths: dict[OKey, Gamma2Chain] = {}
         if path and os.path.exists(path):
@@ -83,12 +85,12 @@ class XiCache:
             if cert.end != simplex_boundary_key(cert.start.dim()):
                 raise MalformedInput(f"certificate of {enc[:40]}... does not end at the simplex boundary")
             self.certs.setdefault(cert.start, cert)
+            self._unreplayed.add(cert)
         for enc, chain in data.get("eta", {}).items():
             if enc not in certs:
                 raise MalformedInput(f"eta entry {enc[:40]}... has no certificate for its class")
             if certs[enc] not in self._eta:
                 self._eta[certs[enc]] = Gamma2Chain.from_json(chain)
-                self._unreplayed.add(certs[enc])
 
     def to_json(self) -> dict:
         certs = sorted(self.certs.items(), key=lambda kv: kv[0].encode())
@@ -116,40 +118,62 @@ class XiCache:
     def eta(self, cert: MoveSequence) -> Gamma2Chain:
         """Sum of the induced vertex-move edges along a reduction certificate
         of a 3-sphere class toward the 4-simplex boundary, carried along the
-        certificate by ``_carry_eta``.  A loaded chain is returned once its
-        certificate replays; a failed replay raises each time it is asked
-        for."""
+        certificate by ``_carry_eta`` or loaded with it.  A loaded
+        certificate replays first; a failed replay raises each time it is
+        asked for."""
+        if cert in self._unreplayed:
+            replay(cert)
+            self._unreplayed.discard(cert)
         hit = self._eta.get(cert)
         if hit is None:
             hit = self._eta[cert] = _carry_eta(cert)
-        elif cert in self._unreplayed:
-            replay(cert)
-            self._unreplayed.discard(cert)
         return hit
 
 
 def _carry_eta(cert: MoveSequence) -> Gamma2Chain:
-    """The edges of the induced vertex moves along a replayed certificate.
+    """The edges of the induced vertex moves along a certificate, with no
+    state after the start built.
 
-    Each vertex u keeps the class of its link and a labelling of the link
-    onto the class representative, taken from its own link when u is first
-    used and then carried through each move changing lk(u) by
-    ``moves.carry``, which reads the move's edge off the representative.
-    No concrete link is labelled again.
+    A vertex's link changes only at the moves whose U(beta) holds it, so
+    when a vertex u is first used its link is still the one it had on the
+    start representative or, if a facet subdivision made u, the boundary of
+    that facet, oriented by the facet's sign (from the facet signs, carried
+    along by the closed-form rule of ``moves``).  u then keeps the class of
+    its link and a labelling of the link onto the class representative,
+    carried through each move changing lk(u) by ``moves.carry``, which
+    reads the move's edge off the representative.  No link is labelled
+    twice.
     """
-    _, states = replay(cert)
+    start = materialize(cert.start)
+    signs = dict(start.facet_signs)
     out = Gamma2Chain()
     links: dict[int, tuple[OKey, dict[int, int]]] = {}
-    for state, (sig, tau) in zip(states, cert.moves):
-        for u in u_set(BistellarMove(state, sig, tau)):
-            if u not in links:
-                lk = state.link((u,))
-                links[u] = okey(lk), designated_labelings(lk)[0]
-            s, t = (tuple(x for x in m if x != u) for m in (sig, tau))
-            mv, links[u] = carry(*links[u], s, t)
-            out.add_move(mv)
+    born: dict[int, OrientedComplex] = {}  # links of subdivision vertices not yet used
+    for sig, tau in cert.moves:
+        D = tuple(sorted(sig + tau))
+        for u in D:
+            if len(sig if u in sig else tau) > 1:  # u is in U(beta)
+                if u not in links:
+                    lk = born.pop(u) if u in born else start.link((u,))
+                    links[u] = okey(lk), designated_labelings(lk)[0]
+                s, t = (tuple(x for x in m if x != u) for m in (sig, tau))
+                mv, links[u] = carry(*links[u], s, t)
+                out.add_move(mv)
+        if len(tau) == 1:  # lk(tau) is d(sigma), signed as sigma was
+            lk = {f: signs[sig] * b for f, b in faces(sig)}
+            born[tau[0]] = OrientedComplex(Complex(lk, _validated=True), lk, check=False)
+        # the faces D - {t}, t in tau, signed c times their boundary signs in
+        # D, give way to the faces D - {v}, v in sigma, signed -c times theirs
+        star = list(zip(D, faces(D)))
+        c = next(signs[f] * b for v, (f, b) in star if v in tau)
+        for v, (f, b) in star:
+            if v in tau:
+                del signs[f]
+            else:
+                signs[f] = -c * b
         if len(sig) == 1:
             links.pop(sig[0], None)
+            born.pop(sig[0], None)
     return out
 
 

@@ -19,7 +19,9 @@ and only the picked ones are applied.
 
 The result is a ``MoveSequence`` on the canonical representative of the
 start class: self-contained, deterministic per seed, and valid as built
-(``apply_move`` checked each move; ``pontryagin._carry_eta`` replays it).
+(``apply_move`` checked each move), so a computed certificate is never
+replayed; ``replay`` serves certificates loaded from a file, which
+``pontryagin.XiCache`` replays once before their first use.
 """
 
 from __future__ import annotations

@@ -271,13 +271,21 @@ class OrientedComplex(Complex):
         """Link with the induced orientation.
 
         A link facet ``lam = F - sigma`` carries the sign of ``F`` written with
-        sigma's vertices first, then lam's, each ascending.
+        sigma's vertices first, then lam's, each ascending: moving sigma's
+        vertex at position p_i of F to position i takes p_i - i swaps, so the
+        sign is sign(F) * (-1)**(sum p_i - |sigma|(|sigma| - 1)/2).
         """
         sig = simplex(sigma)
+        base = len(sig) * (len(sig) - 1) // 2
         signs: dict[Simplex, int] = {}
         for f in self._star(sig):
-            lam = tuple(v for v in f if v not in sig)
-            signs[lam] = self.facet_signs[f] * perm_parity(sig + lam)
+            lam, n = [], base
+            for i, v in enumerate(f):
+                if v in sig:
+                    n += i
+                else:
+                    lam.append(v)
+            signs[tuple(lam)] = -self.facet_signs[f] if n & 1 else self.facet_signs[f]
         return OrientedComplex(Complex(signs, _validated=True), signs, check=False)
 
     def link_cycle(self, v: int) -> list[int]:

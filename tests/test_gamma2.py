@@ -356,6 +356,43 @@ def test_decomposition_pieces_pinned(seed, order_seed):
     assert _pieces(parts) == PINNED_PIECES[(seed, order_seed)]
 
 
+# A 14-vertex 2-sphere whose only degree-4 vertex, 0, is the only place a
+# move lowers its complexity: the four flips at 0 (link 1-2-12-11).
+S14_FACETS = [
+    (0, 1, 2), (0, 1, 11), (0, 2, 12), (0, 11, 12), (1, 2, 13), (1, 9, 11), (1, 9, 13), (2, 10, 12),
+    (2, 10, 13), (3, 4, 5), (3, 4, 6), (3, 5, 7), (3, 6, 8), (3, 7, 8), (4, 5, 13), (4, 6, 9),
+    (4, 9, 13), (5, 7, 10), (5, 10, 13), (6, 8, 11), (6, 9, 11), (7, 8, 12), (7, 10, 12), (8, 11, 12),
+]
+
+
+def _s14_square(S) -> Gamma2Chain:
+    """S --flip {0,11}--> T1 --remove 0--> U <--remove 0-- T2 <--flip {0,2}-- S."""
+    out = Gamma2Chain()
+    for edge, sign in (((0, 11), 1), ((0, 2), -1)):
+        flip = BistellarMove(S, edge, move_tau(S, edge))
+        T = flip.result
+        out.add_move(flip, sign).add_move(BistellarMove(T, (0,), move_tau(T, (0,))), sign)
+    return out
+
+
+@pytest.mark.parametrize("sign, pieces", [(1, "1 spec-b 3,3,4,4 1 | 1 spec-b 4,3,3,4 1"),
+                                          (-1, "1 spec-b 3,3,4,4 -1 | 1 spec-b 4,3,3,4 -1")])
+def test_square_at_opposite_corners_of_a_degree_4_vertex(sign, pieces):
+    """The two top edges of the square flip the opposite corners 11 and 2
+    of the degree-4 vertex 0, and neither their commutation, nor spec-b,
+    nor the pentagon, nor two commutations through a third flip at 0 kill
+    them.  The route through the flip at a corner between them, by two
+    spec-b cycles, does, with the same value in every peeling order."""
+    S = orient(build_complex(S14_FACETS))
+    square = _s14_square(S if sign == 1 else -S)
+    assert square.is_cycle() and len(square.terms) == 4
+    assert _pieces(decompose_cycle(square)) == pieces
+    assert c_of_cycle(square) == Fraction(-2 * sign, 105)
+    for order_seed in range(8):
+        parts = decompose_cycle(square, order_seed=order_seed)
+        assert sum(n * g.value for n, g in parts) == Fraction(-2 * sign, 105)
+
+
 def test_decomposition_pieces_repeat_on_memoized_commutations():
     """A second decomposition of the pinned cycles in one process takes its
     commutation cycles from the memo and returns the first run's pieces;
@@ -377,22 +414,29 @@ def test_decomposition_pieces_repeat_on_memoized_commutations():
 def test_top_stratum_is_the_ranked_top(monkeypatch):
     """At every step of the pinned decompositions, with and without an order
     seed, the work chain is kept in strata keyed by six times the
-    complexity, and the top stratum lists the edges that ranking the whole
-    work chain by ``_edge_order`` puts at the top, in that order."""
+    complexity, and the target and its partners are read off the edges that
+    ranking the whole work chain by ``_edge_order`` puts at the top, in that
+    order: the least of them, or the first once shuffled by the order seed,
+    and on an even stratum the others sharing its head, in the same order."""
     import bistellar.gamma2 as gamma2
 
-    real, steps = gamma2._top_stratum, []
+    real, steps = gamma2._target, []
 
-    def spy(strata):
+    def spy(strata, rng):
         assert all(st and {_edge_order(k)[0] for k in st} == {c} for c, st in strata.items())
         ranked = [(_edge_order(k), k) for st in strata.values() for k in st]
         top = max(o[0] for o, _ in ranked)
-        want = top, [k for _, k in sorted(x for x in ranked if x[0][0] == top)]
-        got = real(strata)
+        edges = [k for _, k in sorted(x for x in ranked if x[0][0] == top)]
+        if rng is not None:
+            again = random.Random()
+            again.setstate(rng.getstate())
+            again.shuffle(edges)
+        want = top, edges[0], [] if top % 2 else [k for k in edges[1:] if k.head == edges[0].head]
+        got = real(strata, rng)
         steps.append(got == want)
         return got
 
-    monkeypatch.setattr(gamma2, "_top_stratum", spy)
+    monkeypatch.setattr(gamma2, "_target", spy)
     for seed, order_seed in sorted(PINNED_PIECES, key=str):
         parts = decompose_cycle(_loop_cycle(seed), order_seed=order_seed)
         assert _pieces(parts) == PINNED_PIECES[(seed, order_seed)]

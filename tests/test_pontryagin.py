@@ -37,10 +37,13 @@ def _mirror_by_relabelling(chain: Gamma2Chain) -> Gamma2Chain:
 
 def _assert_mirrors_by_relabelling(chains) -> None:
     """``Gamma2Chain.mirror`` agrees with the negate-and-relabel rule on
-    every chain, among whose edges there are chiral and achiral tails."""
+    every chain, among whose edges there are chiral and achiral tails, and
+    mirroring twice, from the mirrored moves the representative moves keep,
+    gives the chain back."""
     assert {k.tail.sign == 0 for ch in chains for k in ch.terms} == {True, False}
     for ch in chains:
         assert ch.mirror() == _mirror_by_relabelling(ch)
+        assert ch.mirror().mirror() == ch
 
 
 def test_xi_tetrahedron_is_zero():
@@ -395,7 +398,9 @@ def test_readme_names_every_memo_table():
 def test_warm_p1_reads_eta_from_the_file(tmp_path, monkeypatch):
     """Warm local p1 on a saved cache builds no eta chain, replays each
     certificate once and gives the cold chain; a file without the eta
-    section gives the same chain and gains the section when saved."""
+    section also replays each certificate once, builds its eta chain with
+    no second replay, gives the same chain and gains the section when
+    saved."""
     import json
 
     import bistellar.pontryagin as pontryagin
@@ -422,18 +427,21 @@ def test_warm_p1_reads_eta_from_the_file(tmp_path, monkeypatch):
     assert not built
     assert sorted(map(MoveSequence.dumps, replays)) == sorted(map(MoveSequence.dumps, warm.certs.values()))
 
-    old = XiCache(old_format)
+    old, seen = XiCache(old_format), len(replays)
     assert p1_dual_local(K, cache=old).terms == chain.terms
-    assert built
+    assert p1_dual_local(K, cache=old).terms == chain.terms
+    loaded = sorted(map(MoveSequence.dumps, old.certs.values()))
+    assert sorted(map(MoveSequence.dumps, replays[seen:])) == sorted(map(MoveSequence.dumps, built)) == loaded
     old.save()
     with open(old_format) as fh, open(path) as want:
         assert json.load(fh) == json.load(want)
 
 
-def test_p1_direct_replays_each_certificate_once(monkeypatch):
-    """On CP^2 the direct procedure reduces and replays its one 3-sphere link
-    class once; its 2-sphere chains are descent paths, which no reduction
-    or replay builds."""
+def test_p1_direct_reduces_once_and_replays_nothing(monkeypatch):
+    """On CP^2 the direct procedure reduces its one 3-sphere link class once
+    and never replays the certificate it computed: eta is carried from the
+    start representative.  Its 2-sphere chains are descent paths, which no
+    reduction or replay builds."""
     import bistellar.pontryagin as pontryagin
 
     replays, reduced = [], []
@@ -442,7 +450,7 @@ def test_p1_direct_replays_each_certificate_once(monkeypatch):
     monkeypatch.setattr(pontryagin, "reduce_to_boundary", lambda K, **kw: reduced.append(K.dim) or real_reduce(K, **kw))
     chain = p1_dual_direct(orient(cp2_9()), cache=XiCache())
     assert chain.terms == {(v,): Fraction(1, 3) for v in range(9)}
-    assert len(replays) == 1
+    assert replays == []
     assert reduced == [3]
 
 
@@ -469,13 +477,26 @@ def test_p1_direct_is_invariant_under_pachner_moves():
     assert p1_dual_direct(K, cache=cache).total() == 3
 
 
-@pytest.mark.parametrize("seed, steps", [(1, 5), (4, 12)])
-def test_eta_of_every_cold_certificate_is_its_definition(seed, steps):
+def _no_replays(monkeypatch) -> list:
+    """The certificates ``pontryagin`` replays from now on."""
+    import bistellar.pontryagin as pontryagin
+
+    replays, real = [], pontryagin.replay
+    monkeypatch.setattr(pontryagin, "replay", lambda seq: replays.append(seq) or real(seq))
+    return replays
+
+
+@pytest.mark.parametrize("seed, steps", [(1, 5), (2, 5), (3, 5), (4, 12)])
+def test_eta_of_every_cold_certificate_is_its_definition(seed, steps, monkeypatch):
+    """Each certificate cold local p1 computes has, with no replay, the eta
+    chain of its replayed states."""
+    replays = _no_replays(monkeypatch)
     cache = XiCache()
     p1_dual_local(perturbed_cp2(seed, steps), cache=cache)
     assert len(cache.certs) >= 4
     for cert in cache.certs.values():
         assert cache.eta(cert) == eta_oracle(cert)
+    assert replays == []
 
 
 def test_eta_of_plateau_certificates_is_its_definition():
@@ -487,12 +508,15 @@ def test_eta_of_plateau_certificates_is_its_definition():
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_eta_along_random_walks_is_its_definition(seed):
+def test_eta_along_random_walks_is_its_definition(seed, monkeypatch):
     """Walks with all four kinds of 3-sphere move, where a removed vertex's
-    id comes back as a new vertex whose link then changes."""
+    id comes back as a new vertex whose link then changes: the link of a
+    subdivision's vertex is read off the facet signs, with no replay."""
+    replays = _no_replays(monkeypatch)
     cert = walk_certificate(random.Random(seed))
     assert len(cert.moves) == 12 and {len(s) for s, _ in cert.moves} == {1, 2, 3, 4}
     assert XiCache().eta(cert) == eta_oracle(cert)
+    assert replays == []
 
 
 def test_cold_local_p1_keys_edges_on_representatives_only(monkeypatch):

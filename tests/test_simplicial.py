@@ -392,3 +392,30 @@ def test_one_sign_propagation_raises_as_before():
     for K, want in cases:
         assert _orientation_error(lambda: orient(K)) == want
         assert _orientation_error(lambda: okey(OrientedComplex(K, {f: 1 for f in K.facets}, check=False))) == want
+
+
+def _links_by_parity(K: OrientedComplex, sig) -> dict:
+    """The link signs of the reference rule: the sign of F written with
+    sig's vertices first, by the parity of that vertex order."""
+    out = {}
+    for f in K.facets_containing(sig):
+        lam = tuple(v for v in f if v not in sig)
+        out[lam] = K.facet_signs[f] * perm_parity(sig + lam)
+    return out
+
+
+def test_link_signs_by_position_match_the_parity_rule():
+    """``OrientedComplex.link`` reads each sign off the positions of sigma's
+    vertices in the facet; on every face of three complexes, in dimensions
+    4 and 5, that is the parity of sigma's vertices moved to the front."""
+    from bistellar.library import cp2_9
+    from helpers import perturbed_cp2, product
+
+    complexes = [orient(cp2_9()), perturbed_cp2(1, 5), orient(product(cp2_9(), boundary_of_simplex(2)))]
+    count = 0
+    for K in complexes:
+        for sig in K.faces:
+            if sig:
+                assert K.link(sig).facet_signs == _links_by_parity(K, sig)
+                count += 1
+    assert count > 5000

@@ -50,11 +50,29 @@ from .simplicial import Complex, OrientedComplex, Simplex, boundary_of_simplex, 
 FacetTuple = tuple[Simplex, ...]
 
 
-class OKey(NamedTuple):
-    """Identifier of an oriented isomorphism class."""
-
+class _OKeyFields(NamedTuple):
     facets: FacetTuple
     sign: int
+
+
+class OKey(_OKeyFields):
+    """Identifier of an oriented isomorphism class.
+
+    One object per value for the life of the process: ``OKey(facets, sign)``
+    returns the one ``_interned_okey`` holds, so equal keys met in a dict
+    are the same object.  The hash is the plain tuple's, computed on first
+    use and kept in the instance dict (a ``_replace`` or ``_make`` copy,
+    which bypasses ``__new__``, computes its own)."""
+
+    def __new__(cls, facets: FacetTuple, sign: int) -> "OKey":
+        return _interned_okey(facets, sign)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = self._hash = tuple.__hash__(self)
+            return h
 
     def mirror(self) -> "OKey":
         return OKey(self.facets, -self.sign)
@@ -71,6 +89,12 @@ class OKey(NamedTuple):
     @staticmethod
     def decode(text: str) -> "OKey":
         return _decode_okey(text)
+
+
+@functools.cache
+def _interned_okey(facets: FacetTuple, sign: int) -> OKey:
+    """The one ``OKey`` of each value (see ``OKey``)."""
+    return _OKeyFields.__new__(OKey, facets, sign)
 
 
 @functools.cache

@@ -242,18 +242,26 @@ def sphere_from_move(move: BistellarMove) -> OrientedComplex:
 # ---------------------------------------------------------------------------
 
 
-class GammaEdgeKey(NamedTuple):
+class _EdgeFields(NamedTuple):
+    tail: OKey
+    head: OKey
+    orbit: tuple[int, ...]
+
+
+class GammaEdgeKey(_EdgeFields):
     """Canonical-direction edge of Gamma_n.
 
     ``tail``/``head`` are oriented class keys with tail <= head in the
     canonical order (complexity, then key bytes; loops ordered by marked
     orbits); ``orbit`` is the canonical encoding of the moved simplex on the
-    tail representative.
+    tail representative.  Like ``OKey``, one object per value
+    (``_interned_edge``) that hashes once.
     """
 
-    tail: OKey
-    head: OKey
-    orbit: tuple[int, ...]
+    def __new__(cls, tail: OKey, head: OKey, orbit: tuple[int, ...]) -> "GammaEdgeKey":
+        return _interned_edge(tail, head, orbit)
+
+    __hash__ = OKey.__hash__
 
     def encode(self) -> str:
         return f"{self.tail.encode()}  {self.head.encode()}  {','.join(map(str, self.orbit))}"
@@ -261,6 +269,12 @@ class GammaEdgeKey(NamedTuple):
     @staticmethod
     def decode(text: str) -> "GammaEdgeKey":
         return _decode_edge_key(text)
+
+
+@functools.cache
+def _interned_edge(tail: OKey, head: OKey, orbit: tuple[int, ...]) -> GammaEdgeKey:
+    """The one ``GammaEdgeKey`` of each value."""
+    return _EdgeFields.__new__(GammaEdgeKey, tail, head, orbit)
 
 
 @functools.cache

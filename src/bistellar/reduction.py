@@ -32,7 +32,7 @@ from collections import deque
 from typing import NamedTuple
 
 from .canonical import OKey, materialize, okey, ukey
-from .errors import BudgetExhausted, MalformedInput
+from .errors import BudgetExhausted, InvalidParams, MalformedInput
 from .moves import BistellarMove, apply_move, complexity_thirds, decreasing_moves, enumerate_moves, move_tau
 from .simplicial import OrientedComplex, Simplex
 
@@ -176,8 +176,11 @@ def reduce_to_boundary(L: OrientedComplex, budget: int = 4000, seed: int = 0) ->
     comes from ``_search``.  Raises BudgetExhausted (with the best partial
     state) if a search takes ``budget`` plateau states, or runs out of
     plateau, without finding a step; its message says which and how many
-    states were taken.  With ``budget`` 0 it is raised before any move.
+    states were taken.  With ``budget`` 0 it is raised before any move; a
+    negative ``budget`` is InvalidParams.
     """
+    if budget < 0:
+        raise InvalidParams(f"negative reduction budget {budget}")
     start_key = okey(L)
     state = materialize(start_key)
     rng = random.Random(repr((seed, start_key.encode())))

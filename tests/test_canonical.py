@@ -6,6 +6,7 @@ from itertools import permutations
 import pytest
 
 from bistellar.canonical import (
+    OKey,
     _ucanon,
     canonical_form,
     marked_encoding,
@@ -20,7 +21,7 @@ from bistellar.canonical import (
 from bistellar.enumeration import oriented_sphere_classes, spheres_by_expansion
 from bistellar.errors import NotPseudomanifold
 from bistellar.simplicial import Complex, OrientedComplex, boundary_of_simplex, build_complex, orient, perm_parity
-from helpers import octahedron
+from helpers import icosahedron, octahedron, random_sphere
 
 
 def _random_relabel(K, rng):
@@ -161,6 +162,39 @@ def test_disconnected_oriented_input_is_rejected():
             with pytest.raises(NotPseudomanifold):
                 fn(union)
     assert okey(A).sign == -okey(-A).sign != 0
+
+
+def _keys(rng):
+    """The keys of a few complexes, chiral and achiral, with a random
+    relabelling of each that no earlier call has labelled."""
+    for L in (octahedron(), icosahedron(), random_sphere(random.Random(5), 9)):
+        M = relabel_oriented(L, dict(zip(L.vertices, rng.sample(range(1000, 2000), len(L.vertices)))))
+        yield okey(L), okey(M)
+
+
+def test_a_class_key_is_one_object_per_value():
+    """Relabellings, decoding and mirroring twice all give back the one
+    object of a class key, which hashes and compares like its tuple."""
+    signs = []
+    for k, k2 in _keys(random.Random(11)):
+        assert k2 is k
+        assert OKey(*k) is OKey(facets=k.facets, sign=k.sign) is k
+        assert OKey.decode(k.encode()) is k
+        assert k.mirror().mirror() is k and (k.mirror() is k) == (k.sign == 0)
+        assert hash(k) == hash(tuple(k)) and k == tuple(k) and tuple(k) == k
+        signs.append(k.sign)
+    assert signs == [0, 0, 1]
+
+
+def test_a_copy_past_the_interning_table_hashes_as_the_key():
+    """``_replace`` and ``_make`` build a second object of one value, which
+    computes its own hash: the tuple's, so it finds the key's entry."""
+    for k, _ in _keys(random.Random(12)):
+        table = {k: "entry"}
+        for copy in (k._replace(sign=k.sign), OKey._make(k)):
+            assert copy is not k and type(copy) is OKey and vars(copy) == {}
+            assert copy == k and hash(copy) == hash(k) == hash(tuple(k))
+            assert table[copy] == "entry" and copy in {k} and k in {copy}
 
 
 def test_kept_automorphisms_after_an_emptied_class_table():

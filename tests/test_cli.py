@@ -59,6 +59,16 @@ def test_reduce_emits_certificate(capsys, data_dir):
     assert rep["certificate"]["moves"]
 
 
+@pytest.mark.parametrize("command", ["check", "reduce"])
+def test_negative_budget_is_invalid_params(capsys, data_dir, command):
+    """A negative budget is a usage fault, not an unknown verdict or an
+    exhausted search: one JSON line, exit 1, no traceback."""
+    code = main(["--budget", "-5", command, str(data_dir / "cross_4.facets")])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    assert json.loads(captured.out) == {"error": "InvalidParams", "message": "negative reduction budget -5"}
+
+
 def test_reduce_nonorientable_fails_cleanly(capsys, data_dir):
     code, out = _run(capsys, ["reduce", str(data_dir / "rp2.facets")])
     assert code == 1

@@ -4,11 +4,12 @@ from itertools import chain
 
 import pytest
 
-from bistellar.canonical import okey, oriented_isomorphism, relabel_oriented, ukey
+from bistellar.canonical import OKey, okey, oriented_isomorphism, relabel_oriented, ukey
 from bistellar.enumeration import spheres_by_expansion
 from bistellar.errors import InvalidMove, SphereCheckFailed
 from bistellar.moves import (
     BistellarMove,
+    GammaEdgeKey,
     apply_move,
     complexity_thirds,
     decreasing_moves,
@@ -229,6 +230,44 @@ def test_edge_key_equivalence_and_antisymmetry():
     mv = moves[0]
     fwd, bwd = edge_key(mv), edge_key(inverse_move(mv))
     assert fwd.key == bwd.key and fwd.sign == -bwd.sign
+
+
+def test_an_edge_key_is_one_object_per_value():
+    """The flips of the octahedron and of a relabelled copy are one orbit:
+    their edges are one object, which decoding and the constructor give
+    back and which hashes and compares like its tuple; a ``_replace`` copy
+    is a second object that computes the same hash."""
+    L = octahedron()
+    M = relabel_oriented(L, dict(zip(L.vertices, range(100, 106)[::-1])))
+    flips = [mv for K in (L, M) for mv in enumerate_moves(K) if mv.k == 1]
+    e = flips[0].edge.key
+    assert len(flips) == 24 and all(mv.edge.key is e for mv in flips)
+    assert GammaEdgeKey.decode(e.encode()) is e and GammaEdgeKey(*e) is e
+    assert e.head is okey(L) and e.tail is okey(flips[0].result)
+    assert hash(e) == hash(tuple(e)) and e == tuple(e)
+    copy = e._replace(orbit=e.orbit)
+    assert copy is not e and type(copy) is GammaEdgeKey and vars(copy) == {}
+    assert copy == e and hash(copy) == hash(e) and {e: 1}[copy] == 1
+
+
+def test_keys_built_after_emptied_interning_tables_equal_the_old():
+    """With every memo table emptied, the interning tables included, a class
+    key and an edge key built again are new objects equal to the old ones,
+    and decoding gives the new ones."""
+    import sys
+
+    mv = enumerate_moves(octahedron())[0]
+    old_key, old_edge = okey(mv.host), edge_key(mv).key
+    mods = [m for n, m in list(sys.modules.items()) if n == "bistellar" or n.startswith("bistellar.")]
+    tables = {id(o): o for m in mods for o in vars(m).values() if hasattr(o, "cache_clear")}.values()
+    assert {t.__name__ for t in tables} >= {"_interned_okey", "_interned_edge"}
+    for t in tables:
+        t.cache_clear()
+    key, edge = okey(octahedron()), edge_key(BistellarMove(octahedron(), mv.sigma, mv.tau)).key
+    assert key is not old_key and edge is not old_edge
+    assert key == old_key and hash(key) == hash(old_key) and edge == old_edge and hash(edge) == hash(old_edge)
+    assert OKey.decode(old_key.encode()) is key is edge.head
+    assert GammaEdgeKey.decode(old_edge.encode()) is edge
 
 
 def test_facet_subdivision_is_essential():

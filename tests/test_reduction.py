@@ -6,7 +6,7 @@ import pytest
 
 import bistellar.reduction as reduction
 from bistellar.canonical import okey
-from bistellar.errors import BudgetExhausted
+from bistellar.errors import BudgetExhausted, InvalidParams
 from bistellar.moves import apply_move, enumerate_moves
 from bistellar.reduction import MoveSequence, reduce_to_boundary, replay
 from bistellar.simplicial import boundary_of_simplex, join, orient
@@ -208,6 +208,17 @@ def test_budget_zero_raises_before_any_move_on_a_four_sphere():
     with pytest.raises(BudgetExhausted) as exc:
         reduce_to_boundary(K, budget=0)
     assert exc.value.moves_done == [] and len(exc.value.best_state.vertices) == 12
+
+
+@pytest.mark.parametrize("budget", [-1, -5])
+def test_negative_budget_is_invalid_before_any_search(budget, monkeypatch):
+    """A negative budget is no cap to run out of: InvalidParams before the
+    start is labelled, also on a simplex boundary that needs no move."""
+    labelled, searched = _spy(monkeypatch, "okey"), _spy(monkeypatch, "_search")
+    for L in (_cross_polytope(), orient(boundary_of_simplex(4))):
+        with pytest.raises(InvalidParams, match=f"negative reduction budget {budget}"):
+            reduce_to_boundary(L, budget=budget)
+    assert labelled == searched == []
 
 
 def test_the_plateau_of_cp2_runs_out_after_one_state():
